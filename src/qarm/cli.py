@@ -254,6 +254,8 @@ def cmd_mine_sampling(args) -> tuple[Report, int]:
     thr = support_threshold(args.min_supp)
     n_samples = args.samples
     if args.epsilon is not None:
+        if not args.epsilon > 0:
+            raise ValueError(f"--epsilon must be > 0, got {args.epsilon}")
         n_samples = max(1, math.ceil(1.0 / args.epsilon ** 2))
     counter = QueryCounter()
     rng = np.random.default_rng(args.seed)
@@ -509,8 +511,11 @@ def main(argv=None) -> int:
     except QubitBudgetError as exc:
         print(f"refusing: {exc}", file=sys.stderr)
         return 2
-    except (FimiParseError, ValueError, OSError) as exc:
+    except (FimiParseError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
     if args.output:

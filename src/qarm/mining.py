@@ -33,7 +33,7 @@ from .data import (
     exact_support,
     support_threshold,
 )
-from .oracle import EST, IDX, QueryCounter, item_registers
+from .oracle import CAND, EST, QueryCounter
 from .qpe import SupportEstimate, decode_support, parallel_amplitude_estimation
 from .qsim import (
     Statevector,
@@ -110,15 +110,16 @@ def _negate_good(state: Statevector, mask: np.ndarray):
 
 
 def amplitude_amplify(state: Statevector, good: GoodSet, mode: str = "ideal-projection",
-                      rng=None, counter: QueryCounter | None = None) -> Statevector:
+                      rng=None, counter: QueryCounter | None = None, *,
+                      k: int) -> Statevector:
     """Boost the good-subspace weight of a prepared |Psi3> in place.
 
+    k is the itemset size of the level, which sets the ledger charges.
     bbht measures the estimation register internally and returns the
     state collapsed onto a good outcome; the other modes leave the
     estimation register unmeasured.
     """
-    layout = state.layout
-    big_t = layout.dim(EST)
+    big_t = state.layout.dim(EST)
     if good.big_t != big_t:
         raise ValueError("good set grid does not match the estimation register")
     if mode not in AMPLIFY_MODES:
@@ -129,7 +130,6 @@ def amplitude_amplify(state: Statevector, good: GoodSet, mode: str = "ideal-proj
         raise NoFrequentCandidatesError(
             f"no candidate clears min_supp={good.min_supp}: good-subspace weight {p:.3e}"
         )
-    k = len(item_registers(layout))
 
     if mode == "ideal-projection":
         view3 = _est_view(state)
@@ -229,10 +229,6 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
     psi3 = parallel_amplitude_estimation(db, candidates, k, big_t, counter,
                                          qubit_cap=qubit_cap)
     good = good_set(big_t, min_supp)
-    layout = psi3.layout
-    items = item_registers(layout)
-    measured = [EST] + ([IDX] + items if k > 1 else items)
-    by_item_value = {c.items[0]: c for c in candidates} if k == 1 else None
 
     found: dict[Itemset, MinedItemset] = {}
     misses = 0
@@ -242,20 +238,13 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
             counter.charge_estimation_pipeline(k, big_t)
         first = False
         work = psi3.copy()
-        amplitude_amplify(work, good, mode, rng, counter)
-        outcomes, _ = measure(work, measured, rng)
+        amplitude_amplify(work, good, mode, rng, counter, k=k)
+        outcomes, _ = measure(work, [EST, CAND], rng)
         counter.measurements += 1
-        if k == 1:
-            itemset = by_item_value.get(outcomes[items[0]])
-            if itemset is None:
-                raise AssertionError("measured a non-candidate item value")
-        else:
-            j = outcomes[IDX]
-            if j >= len(candidates):
-                raise AssertionError("measured an index beyond the candidates")
-            itemset = candidates[j]
-            if tuple(outcomes[name] for name in items) != itemset.items:
-                raise AssertionError("index and item registers disagree")
+        j = outcomes[CAND]
+        if j >= len(candidates):
+            raise AssertionError("measured an index beyond the candidates")
+        itemset = candidates[j]
         estimate = decode_support(outcomes[EST], big_t)
         if estimate.value >= thr - GRID_TOL and itemset not in found:
             found[itemset] = MinedItemset(

@@ -8,9 +8,12 @@ k-controlled NOT onto a kickback qubit held in |->.  A diagonal fast
 path multiplies a precomputed sign table instead and must agree with
 the circuit exactly; it charges the same query counts.
 
-Register name conventions (layout order): est, txn, idx, item0..item{k-1},
-anc0..anc{k-1}, kick.  Reads of padded rows/columns (i >= N or j >= M)
-return D = 0.
+The estimation pipeline runs on est, txn, cand: one candidate register
+indexes the C candidates of a level, and its sign table reads D through
+each candidate's items.  The item-register layout (est, txn,
+item0..item{k-1}, anc0..anc{k-1}, kick) carries the circuit-faithful
+oracle that this table is checked against.  Reads of padded rows/columns
+(i >= N or j >= M) return D = 0; padded candidate slots read sign +1.
 """
 from __future__ import annotations
 
@@ -19,16 +22,18 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .constants import NORM_TOL
-from .data import TransactionDB
+from .data import Itemset, TransactionDB
 from .qsim import RegisterLayout, Statevector, inject_state
 
 __all__ = [
-    "EST", "TXN", "IDX", "KICK",
+    "EST", "TXN", "CAND", "KICK",
     "item_register", "ancilla_register", "item_registers",
     "QueryCounter",
     "build_layout",
+    "candidate_layout",
     "padded_bit_matrix",
     "phase_oracle_sign_table",
+    "candidate_sign_table",
     "apply_basic_oracle",
     "generalized_cnot",
     "prepare_minus",
@@ -37,7 +42,7 @@ __all__ = [
 
 EST = "est"
 TXN = "txn"
-IDX = "idx"
+CAND = "cand"
 KICK = "kick"
 
 
@@ -110,17 +115,15 @@ def _log2_exact(big_t: int) -> int:
 
 
 def build_layout(db: TransactionDB, k: int, *, big_t: int | None = None,
-                 n_candidates: int | None = None, ancillas: bool = False,
+                 ancillas: bool = False,
                  qubit_cap: int | None = None) -> RegisterLayout:
-    """Registers for a k-item pipeline over db, in canonical order."""
+    """Item-register layout for the k-item oracle circuit, in canonical order."""
     if k < 1:
         raise ValueError("k must be >= 1")
     regs: list[tuple[str, int]] = []
     if big_t is not None:
         regs.append((EST, _log2_exact(big_t)))
     regs.append((TXN, _bits_for(db.n_transactions)))
-    if n_candidates is not None and k > 1:
-        regs.append((IDX, _bits_for(n_candidates)))
     m_bits = _bits_for(db.n_items)
     for l in range(k):
         regs.append((item_register(l), m_bits))
@@ -129,6 +132,14 @@ def build_layout(db: TransactionDB, k: int, *, big_t: int | None = None,
             regs.append((ancilla_register(l), 1))
         regs.append((KICK, 1))
     return RegisterLayout(regs, qubit_cap=qubit_cap)
+
+
+def candidate_layout(db: TransactionDB, n_candidates: int, big_t: int,
+                     qubit_cap: int | None) -> RegisterLayout:
+    """The estimation pipeline's registers: est, txn, cand."""
+    return RegisterLayout([(EST, _log2_exact(big_t)),
+                           (TXN, _bits_for(db.n_transactions)),
+                           (CAND, _bits_for(n_candidates))], qubit_cap=qubit_cap)
 
 
 def padded_bit_matrix(db: TransactionDB, n_dim: int, m_dim: int) -> np.ndarray:
@@ -142,7 +153,7 @@ def padded_bit_matrix(db: TransactionDB, n_dim: int, m_dim: int) -> np.ndarray:
 
 def phase_oracle_sign_table(db: TransactionDB, layout: RegisterLayout) -> np.ndarray:
     """Diagonal of O^(k) shaped to broadcast over the layout's axes from
-    the transaction register onward (idx/ancilla axes broadcast as 1)."""
+    the transaction register onward (ancilla axes broadcast as 1)."""
     items = item_registers(layout)
     k = len(items)
     n_dim = layout.dim(TXN)
@@ -159,6 +170,17 @@ def phase_oracle_sign_table(db: TransactionDB, layout: RegisterLayout) -> np.nda
         aligned[layout.axis(name) - txn_axis] = m_dim
         contained = contained & bits.reshape(aligned)
     return np.where(contained, -1.0, 1.0)
+
+
+def candidate_sign_table(db: TransactionDB, candidates: list[Itemset],
+                         layout: RegisterLayout) -> np.ndarray:
+    """Diagonal of O^(k) on the txn x cand axes of a candidate layout:
+    -1 where row i contains every item of candidate c, +1 elsewhere."""
+    cols = np.array([cand.items for cand in candidates])
+    contained = db.dense()[:, cols].all(axis=2)
+    table = np.ones((layout.dim(TXN), layout.dim(CAND)))
+    table[: db.n_transactions, : len(candidates)][contained] = -1.0
+    return table
 
 
 def _index_grid(layout: RegisterLayout) -> np.ndarray:

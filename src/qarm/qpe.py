@@ -11,6 +11,11 @@ For an eigenphase omega the estimation register ends in
 |E_T(omega)> with |<y|E_T(omega)>|^2 = sin^2(pi(T*omega - y)) /
 (T^2 sin^2(pi(T*omega - y)/T)), a point mass when T*omega is an integer.
 Each branch omega in {theta/pi, 1 - theta/pi} carries weight 1/2.
+
+The pipeline state lives in est (x) txn (x) cand: the candidate register
+indexes the level's C candidates, and G acts on each candidate's slice
+through its own column of the txn x cand sign table, so the (est, cand)
+law is (1/C) times the sum of the per-candidate laws.
 """
 from __future__ import annotations
 
@@ -21,18 +26,18 @@ import numpy as np
 
 from .data import Itemset, TransactionDB
 from .oracle import (
+    CAND,
     EST,
-    IDX,
     TXN,
     QueryCounter,
-    build_layout,
+    candidate_layout,
+    candidate_sign_table,
     item_registers,
     phase_oracle_sign_table,
 )
 from .qsim import (
     Statevector,
     apply_controlled_power,
-    inject_state,
     inverse_qft,
     prepare_uniform,
 )
@@ -44,7 +49,6 @@ __all__ = [
     "decode_support",
     "grid_steps_between",
     "apply_grover_operator",
-    "load_candidates",
     "parallel_amplitude_estimation",
     "analytic_phase_distribution",
 ]
@@ -189,35 +193,14 @@ def apply_grover_operator(state: Statevector, db: TransactionDB,
     return state
 
 
-def load_candidates(state: Statevector, candidates: list[Itemset], k: int) -> Statevector:
-    """Uniform superposition over candidates: item ids directly for k=1,
-    (index, pattern) pairs through the index register for k > 1."""
-    layout = state.layout
-    items = item_registers(layout)
-    m_dim = layout.dim(items[0])
-    amp = 1.0 / math.sqrt(len(candidates))
-    if k == 1:
-        vec = np.zeros(m_dim, dtype=np.complex128)
-        for cand in candidates:
-            vec[cand.items[0]] = amp
-        return inject_state(state, items[0], vec)
-    idx_dim = layout.dim(IDX)
-    vec = np.zeros(idx_dim * m_dim ** k, dtype=np.complex128)
-    for j, cand in enumerate(candidates):
-        pos = j
-        for item in cand.items:
-            pos = pos * m_dim + item
-        vec[pos] = amp
-    return inject_state(state, [IDX] + items, vec)
-
-
 def parallel_amplitude_estimation(db: TransactionDB, candidates: list[Itemset],
                                   k: int, big_t: int,
                                   counter: QueryCounter | None = None,
                                   qubit_cap: int | None = None) -> Statevector:
     """Run steps 1-3: prepare, estimate in parallel, inverse QFT.
 
-    Returns |Psi3>; exactly T-1 Grover applications (2k(T-1) basic-oracle
+    Returns |Psi3> on est, txn, cand, where cand value j stands for
+    candidates[j]; exactly T-1 Grover applications (2k(T-1) basic-oracle
     calls) are charged, plus one state preparation.
     """
     if not candidates:
@@ -231,21 +214,17 @@ def parallel_amplitude_estimation(db: TransactionDB, candidates: list[Itemset],
         if cand in seen:
             raise ValueError(f"duplicate candidate {cand}")
         seen.add(cand)
-    layout = build_layout(db, k, big_t=big_t, n_candidates=len(candidates),
-                          qubit_cap=qubit_cap)
+    layout = candidate_layout(db, len(candidates), big_t, qubit_cap)
     state = Statevector.zero(layout)
     prepare_uniform(state, EST, big_t)
     prepare_uniform(state, TXN, db.n_transactions)
-    load_candidates(state, candidates, k)
+    prepare_uniform(state, CAND, len(candidates))
     if counter is not None:
         counter.state_preparations += 1
-    table = phase_oracle_sign_table(db, layout)
-    trailing = len(layout.names) - layout.axis(TXN) - 1
-    txn_axis = layout.axis(TXN) - len(layout.names)
+    table = candidate_sign_table(db, candidates, layout)
 
-    def step(block: np.ndarray):
-        _grover_kernel(block, table, txn_axis, db.n_transactions, trailing,
-                       k, counter)
+    def step(block: np.ndarray):  # trailing axes: txn, cand
+        _grover_kernel(block, table, -2, db.n_transactions, 1, k, counter)
 
     for p in range(layout.width(EST)):
         apply_controlled_power(state, (EST, p), step, 1 << p)

@@ -11,11 +11,11 @@ its bits of b, most significant qubit first.
 from __future__ import annotations
 
 import os
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .constants import DEFAULT_QUBIT_CAP, NORM_TOL, QUBIT_CAP_ENV, UNITARY_TOL
+from .constants import DEFAULT_QUBIT_CAP, NORM_TOL, QUBIT_CAP_ENV
 
 __all__ = [
     "QubitBudgetError",
@@ -219,16 +219,14 @@ def inject_state(state: Statevector, registers, amplitudes: np.ndarray) -> State
 
 
 def apply_controlled_power(state: Statevector, control: tuple[str, int], u,
-                           power: int, target_register: str | None = None) -> Statevector:
+                           power: int) -> Statevector:
     """Apply U^power to amplitude slices whose control qubit is 1.
 
     control is (register, bit) with bit the exponent of the qubit's weight
-    inside the register value (bit p has weight 2^p).  u is either a
-    callable mutating a view in place, invoked once per unit of power with
-    an array whose trailing axes are the registers after the control
-    register, or a unitary matrix paired with target_register; the matrix
-    form applies the exponentiated matrix in one pass.  Either way U must
-    act only on registers laid out after the control register.
+    inside the register value (bit p has weight 2^p).  u is a callable
+    mutating a view in place, invoked once per unit of power with an array
+    whose trailing axes are the registers after the control register; U
+    must act only on those registers.
     """
     reg, bit = control
     width = state.layout.width(reg)
@@ -242,31 +240,8 @@ def apply_controlled_power(state: Statevector, control: tuple[str, int], u,
     pre_bits = sum(layout.width(n) for n in layout.names[:ctrl_axis]) + (width - 1 - bit)
     shape = (1 << pre_bits, 2, 1 << bit) + dims_after
     block = state.amps.reshape(shape)[:, 1]
-
-    if callable(u):
-        if target_register is not None:
-            raise ValueError("target_register only applies to the matrix form")
-        for _ in range(power):
-            u(block)
-    else:
-        if target_register is None:
-            raise ValueError("matrix form needs target_register")
-        tgt_axis = layout.axis(target_register)
-        if tgt_axis <= ctrl_axis:
-            raise ValueError(
-                f"target {target_register!r} must come after control register {reg!r}"
-            )
-        mat = np.asarray(u, dtype=np.complex128)
-        dim = layout.dim(target_register)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix must be {dim}x{dim} for {target_register!r}")
-        if np.max(np.abs(mat @ mat.conj().T - np.eye(dim))) > 1e-9:
-            raise ValueError("matrix is not unitary")
-        powered = np.linalg.matrix_power(mat, power)
-        # block axes: (pre, 2^bit, *dims_after); target sits after the control register
-        axis_in_block = 2 + (tgt_axis - ctrl_axis - 1)
-        moved = np.moveaxis(block, axis_in_block, -1)
-        moved[...] = moved @ powered.T
+    for _ in range(power):
+        u(block)
     state.check_norm()
     return state
 
@@ -281,27 +256,13 @@ def inverse_qft(state: Statevector, register: str) -> Statevector:
     return state
 
 
-def reflect_about_state(state: Statevector, reference,
-                        register: str | None = None) -> Statevector:
-    """In-place 2|ref><ref| - I, globally or confined to one register."""
-    if register is None:
-        if not isinstance(reference, Statevector):
-            raise ValueError("global reflection needs a Statevector reference")
-        if reference.layout.dims != state.layout.dims:
-            raise ValueError("reference layout mismatch")
-        overlap = np.vdot(reference.amps, state.amps)
-        state.amps *= -1.0
-        state.amps += (2.0 * overlap) * reference.amps
-    else:
-        ref = np.asarray(reference, dtype=np.complex128)
-        axis = state.layout.axis(register)
-        dim = state.layout.dim(register)
-        if ref.shape != (dim,):
-            raise ValueError(f"reference must have shape ({dim},)")
-        view3 = _three_axis_view(state, axis, axis)
-        overlap = np.einsum("pdq,d->pq", view3, ref.conj())
-        view3 *= -1.0
-        view3 += 2.0 * overlap[:, None, :] * ref[None, :, None]
+def reflect_about_state(state: Statevector, reference: Statevector) -> Statevector:
+    """In-place 2|ref><ref| - I over the whole state."""
+    if reference.layout.dims != state.layout.dims:
+        raise ValueError("reference layout mismatch")
+    overlap = np.vdot(reference.amps, state.amps)
+    state.amps *= -1.0
+    state.amps += (2.0 * overlap) * reference.amps
     state.check_norm()
     return state
 

@@ -2,11 +2,12 @@
 
 import os
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from qarm import TransactionDB
+from qarm import Itemset, TransactionDB
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -37,6 +38,15 @@ def random_db(rng: np.random.Generator, n: int, m: int,
     return TransactionDB.from_rows(
         [list(np.nonzero(r)[0]) for r in rows], n_items=m
     )
+
+
+def random_candidates(rng: np.random.Generator, db: TransactionDB,
+                      k: int) -> list[Itemset]:
+    """A nonempty random subset of the k-itemsets over db's items, sorted."""
+    pool = list(combinations(range(db.n_items), k))
+    picks = rng.choice(len(pool), size=int(rng.integers(1, len(pool) + 1)),
+                       replace=False)
+    return [Itemset(pool[i]) for i in sorted(picks)]
 
 
 def find_dataset(name: str) -> str | None:

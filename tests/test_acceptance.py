@@ -303,7 +303,7 @@ def test_acceptance_8_amplification_scaling():
         total = 0
         for _ in range(shots):
             counter = QueryCounter()
-            amplitude_amplify(psi.copy(), good, "bbht", rng, counter)
+            amplitude_amplify(psi.copy(), good, "bbht", rng, counter, k=1)
             total += counter.amplification_iterations
         return total / shots
 

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import qarm.cli
+import qarm.mining
 from qarm.cli import main
 
 CLEAR_FIMI = "0 1 2\n" * 4 + "0 1\n" * 4
@@ -112,6 +114,37 @@ def test_sampling_epsilon_sets_sample_count(capsys, clear_db_path):
     assert all(0.0 <= e["estimate"] <= 1.0 for e in doc["itemsets"])
 
 
+@pytest.mark.parametrize("epsilon", ["0", "-0.5"])
+def test_sampling_rejects_non_positive_epsilon(capsys, epsilon):
+    code = main(["mine-sampling", "--synthetic", "8", "4", "--min-supp", "1/4",
+                 f"--epsilon={epsilon}", "--json"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--epsilon" in captured.err
+    assert captured.out == ""
+
+
+def test_bbht_non_convergence_is_a_clean_error(capsys, monkeypatch):
+    # every internal measurement reads y = 0, which is never good, so the
+    # bbht loop runs out of budget
+    monkeypatch.setattr(qarm.mining, "measure",
+                        lambda state, registers, rng: ({"est": 0}, state))
+    code = main(["mine-quantum", "--synthetic", "8", "4", "--min-supp", "1/4",
+                 "--mode", "bbht", "-T", "8"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "converge" in err
+
+
+def test_out_of_memory_is_a_clean_error(capsys, monkeypatch):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+    monkeypatch.setattr(qarm.cli, "qarm_full", exhausted)
+    code = main(["mine-quantum", "--synthetic", "8", "4", "--min-supp", "1/4"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: out of memory")
+
+
 def test_synthetic_source(capsys):
     code, doc = run_json(capsys, [
         "mine-classical", "--synthetic", "8", "4", "--density", "0.5",
@@ -180,3 +213,50 @@ def test_argparse_usage_errors():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+# Recorded from the item-register layout this pipeline replaced; the
+# candidate-register layout must reproduce every shot.
+GOLDEN_16x6_SEED3 = {
+    "ideal-projection": (
+        [((0,), 6), ((1,), 10), ((2,), 7), ((3,), 6), ((4,), 7), ((0, 1), 6),
+         ((0, 2), 12), ((0, 4), 7), ((1, 2), 13), ((1, 3), 15), ((1, 4), 6),
+         ((3, 4), 10), ((1, 3, 4), 6)],
+        [42, 34, 26],
+        {"amplification_iterations": 0, "basic_oracle_calls": 11656,
+         "classical_row_scans": 0, "elementary_gates": 8494,
+         "grover_applications": 3162, "measurements": 102,
+         "phase_oracle_k_calls": 3162, "state_preparations": 102},
+    ),
+    "grover-known": (
+        [((0,), 6), ((2,), 9), ((3,), 6), ((4,), 7), ((0, 2), 6), ((0, 4), 15),
+         ((3, 4), 8)],
+        [45, 31],
+        {"amplification_iterations": 200, "basic_oracle_calls": 50654,
+         "classical_row_scans": 0, "elementary_gates": 35898,
+         "grover_applications": 14756, "measurements": 76,
+         "phase_oracle_k_calls": 14756, "state_preparations": 76},
+    ),
+    "bbht": (
+        [((0,), 6), ((1,), 9), ((2,), 6), ((3,), 6), ((4,), 7), ((5,), 9),
+         ((0, 1), 11), ((0, 2), 7), ((0, 4), 9), ((0, 5), 6), ((1, 2), 16),
+         ((1, 3), 10), ((1, 4), 7), ((3, 4), 6), ((1, 3, 4), 14)],
+        [92, 338, 211],
+        {"amplification_iterations": 489, "basic_oracle_calls": 232438,
+         "classical_row_scans": 0, "elementary_gates": 182249,
+         "grover_applications": 50189, "measurements": 767,
+         "phase_oracle_k_calls": 50189, "state_preparations": 641},
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_16x6_SEED3))
+def test_mine_quantum_golden_transcript(capsys, mode):
+    itemsets, shots, counters = GOLDEN_16x6_SEED3[mode]
+    code, doc = run_json(capsys, [
+        "mine-quantum", "--synthetic", "16", "6", "-T", "32",
+        "--min-supp", "1/4", "--seed", "3", "--mode", mode])
+    assert code == 0
+    assert [(tuple(e["items"]), e["y"]) for e in doc["itemsets"]] == itemsets
+    assert [row["shots_used"] for row in doc["iterations"]] == shots
+    assert doc["counters"]["quantum"] == counters

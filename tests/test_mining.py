@@ -40,7 +40,7 @@ def test_ideal_projection_moves_all_weight(dtoy):
     state = psi3(dtoy, [0, 1, 2], 8)
     good = good_set(8, 0.5)
     before = state.amps.copy()
-    amplitude_amplify(state, good, "ideal-projection")
+    amplitude_amplify(state, good, "ideal-projection", k=1)
     assert abs(good_weight(state, good) - 1.0) < 1e-12
     # conditional amplitudes inside the good region survive unscathed
     keep = before.reshape(8, -1).copy()  # est is the leading register
@@ -53,7 +53,7 @@ def test_ideal_projection_identity_when_all_good(toy4):
     # support 1 concentrates on y = T/2, inside the good region
     state = psi3(toy4, [1], 8)
     before = state.amps.copy()
-    amplitude_amplify(state, good_set(8, 0.5), "ideal-projection")
+    amplitude_amplify(state, good_set(8, 0.5), "ideal-projection", k=1)
     assert np.max(np.abs(state.amps - before)) < 1e-12
 
 
@@ -65,10 +65,10 @@ def test_grover_known_quarter_rotates_exactly():
     assert abs(good_weight(state, good) - 0.25) < 1e-12
 
     ideal = state.copy()
-    amplitude_amplify(ideal, good, "ideal-projection")
+    amplitude_amplify(ideal, good, "ideal-projection", k=1)
     counter = QueryCounter()
     amplitude_amplify(state, good, "grover-known",
-                      np.random.default_rng(0), counter)
+                      np.random.default_rng(0), counter, k=1)
     assert np.max(np.abs(state.amps - ideal.amps)) < 1e-12
     assert counter.amplification_iterations == 1
     assert counter.grover_applications == 2 * 7
@@ -83,10 +83,10 @@ def test_grover_known_preserves_conditional():
     assert abs(good_weight(state, good) - 0.125) < 1e-12
 
     ideal = state.copy()
-    amplitude_amplify(ideal, good, "ideal-projection")
+    amplitude_amplify(ideal, good, "ideal-projection", k=1)
     counter = QueryCounter()
     amplitude_amplify(state, good, "grover-known",
-                      np.random.default_rng(0), counter)
+                      np.random.default_rng(0), counter, k=1)
     w = good_weight(state, good)
     assert counter.amplification_iterations == 2
     assert w > 0.9
@@ -104,7 +104,7 @@ def test_bbht_collapses_onto_good_outcome():
         state = psi3(db, [0, 1, 2, 3], 8)
         counter = QueryCounter()
         amplitude_amplify(state, good, "bbht",
-                          np.random.default_rng(99), counter)
+                          np.random.default_rng(99), counter, k=1)
         assert abs(good_weight(state, good) - 1.0) < 1e-9
         assert counter.measurements >= 1
         per_pipeline = 2 * 1 * 7
@@ -118,15 +118,15 @@ def test_amplify_rejects_empty_good_subspace(toy4):
     # supports 1/2 and 0 are on-grid: no mass reaches the 0.9 region
     state = psi3(toy4, [0, 2], 8)
     with pytest.raises(NoFrequentCandidatesError, match="0.9"):
-        amplitude_amplify(state, good_set(8, 0.9), "ideal-projection")
+        amplitude_amplify(state, good_set(8, 0.9), "ideal-projection", k=1)
 
 
 def test_amplify_validates_inputs(toy4):
     state = psi3(toy4, [0, 1], 8)
     with pytest.raises(ValueError):
-        amplitude_amplify(state, good_set(16, 0.5))
+        amplitude_amplify(state, good_set(16, 0.5), k=1)
     with pytest.raises(ValueError):
-        amplitude_amplify(state, good_set(8, 0.5), mode="project")
+        amplitude_amplify(state, good_set(8, 0.5), mode="project", k=1)
 
 
 def test_mine_k1_finds_exact_toy_frequents(toy4):

@@ -5,42 +5,71 @@ import pytest
 
 from qarm import QueryCounter, Statevector, TransactionDB
 from qarm.oracle import (
-    IDX,
+    CAND,
+    EST,
     KICK,
     TXN,
     ancilla_register,
     apply_basic_oracle,
     apply_phase_oracle_k,
     build_layout,
+    candidate_layout,
+    candidate_sign_table,
     generalized_cnot,
     item_register,
     padded_bit_matrix,
     phase_oracle_sign_table,
     prepare_minus,
 )
-from qarm.qsim import inject_state, prepare_uniform
+from qarm.qsim import QubitBudgetError, inject_state, prepare_uniform
 
-from conftest import random_db
+from conftest import random_candidates, random_db
 
 
 def test_build_layout_geometry(dtoy):
-    layout = build_layout(dtoy, 2, big_t=8, n_candidates=3, ancillas=True)
-    assert layout.names == ("est", "txn", "idx", "item0", "item1",
+    layout = build_layout(dtoy, 2, big_t=8, ancillas=True)
+    assert layout.names == ("est", "txn", "item0", "item1",
                             "anc0", "anc1", "kick")
     assert layout.width("est") == 3
     assert layout.width(TXN) == 2   # 4 transactions
-    assert layout.width(IDX) == 2   # 3 candidates round up
     assert layout.width(item_register(0)) == 2  # 3 items round up
     assert layout.width(ancilla_register(1)) == 1
-
-    # k = 1 has no index register even when candidates are counted
-    layout = build_layout(dtoy, 1, n_candidates=3)
-    assert layout.names == (TXN, "item0")
 
     with pytest.raises(ValueError):
         build_layout(dtoy, 0)
     with pytest.raises(ValueError):
         build_layout(dtoy, 1, big_t=6)  # not a power of two
+
+
+def test_candidate_layout_geometry(dtoy):
+    # the same layout for every k: only the candidate count sets cand
+    layout = candidate_layout(dtoy, 3, 8, None)
+    assert layout.names == (EST, TXN, CAND)
+    assert layout.width(EST) == 3
+    assert layout.width(TXN) == 2   # 4 transactions
+    assert layout.width(CAND) == 2  # 3 candidates round up
+    assert candidate_layout(dtoy, 1, 2, None).width(CAND) == 1
+    with pytest.raises(ValueError):
+        candidate_layout(dtoy, 3, 6, None)  # not a power of two
+    with pytest.raises(QubitBudgetError):
+        candidate_layout(dtoy, 3, 8, 6)
+
+
+def test_candidate_sign_table_matches_item_layout():
+    # each candidate's column is the item-layout diagonal (the one the
+    # circuit oracle is checked against) read at that candidate's items
+    rng = np.random.default_rng(202)
+    for k in (1, 2, 3):
+        for _ in range(6):
+            db = random_db(rng, n=int(rng.integers(1, 7)), m=int(rng.integers(3, 6)))
+            cands = random_candidates(rng, db, k)
+            layout = candidate_layout(db, len(cands), 8, None)
+            table = candidate_sign_table(db, cands, layout)
+            ref = phase_oracle_sign_table(db, build_layout(db, k))
+            assert table.shape == (ref.shape[0], layout.dim(CAND))
+            for j, cand in enumerate(cands):
+                assert np.array_equal(table[:, j], ref[(slice(None),) + cand.items])
+            assert np.all(table[:, len(cands):] == 1.0)  # padded slots
 
 
 def test_padded_bit_matrix(dtoy):

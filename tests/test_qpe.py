@@ -5,28 +5,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qarm import (
     Itemset,
     QueryCounter,
     Statevector,
     TransactionDB,
+    exact_support,
     good_set,
     grid_steps_between,
 )
-from qarm.oracle import TXN, build_layout, phase_oracle_sign_table
+from qarm.oracle import CAND, EST, TXN, build_layout, phase_oracle_sign_table
 from qarm.qpe import (
     GroverSpectrum,
     PhaseDistribution,
     analytic_phase_distribution,
     apply_grover_operator,
     decode_support,
-    load_candidates,
     parallel_amplitude_estimation,
 )
 from qarm.qsim import prepare_uniform, register_marginal
 
-from conftest import random_db
+from conftest import random_candidates, random_db
 
 
 def test_decode_support_examples():
@@ -165,29 +166,6 @@ def test_grover_eigenstate_cases(dtoy, toy4):
     assert np.max(np.abs(state.amps + before)) < 1e-12
 
 
-def test_load_candidates_k1(dtoy):
-    layout = build_layout(dtoy, 1)
-    state = Statevector.zero(layout)
-    prepare_uniform(state, TXN, 4)
-    load_candidates(state, [Itemset((0,)), Itemset((2,))], 1)
-    marg = register_marginal(state, "item0")
-    assert np.allclose(marg, [0.5, 0.0, 0.5, 0.0])
-
-
-def test_load_candidates_k2(dtoy):
-    layout = build_layout(dtoy, 2, n_candidates=2)
-    state = Statevector.zero(layout)
-    prepare_uniform(state, TXN, 4)
-    cands = [Itemset((0, 1)), Itemset((0, 2))]
-    load_candidates(state, cands, 2)
-    amp = 1 / math.sqrt(2)
-    for j, cand in enumerate(cands):
-        got = state.amplitude({TXN: 0, "idx": j,
-                               "item0": cand.items[0], "item1": cand.items[1]})
-        assert abs(got - amp / 2) < 1e-12  # txn uniform over 4 contributes 1/2
-    assert abs(state.amplitude({TXN: 0, "idx": 0, "item0": 0, "item1": 2})) == 0
-
-
 def test_estimation_marginal_single_candidate(dtoy):
     for item, s in ((0, 0.75), (1, 0.5), (2, 0.25)):
         psi = parallel_amplitude_estimation(dtoy, [Itemset((item,))], 1, 16)
@@ -212,6 +190,25 @@ def test_estimation_on_grid_is_deterministic(dtoy):
     off_grid = np.delete(marg, [2, 6])
     assert np.max(off_grid) < 1e-12
     assert abs(marg[2] - 0.5) < 1e-12 and abs(marg[6] - 0.5) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3),
+       big_t=st.sampled_from([4, 8, 16]))
+def test_estimation_joint_is_candidate_mixture(seed, k, big_t):
+    # G is block-diagonal over candidates, so the (est, cand) joint is
+    # (1/C) * the analytic law of each candidate's support, column by column
+    rng = np.random.default_rng(seed)
+    db = random_db(rng, n=int(rng.integers(1, 9)), m=int(rng.integers(k, 6)))
+    cands = random_candidates(rng, db, k)
+    psi = parallel_amplitude_estimation(db, cands, k, big_t)
+    assert psi.layout.names == (EST, TXN, CAND)
+    joint = np.sum(np.abs(psi.view()) ** 2, axis=1)
+    expect = np.zeros_like(joint)
+    for j, cand in enumerate(cands):
+        s = exact_support(db, cand).value
+        expect[:, j] = analytic_phase_distribution(s, big_t).probs / len(cands)
+    assert np.max(np.abs(joint - expect)) < 1e-12
 
 
 def test_estimation_pipeline_query_budget(dtoy):
