@@ -151,6 +151,8 @@ def _load_db(args) -> tuple[TransactionDB, dict]:
         source = {"dataset": args.dataset}
     elif args.synthetic is not None:
         n, m = args.synthetic
+        if not 0.0 <= args.density <= 1.0:
+            raise ValueError(f"--density must be in [0, 1], got {args.density}")
         db, _ = synth_db(n, m, {}, seed=args.seed,
                          background_density=args.density)
         source = {"synthetic": {"n": n, "m": m, "density": args.density}}

@@ -3,14 +3,21 @@ subspace, measure, repeat until nothing new appears.
 
 After estimation the good subspace is spanned by basis states whose
 estimation value y decodes to a support at or above the threshold.
-Amplification modes:
+|Psi3> is the same for every shot of a level, so each level reduces it
+once to its (est, cand) law P0 and releases the state; every shot then
+draws from P0 amplified in closed form.  Q = (2|Psi3><Psi3| - I) * S_good
+acts in the good/bad plane: with p the good weight and sin^2(phi) = p,
+after r iterations the good rows of P0 are scaled by sin^2((2r+1)phi)/p
+and the bad rows by cos^2((2r+1)phi)/(1-p) (Brassard, Hoyer, Mosca and
+Tapp, quant-ph/0005055).  Amplification modes:
 
 * ideal-projection: project onto the good subspace and renormalize
   (reference semantics, no query cost);
-* grover-known: r = round(pi/(4*arcsin(sqrt(p))) - 1/2) iterations of
-  Q = (2|Psi3><Psi3| - I) * S_good, with p read off the simulated state;
+* grover-known: r = round(pi/(4*arcsin(sqrt(p))) - 1/2) iterations of Q,
+  with p read off P0;
 * bbht: exponentially growing random iteration counts with internal
-  measurement and re-preparation until a good outcome appears.
+  measurement and re-preparation until a good outcome appears (Boyer,
+  Brassard, Hoyer and Tapp, quant-ph/9605034).
 
 Each Q iteration costs two pipeline traversals, 2(T-1) Grover
 applications; re-preparations cost T-1.  With shots counted as state
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import IterationStats, cand_gen
-from .constants import GRID_TOL
+from .constants import GRID_TOL, NORM_TOL
 from .data import (
     ExactSupport,
     Itemset,
@@ -35,13 +42,7 @@ from .data import (
 )
 from .oracle import CAND, EST, QueryCounter
 from .qpe import SupportEstimate, decode_support, parallel_amplitude_estimation
-from .qsim import (
-    Statevector,
-    as_rng,
-    measure,
-    reflect_about_state,
-    register_marginal,
-)
+from .qsim import as_rng, joint_probs
 
 __all__ = [
     "NoFrequentCandidatesError",
@@ -96,60 +97,60 @@ def good_set(big_t: int, min_supp) -> GoodSet:
     return GoodSet(big_t=big_t, min_supp=thr, members=members)
 
 
-def _est_view(state: Statevector) -> np.ndarray:
-    layout = state.layout
-    axis = layout.axis(EST)
-    pre = int(np.prod(layout.dims[:axis], dtype=np.int64))
-    post = int(np.prod(layout.dims[axis + 1:], dtype=np.int64))
-    return state.amps.reshape(pre, layout.dim(EST), post)
+def _rotation(mask: np.ndarray, p: float, phi: float, r: int) -> np.ndarray:
+    """Per-est-row probability factor after r iterations of Q."""
+    angle = (2 * r + 1) * phi
+    bad = math.cos(angle) ** 2 / (1.0 - p) if p < 1.0 else 0.0
+    return np.where(mask, math.sin(angle) ** 2 / p, bad)
 
 
-def _negate_good(state: Statevector, mask: np.ndarray):
-    view3 = _est_view(state)
-    view3[:, mask, :] *= -1.0
+def _sample(weights: np.ndarray, rng) -> int:
+    """Born-rule draw of one flat index from nonnegative weights."""
+    flat = weights.ravel()
+    return int(rng.choice(flat.size, p=flat / flat.sum()))
 
 
-def amplitude_amplify(state: Statevector, good: GoodSet, mode: str = "ideal-projection",
+def amplitude_amplify(law: np.ndarray, good: GoodSet, mode: str = "ideal-projection",
                       rng=None, counter: QueryCounter | None = None, *,
-                      k: int) -> Statevector:
-    """Boost the good-subspace weight of a prepared |Psi3> in place.
+                      k: int) -> np.ndarray:
+    """Amplify the good subspace of |Psi3>, given as its (est, cand) law.
 
-    k is the itemset size of the level, which sets the ledger charges.
-    bbht measures the estimation register internally and returns the
-    state collapsed onto a good outcome; the other modes leave the
-    estimation register unmeasured.
+    law[y, j] is the probability of measuring est = y and cand = j on
+    |Psi3>; the returned array is that law after amplification.  Q acts
+    in the good/bad plane, so with p the good weight and sin^2(phi) = p,
+    r iterations scale every good row by sin^2((2r+1)phi)/p and every bad
+    row by cos^2((2r+1)phi)/(1-p) and leave each row's cand conditional
+    as it is.  k is the itemset size of the level, which sets the ledger
+    charges.  bbht measures the estimation register internally and
+    returns the law collapsed onto a good outcome y; the other modes
+    leave the estimation register unmeasured.
     """
-    big_t = state.layout.dim(EST)
+    big_t = law.shape[0]
     if good.big_t != big_t:
         raise ValueError("good set grid does not match the estimation register")
     if mode not in AMPLIFY_MODES:
         raise ValueError(f"unknown amplification mode {mode!r}")
     mask = good.mask()
-    p = float(register_marginal(state, EST)[mask].sum())
+    est = law.sum(axis=1)
+    p = float(est[mask].sum())
     if p <= _P_FLOOR:
         raise NoFrequentCandidatesError(
             f"no candidate clears min_supp={good.min_supp}: good-subspace weight {p:.3e}"
         )
 
     if mode == "ideal-projection":
-        view3 = _est_view(state)
-        view3[:, ~mask, :] = 0.0
-        state.amps /= np.linalg.norm(state.amps)
-        state.check_norm()
-        return state
+        projected = law * mask[:, None]
+        return projected / projected.sum()
 
     rng = as_rng(rng)
-    ref = state.copy()
+    phi = math.asin(math.sqrt(min(1.0, p)))
 
     if mode == "grover-known":
-        phi = math.asin(math.sqrt(min(1.0, p)))
         r = max(0, round(math.pi / (4.0 * phi) - 0.5))
-        for _ in range(r):
-            _negate_good(state, mask)
-            reflect_about_state(state, ref)
-            if counter is not None:
+        if counter is not None:
+            for _ in range(r):
                 counter.charge_amplification_iteration(k, big_t)
-        return state
+        return law * _rotation(mask, p, phi, r)[:, None]
 
     # bbht: grow the iteration window, measure, retry on a bad outcome
     m = 1.0
@@ -157,23 +158,24 @@ def amplitude_amplify(state: Statevector, good: GoodSet, mode: str = "ideal-proj
     budget = int(200.0 / math.sqrt(p)) + 50
     spent = 0
     first = True
+    est_after: dict[int, np.ndarray] = {}  # est marginal after r iterations
     while True:
-        if not first:
-            state.amps[:] = ref.amps
-            if counter is not None:
-                counter.charge_estimation_pipeline(k, big_t)
+        if not first and counter is not None:
+            counter.charge_estimation_pipeline(k, big_t)
         first = False
         r = int(rng.integers(0, int(math.ceil(m))))
-        for _ in range(r):
-            _negate_good(state, mask)
-            reflect_about_state(state, ref)
-            if counter is not None:
+        if counter is not None:
+            for _ in range(r):
                 counter.charge_amplification_iteration(k, big_t)
-        outcomes, _ = measure(state, [EST], rng)
+        if r not in est_after:
+            est_after[r] = est * _rotation(mask, p, phi, r)
+        y = _sample(est_after[r], rng)
         if counter is not None:
             counter.measurements += 1
-        if outcomes[EST] in good:
-            return state
+        if y in good:
+            collapsed = np.zeros_like(law)
+            collapsed[y] = law[y] / law[y].sum()
+            return collapsed
         spent += r + 1
         if spent > budget:
             raise RuntimeError("amplitude amplification failed to converge")
@@ -228,6 +230,11 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
     start = counter.snapshot()
     psi3 = parallel_amplitude_estimation(db, candidates, k, big_t, counter,
                                          qubit_cap=qubit_cap)
+    law = joint_probs(psi3, [EST, CAND])
+    del psi3
+    total = float(law.sum())
+    if abs(total - 1.0) > NORM_TOL:
+        raise ValueError(f"(est, cand) law of |Psi3> sums to {total!r}")
     good = good_set(big_t, min_supp)
 
     found: dict[Itemset, MinedItemset] = {}
@@ -237,15 +244,13 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
         if not first:
             counter.charge_estimation_pipeline(k, big_t)
         first = False
-        work = psi3.copy()
-        amplitude_amplify(work, good, mode, rng, counter, k=k)
-        outcomes, _ = measure(work, [EST, CAND], rng)
+        shot = amplitude_amplify(law, good, mode, rng, counter, k=k)
+        y, j = divmod(_sample(shot, rng), shot.shape[1])
         counter.measurements += 1
-        j = outcomes[CAND]
         if j >= len(candidates):
             raise AssertionError("measured an index beyond the candidates")
         itemset = candidates[j]
-        estimate = decode_support(outcomes[EST], big_t)
+        estimate = decode_support(y, big_t)
         if estimate.value >= thr - GRID_TOL and itemset not in found:
             found[itemset] = MinedItemset(
                 itemset=itemset,

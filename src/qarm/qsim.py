@@ -22,13 +22,13 @@ __all__ = [
     "RegisterLayout",
     "Statevector",
     "as_rng",
-    "fourier_matrix",
     "prepare_uniform",
     "inject_state",
     "apply_controlled_power",
     "inverse_qft",
     "reflect_about_state",
     "register_marginal",
+    "joint_probs",
     "measure",
     "sample_counts",
 ]
@@ -153,7 +153,7 @@ class Statevector:
         return complex(self.amps[self.layout.basis_index(values)])
 
 
-def fourier_matrix(size: int) -> np.ndarray:
+def _fourier_matrix(size: int) -> np.ndarray:
     """F[i, j] = exp(2*pi*1j*i*j/size)/sqrt(size)."""
     grid = np.arange(size)
     return np.exp(2j * np.pi * np.outer(grid, grid) / size) / np.sqrt(size)
@@ -250,7 +250,7 @@ def inverse_qft(state: Statevector, register: str) -> Statevector:
     """Apply the inverse Fourier transform on one register's value axis."""
     axis = state.layout.axis(register)
     view3 = _three_axis_view(state, axis, axis)
-    f_dag = fourier_matrix(view3.shape[1]).conj().T
+    f_dag = _fourier_matrix(view3.shape[1]).conj().T
     view3[:] = np.einsum("yt,ptq->pyq", f_dag, view3)
     state.check_norm()
     return state
@@ -274,7 +274,7 @@ def register_marginal(state: Statevector, register: str) -> np.ndarray:
     return np.sum(np.abs(view3) ** 2, axis=(0, 2))
 
 
-def _joint_probs(state: Statevector, registers: Sequence[str]) -> np.ndarray:
+def joint_probs(state: Statevector, registers: Sequence[str]) -> np.ndarray:
     """Joint distribution over the named registers, axes in the given order."""
     view = state.view()
     axes = [state.layout.axis(r) for r in registers]
@@ -296,7 +296,7 @@ def measure(state: Statevector, registers: Sequence[str], rng):
     if not registers or len(set(registers)) != len(registers):
         raise ValueError("registers must be nonempty and distinct")
     rng = as_rng(rng)
-    probs = _joint_probs(state, registers)
+    probs = joint_probs(state, registers)
     flat = probs.ravel()
     total = flat.sum()
     if total < 1e-12:
@@ -327,7 +327,7 @@ def sample_counts(state: Statevector, registers: Sequence[str], shots: int,
     if isinstance(registers, str):
         registers = [registers]
     rng = as_rng(rng)
-    probs = _joint_probs(state, registers)
+    probs = joint_probs(state, registers)
     flat = probs.ravel()
     draws = rng.choice(flat.size, size=shots, p=flat / flat.sum())
     return np.bincount(draws, minlength=flat.size).reshape(probs.shape)

@@ -40,6 +40,8 @@ from qarm import (
 from qarm.classical import REFERENCE_APRIORI_RUNS, REFERENCE_GAMMA
 from qarm.mining import AMPLIFY_MODES
 from qarm.oracle import (
+    CAND,
+    EST,
     TXN,
     apply_phase_oracle_k,
     build_layout,
@@ -47,7 +49,7 @@ from qarm.oracle import (
     prepare_minus,
 )
 from qarm.qpe import decode_support, parallel_amplitude_estimation
-from qarm.qsim import inject_state, register_marginal, sample_counts
+from qarm.qsim import inject_state, joint_probs, register_marginal, sample_counts
 
 from conftest import find_dataset, random_db
 
@@ -299,11 +301,12 @@ def test_acceptance_8_amplification_scaling():
         db = TransactionDB.from_rows([sorted(range(m_f))] * 4, n_items=16)
         cands = [Itemset.of(j) for j in range(16)]
         psi = parallel_amplitude_estimation(db, cands, 1, BIG_T)
+        law = joint_probs(psi, [EST, CAND])
         good = good_set(BIG_T, 0.5)
         total = 0
         for _ in range(shots):
             counter = QueryCounter()
-            amplitude_amplify(psi.copy(), good, "bbht", rng, counter, k=1)
+            amplitude_amplify(law, good, "bbht", rng, counter, k=1)
             total += counter.amplification_iterations
         return total / shots
 

@@ -124,11 +124,20 @@ def test_sampling_rejects_non_positive_epsilon(capsys, epsilon):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("density", ["1.5", "-0.5"])
+def test_synthetic_rejects_density_outside_unit_interval(capsys, density):
+    code = main(["mine-classical", "--synthetic", "8", "4", "--min-supp", "1/4",
+                 f"--density={density}", "--json"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--density" in captured.err
+    assert captured.out == ""
+
+
 def test_bbht_non_convergence_is_a_clean_error(capsys, monkeypatch):
-    # every internal measurement reads y = 0, which is never good, so the
+    # every internal est draw reads y = 0, which is never good, so the
     # bbht loop runs out of budget
-    monkeypatch.setattr(qarm.mining, "measure",
-                        lambda state, registers, rng: ({"est": 0}, state))
+    monkeypatch.setattr(qarm.mining, "_sample", lambda weights, rng: 0)
     code = main(["mine-quantum", "--synthetic", "8", "4", "--min-supp", "1/4",
                  "--mode", "bbht", "-T", "8"])
     assert code == 2

@@ -1,8 +1,11 @@
 """Amplitude amplification over the good estimation subspace and the
 estimate-amplify-measure mining loop."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qarm import (
     Itemset,
@@ -16,8 +19,12 @@ from qarm import (
     qarm_mine_k,
 )
 from qarm.data import ExactSupport
+from qarm.mining import AMPLIFY_MODES
+from qarm.oracle import CAND, EST
 from qarm.qpe import parallel_amplitude_estimation
-from qarm.qsim import register_marginal
+from qarm.qsim import joint_probs, measure, reflect_about_state, register_marginal
+
+from conftest import random_candidates, random_db
 
 ITEMS = lambda *js: [Itemset.of(j) for j in js]
 
@@ -28,48 +35,49 @@ def quarter_db() -> TransactionDB:
     return TransactionDB.from_rows([[0], [0]], n_items=4)
 
 
-def psi3(db, items, big_t, counter=None):
-    return parallel_amplitude_estimation(db, ITEMS(*items), 1, big_t, counter)
+def psi3_law(db, items, big_t):
+    """The (est, cand) law of |Psi3> over single-item candidates."""
+    psi = parallel_amplitude_estimation(db, ITEMS(*items), 1, big_t)
+    return joint_probs(psi, [EST, CAND])
 
 
-def good_weight(state, good):
-    return float(register_marginal(state, "est")[good.mask()].sum())
+def good_weight(law, good):
+    return float(law[good.mask()].sum())
 
 
 def test_ideal_projection_moves_all_weight(dtoy):
-    state = psi3(dtoy, [0, 1, 2], 8)
+    law = psi3_law(dtoy, [0, 1, 2], 8)
     good = good_set(8, 0.5)
-    before = state.amps.copy()
-    amplitude_amplify(state, good, "ideal-projection", k=1)
-    assert abs(good_weight(state, good) - 1.0) < 1e-12
-    # conditional amplitudes inside the good region survive unscathed
-    keep = before.reshape(8, -1).copy()  # est is the leading register
+    before = law.copy()
+    out = amplitude_amplify(law, good, "ideal-projection", k=1)
+    assert np.array_equal(law, before)  # the level's law is not touched
+    assert abs(good_weight(out, good) - 1.0) < 1e-12
+    # the conditional law inside the good region survives unscathed
+    keep = before.copy()
     keep[~good.mask()] = 0
-    keep = keep.ravel() / np.linalg.norm(keep)
-    assert np.max(np.abs(state.amps - keep)) < 1e-12
+    keep /= keep.sum()
+    assert np.max(np.abs(out - keep)) < 1e-12
 
 
 def test_ideal_projection_identity_when_all_good(toy4):
     # support 1 concentrates on y = T/2, inside the good region
-    state = psi3(toy4, [1], 8)
-    before = state.amps.copy()
-    amplitude_amplify(state, good_set(8, 0.5), "ideal-projection", k=1)
-    assert np.max(np.abs(state.amps - before)) < 1e-12
+    law = psi3_law(toy4, [1], 8)
+    out = amplitude_amplify(law, good_set(8, 0.5), "ideal-projection", k=1)
+    assert np.max(np.abs(out - law)) < 1e-12
 
 
 def test_grover_known_quarter_rotates_exactly():
     # p = 1/4: phi = pi/6, one iteration lands exactly on the good state
     db = quarter_db()
     good = good_set(8, 0.5)
-    state = psi3(db, [0, 1, 2, 3], 8)
-    assert abs(good_weight(state, good) - 0.25) < 1e-12
+    law = psi3_law(db, [0, 1, 2, 3], 8)
+    assert abs(good_weight(law, good) - 0.25) < 1e-12
 
-    ideal = state.copy()
-    amplitude_amplify(ideal, good, "ideal-projection", k=1)
+    ideal = amplitude_amplify(law, good, "ideal-projection", k=1)
     counter = QueryCounter()
-    amplitude_amplify(state, good, "grover-known",
-                      np.random.default_rng(0), counter, k=1)
-    assert np.max(np.abs(state.amps - ideal.amps)) < 1e-12
+    out = amplitude_amplify(law, good, "grover-known",
+                            np.random.default_rng(0), counter, k=1)
+    assert np.max(np.abs(out - ideal)) < 1e-12
     assert counter.amplification_iterations == 1
     assert counter.grover_applications == 2 * 7
     assert counter.basic_oracle_calls == 2 * 1 * 2 * 7
@@ -79,54 +87,141 @@ def test_grover_known_preserves_conditional():
     # p = 1/8: two iterations, residual bad weight sin^2(5*phi) stays small
     db = TransactionDB.from_rows([[0], [0]], n_items=8)
     good = good_set(8, 0.5)
-    state = psi3(db, list(range(8)), 8)
-    assert abs(good_weight(state, good) - 0.125) < 1e-12
+    law = psi3_law(db, list(range(8)), 8)
+    assert abs(good_weight(law, good) - 0.125) < 1e-12
 
-    ideal = state.copy()
-    amplitude_amplify(ideal, good, "ideal-projection", k=1)
+    ideal = amplitude_amplify(law, good, "ideal-projection", k=1)
     counter = QueryCounter()
-    amplitude_amplify(state, good, "grover-known",
-                      np.random.default_rng(0), counter, k=1)
-    w = good_weight(state, good)
+    out = amplitude_amplify(law, good, "grover-known",
+                            np.random.default_rng(0), counter, k=1)
+    w = good_weight(out, good)
     assert counter.amplification_iterations == 2
     assert w > 0.9
-    flat = state.amps.reshape(8, -1)
-    projected = np.zeros_like(flat)
-    projected[good.mask()] = flat[good.mask()]
-    assert np.max(np.abs(projected.ravel() / np.sqrt(w) - ideal.amps)) < 1e-9
+    projected = np.zeros_like(out)
+    projected[good.mask()] = out[good.mask()]
+    assert np.max(np.abs(projected / w - ideal)) < 1e-9
 
 
 def test_bbht_collapses_onto_good_outcome():
     db = quarter_db()
     good = good_set(8, 0.5)
-    amps = []
+    law = psi3_law(db, [0, 1, 2, 3], 8)
+    outs = []
     for _ in range(2):
-        state = psi3(db, [0, 1, 2, 3], 8)
         counter = QueryCounter()
-        amplitude_amplify(state, good, "bbht",
-                          np.random.default_rng(99), counter, k=1)
-        assert abs(good_weight(state, good) - 1.0) < 1e-9
+        out = amplitude_amplify(law, good, "bbht",
+                                np.random.default_rng(99), counter, k=1)
+        assert abs(good_weight(out, good) - 1.0) < 1e-9
+        rows = np.flatnonzero(out.sum(axis=1))
+        assert len(rows) == 1 and rows[0] in good  # one est outcome left
         assert counter.measurements >= 1
         per_pipeline = 2 * 1 * 7
         assert counter.basic_oracle_calls == per_pipeline * (
             counter.state_preparations + 2 * counter.amplification_iterations)
-        amps.append(state.amps.copy())
-    assert np.array_equal(amps[0], amps[1])  # seeded transcript is stable
+        outs.append(out)
+    assert np.array_equal(outs[0], outs[1])  # seeded transcript is stable
 
 
 def test_amplify_rejects_empty_good_subspace(toy4):
     # supports 1/2 and 0 are on-grid: no mass reaches the 0.9 region
-    state = psi3(toy4, [0, 2], 8)
+    law = psi3_law(toy4, [0, 2], 8)
     with pytest.raises(NoFrequentCandidatesError, match="0.9"):
-        amplitude_amplify(state, good_set(8, 0.9), "ideal-projection", k=1)
+        amplitude_amplify(law, good_set(8, 0.9), "ideal-projection", k=1)
 
 
 def test_amplify_validates_inputs(toy4):
-    state = psi3(toy4, [0, 1], 8)
+    law = psi3_law(toy4, [0, 1], 8)
     with pytest.raises(ValueError):
-        amplitude_amplify(state, good_set(16, 0.5), k=1)
+        amplitude_amplify(law, good_set(16, 0.5), k=1)
     with pytest.raises(ValueError):
-        amplitude_amplify(state, good_set(8, 0.5), mode="project", k=1)
+        amplitude_amplify(law, good_set(8, 0.5), mode="project", k=1)
+
+
+class RecordingRng(np.random.Generator):
+    """A seeded Generator that logs every iteration count and outcome drawn."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.draws = []
+
+    def integers(self, *args, **kwargs):
+        value = super().integers(*args, **kwargs)
+        self.draws.append(("r", int(value)))
+        return value
+
+    def choice(self, *args, **kwargs):
+        value = super().choice(*args, **kwargs)
+        self.draws.append(("y", int(value)))
+        return value
+
+
+def dense_amplify(state, good, mode, rng, counter, k):
+    """Statevector reference: negate the good est rows, reflect about
+    |Psi3>, and measure the est register on the whole dense state."""
+    big_t = state.layout.dim(EST)
+    mask = good.mask()
+    p = float(register_marginal(state, EST)[mask].sum())
+    if p <= 1e-15:
+        raise NoFrequentCandidatesError("no good weight")
+    rows = state.amps.reshape(big_t, -1)  # est is the leading register
+    if mode == "ideal-projection":
+        rows[~mask] = 0.0
+        state.amps /= np.linalg.norm(state.amps)
+        return
+    ref = state.copy()
+
+    def iterate(r):
+        for _ in range(r):
+            rows[mask] *= -1.0
+            reflect_about_state(state, ref)
+            counter.charge_amplification_iteration(k, big_t)
+
+    if mode == "grover-known":
+        iterate(max(0, round(math.pi / (4.0 * math.asin(math.sqrt(min(1.0, p)))) - 0.5)))
+        return
+    m, m_cap, first = 1.0, max(1.0, 1.1 / math.sqrt(p)), True
+    budget, spent = int(200.0 / math.sqrt(p)) + 50, 0
+    while True:
+        if not first:
+            state.amps[:] = ref.amps
+            counter.charge_estimation_pipeline(k, big_t)
+        first = False
+        r = int(rng.integers(0, int(math.ceil(m))))
+        iterate(r)
+        outcomes, _ = measure(state, [EST], rng)
+        counter.measurements += 1
+        if outcomes[EST] in good:
+            return
+        spent += r + 1
+        if spent > budget:
+            raise RuntimeError("amplitude amplification failed to converge")
+        m = min(m * 6.0 / 5.0, m_cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 2),
+       big_t=st.sampled_from([8, 16]),
+       min_supp=st.sampled_from([0.125, 0.25, 0.5, 0.75]))
+def test_law_amplification_matches_dense_reference(seed, k, big_t, min_supp):
+    rng = np.random.default_rng(seed)
+    db = random_db(rng, n=int(rng.integers(1, 9)), m=int(rng.integers(k, 6)))
+    cands = random_candidates(rng, db, k)
+    good = good_set(big_t, min_supp)
+    law = joint_probs(parallel_amplitude_estimation(db, cands, k, big_t),
+                      [EST, CAND])
+    if good_weight(law, good) <= 1e-15:
+        with pytest.raises(NoFrequentCandidatesError):
+            amplitude_amplify(law, good, "bbht", RecordingRng(seed), k=k)
+        return
+    for mode in AMPLIFY_MODES:
+        state = parallel_amplitude_estimation(db, cands, k, big_t)
+        dense_rng, law_rng = RecordingRng(seed), RecordingRng(seed)
+        dense_counter, law_counter = QueryCounter(), QueryCounter()
+        dense_amplify(state, good, mode, dense_rng, dense_counter, k)
+        out = amplitude_amplify(law, good, mode, law_rng, law_counter, k=k)
+        assert np.max(np.abs(out - joint_probs(state, [EST, CAND]))) < 1e-12
+        assert law_counter == dense_counter
+        assert law_rng.draws == dense_rng.draws  # same r sequence, same y
 
 
 def test_mine_k1_finds_exact_toy_frequents(toy4):
