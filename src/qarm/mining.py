@@ -3,9 +3,10 @@ subspace, measure, repeat until nothing new appears.
 
 After estimation the good subspace is spanned by basis states whose
 estimation value y decodes to a support at or above the threshold.
-|Psi3> is the same for every shot of a level, so each level reduces it
-once to its (est, cand) law P0 and releases the state; every shot then
-draws from P0 amplified in closed form.  Q = (2|Psi3><Psi3| - I) * S_good
+|Psi3> is the same for every shot of a level, so each level takes only
+its (est, cand) law P0, built in closed form from the candidates'
+supports by `qpe.estimation_law` (no state is simulated), and every
+shot draws from P0 amplified in closed form.  Q = (2|Psi3><Psi3| - I) * S_good
 acts in the good/bad plane: with p the good weight and sin^2(phi) = p,
 after r iterations the good rows of P0 are scaled by sin^2((2r+1)phi)/p
 and the bad rows by cos^2((2r+1)phi)/(1-p) (Brassard, Hoyer, Mosca and
@@ -40,9 +41,9 @@ from .data import (
     exact_support,
     support_threshold,
 )
-from .oracle import CAND, EST, QueryCounter
-from .qpe import SupportEstimate, decode_support, parallel_amplitude_estimation
-from .qsim import as_rng, joint_probs
+from .oracle import QueryCounter
+from .qpe import SupportEstimate, decode_support, estimation_law
+from .qsim import as_rng
 
 __all__ = [
     "NoFrequentCandidatesError",
@@ -228,10 +229,7 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
     if counter is None:
         counter = QueryCounter()
     start = counter.snapshot()
-    psi3 = parallel_amplitude_estimation(db, candidates, k, big_t, counter,
-                                         qubit_cap=qubit_cap)
-    law = joint_probs(psi3, [EST, CAND])
-    del psi3
+    law = estimation_law(db, candidates, k, big_t, counter, qubit_cap)
     total = float(law.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"(est, cand) law of |Psi3> sums to {total!r}")

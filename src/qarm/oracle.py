@@ -80,18 +80,23 @@ class QueryCounter:
         self.charge_phase_oracle(k)
         self.grover_applications += 1
 
+    def _charge_grovers(self, k: int, n: int):
+        """n Grover applications at once: the sums of n charge_grover calls."""
+        self.basic_oracle_calls += 2 * k * n
+        self.phase_oracle_k_calls += n
+        self.elementary_gates += (2 * k - 1) * n
+        self.grover_applications += n
+
     def charge_estimation_pipeline(self, k: int, big_t: int):
         """One preparation of |Psi3>: T-1 Grover applications."""
         self.state_preparations += 1
-        for _ in range(big_t - 1):
-            self.charge_grover(k)
+        self._charge_grovers(k, big_t - 1)
 
     def charge_amplification_iteration(self, k: int, big_t: int):
         """One Q = R_psi * S_good step: the reflection about |Psi3> costs a
         pipeline forward and backward, 2(T-1) Grover applications."""
         self.amplification_iterations += 1
-        for _ in range(2 * (big_t - 1)):
-            self.charge_grover(k)
+        self._charge_grovers(k, 2 * (big_t - 1))
 
     def snapshot(self) -> "QueryCounter":
         return replace(self)

@@ -16,6 +16,12 @@ The pipeline state lives in est (x) txn (x) cand: the candidate register
 indexes the level's C candidates, and G acts on each candidate's slice
 through its own column of the txn x cand sign table, so the (est, cand)
 law is (1/C) times the sum of the per-candidate laws.
+
+The miner takes that law from `estimation_law`, which builds it in
+closed form from the candidates' exact support counts and charges the
+ledger as the pipeline would.  `parallel_amplitude_estimation` runs the
+pipeline on the dense state; it is the reference the closed form is
+tested against.
 """
 from __future__ import annotations
 
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Itemset, TransactionDB
+from .data import Itemset, TransactionDB, exact_support
 from .oracle import (
     CAND,
     EST,
@@ -50,6 +56,7 @@ __all__ = [
     "grid_steps_between",
     "apply_grover_operator",
     "parallel_amplitude_estimation",
+    "estimation_law",
     "analytic_phase_distribution",
 ]
 
@@ -193,16 +200,9 @@ def apply_grover_operator(state: Statevector, db: TransactionDB,
     return state
 
 
-def parallel_amplitude_estimation(db: TransactionDB, candidates: list[Itemset],
-                                  k: int, big_t: int,
-                                  counter: QueryCounter | None = None,
-                                  qubit_cap: int | None = None) -> Statevector:
-    """Run steps 1-3: prepare, estimate in parallel, inverse QFT.
-
-    Returns |Psi3> on est, txn, cand, where cand value j stands for
-    candidates[j]; exactly T-1 Grover applications (2k(T-1) basic-oracle
-    calls) are charged, plus one state preparation.
-    """
+def _check_candidates(db: TransactionDB, candidates: list[Itemset], k: int):
+    """Reject an empty list and duplicate, wrong-size or out-of-range
+    candidates."""
     if not candidates:
         raise ValueError("need at least one candidate")
     seen = set()
@@ -214,6 +214,19 @@ def parallel_amplitude_estimation(db: TransactionDB, candidates: list[Itemset],
         if cand in seen:
             raise ValueError(f"duplicate candidate {cand}")
         seen.add(cand)
+
+
+def parallel_amplitude_estimation(db: TransactionDB, candidates: list[Itemset],
+                                  k: int, big_t: int,
+                                  counter: QueryCounter | None = None,
+                                  qubit_cap: int | None = None) -> Statevector:
+    """Run steps 1-3: prepare, estimate in parallel, inverse QFT.
+
+    Returns |Psi3> on est, txn, cand, where cand value j stands for
+    candidates[j]; exactly T-1 Grover applications (2k(T-1) basic-oracle
+    calls) are charged, plus one state preparation.
+    """
+    _check_candidates(db, candidates, k)
     layout = candidate_layout(db, len(candidates), big_t, qubit_cap)
     state = Statevector.zero(layout)
     prepare_uniform(state, EST, big_t)
@@ -230,3 +243,31 @@ def parallel_amplitude_estimation(db: TransactionDB, candidates: list[Itemset],
         apply_controlled_power(state, (EST, p), step, 1 << p)
     inverse_qft(state, EST)
     return state
+
+
+def estimation_law(db: TransactionDB, candidates: list[Itemset], k: int,
+                   big_t: int, counter: QueryCounter,
+                   qubit_cap: int | None) -> np.ndarray:
+    """The (est, cand) law of |Psi3>, built in closed form.
+
+    law[y, j] is the probability that measuring |Psi3> gives est = y and
+    cand = j: column j is analytic_phase_distribution(s_j, T) / C for
+    candidates[j] of support s_j.  Inputs are checked and refused exactly
+    as by parallel_amplitude_estimation, and the ledger is charged the
+    same: one state preparation and T-1 Grover applications.
+    """
+    _check_candidates(db, candidates, k)
+    # the layout is not simulated, but sizing it applies the same T check
+    # and qubit cap as the dense pipeline
+    candidate_layout(db, len(candidates), big_t, qubit_cap)
+    n_cands = len(candidates)
+    law = np.empty((big_t, n_cands))
+    columns: dict[int, np.ndarray] = {}
+    for j, cand in enumerate(candidates):
+        count = exact_support(db, cand).numerator
+        if count not in columns:
+            s = count / db.n_transactions
+            columns[count] = analytic_phase_distribution(s, big_t).probs / n_cands
+        law[:, j] = columns[count]
+    counter.charge_estimation_pipeline(k, big_t)
+    return law

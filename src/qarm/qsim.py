@@ -42,7 +42,13 @@ def _qubit_cap(explicit: int | None) -> int:
     if explicit is not None:
         return int(explicit)
     env = os.environ.get(QUBIT_CAP_ENV)
-    return int(env) if env else DEFAULT_QUBIT_CAP
+    if not env:
+        return DEFAULT_QUBIT_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(
+            f"{QUBIT_CAP_ENV} must be an integer, got {env!r}") from None
 
 
 def as_rng(rng) -> np.random.Generator:
@@ -251,7 +257,7 @@ def inverse_qft(state: Statevector, register: str) -> Statevector:
     axis = state.layout.axis(register)
     view3 = _three_axis_view(state, axis, axis)
     f_dag = _fourier_matrix(view3.shape[1]).conj().T
-    view3[:] = np.einsum("yt,ptq->pyq", f_dag, view3)
+    view3[:] = np.matmul(f_dag, view3)
     state.check_norm()
     return state
 

@@ -104,6 +104,17 @@ def test_qubit_cap_refusal(capsys, clear_db_path):
     assert err.startswith("refusing:")
 
 
+def test_bad_qubit_cap_variable_is_a_clean_error(capsys, monkeypatch):
+    monkeypatch.setenv("QARM_QUBIT_CAP", "abc")
+    code = main(["mine-quantum", "--synthetic", "8", "4", "--min-supp", "1/4",
+                 "--json"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "QARM_QUBIT_CAP" in captured.err and "'abc'" in captured.err
+    assert captured.out == ""
+
+
 def test_sampling_epsilon_sets_sample_count(capsys, clear_db_path):
     code, doc = run_json(capsys, [
         "mine-sampling", "--dataset", clear_db_path, "--min-supp", "1/2",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qarm.mining
 from qarm import (
     Itemset,
     NoFrequentCandidatesError,
@@ -17,11 +18,12 @@ from qarm import (
     good_set,
     qarm_full,
     qarm_mine_k,
+    synth_db,
 )
 from qarm.data import ExactSupport
 from qarm.mining import AMPLIFY_MODES
 from qarm.oracle import CAND, EST
-from qarm.qpe import parallel_amplitude_estimation
+from qarm.qpe import estimation_law, parallel_amplitude_estimation
 from qarm.qsim import joint_probs, measure, reflect_about_state, register_marginal
 
 from conftest import random_candidates, random_db
@@ -324,6 +326,32 @@ def test_qarm_full_two_levels_matches_apriori():
     exact = apriori(db, 0.75)
     assert mined == set(exact.frequents)
     assert [st.m_frequent for st in exact.stats] == [2, 1]
+
+
+def dense_estimation_law(db, candidates, k, big_t, counter, qubit_cap):
+    """estimation_law read off the dense pipeline, padded cand slots kept."""
+    psi = parallel_amplitude_estimation(db, candidates, k, big_t, counter,
+                                        qubit_cap=qubit_cap)
+    return joint_probs(psi, [EST, CAND])
+
+
+@pytest.mark.parametrize("mode", AMPLIFY_MODES)
+def test_qarm_full_matches_dense_estimation(monkeypatch, mode):
+    # the closed-form law against the dense pipeline as the oracle: the
+    # same results, ledger and generator state after every level
+    dbs = [synth_db(16, 6, {}, seed=3, background_density=0.25)[0]]
+    rng = np.random.default_rng(17)
+    dbs += [random_db(rng, n=int(rng.integers(4, 13)), m=5, density=0.5)
+            for _ in range(3)]
+    for db in dbs:
+        runs = []
+        for law_fn in (estimation_law, dense_estimation_law):
+            monkeypatch.setattr(qarm.mining, "estimation_law", law_fn)
+            gen, counter = np.random.default_rng(5), QueryCounter()
+            results, stats = qarm_full(db, "1/4", 16, mode, gen, counter=counter)
+            runs.append((results, stats, counter, gen.bit_generator.state))
+        assert runs[0][0] and runs[0][2].basic_oracle_calls > 0
+        assert runs[0] == runs[1]
 
 
 def test_qarm_full_single_level(toy4):

@@ -256,6 +256,24 @@ def test_counter_charge_laws():
     assert c.basic_oracle_calls == 12
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_bulk_charges_equal_a_grover_loop(k):
+    # the pipeline and Q-step charges add whole Grover counts at once; every
+    # field must end where one charge_grover per application leaves it
+    for big_t in (1 << e for e in range(1, 11)):
+        bulk, loop = QueryCounter(measurements=3), QueryCounter(measurements=3)
+        bulk.charge_estimation_pipeline(k, big_t)
+        loop.state_preparations += 1
+        for _ in range(big_t - 1):
+            loop.charge_grover(k)
+        assert bulk == loop
+        bulk.charge_amplification_iteration(k, big_t)
+        loop.amplification_iterations += 1
+        for _ in range(2 * (big_t - 1)):
+            loop.charge_grover(k)
+        assert bulk == loop
+
+
 def test_counter_snapshot_delta():
     c = QueryCounter()
     c.charge_estimation_pipeline(1, 8)

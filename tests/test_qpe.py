@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qarm import (
     Itemset,
     QueryCounter,
+    QubitBudgetError,
     Statevector,
     TransactionDB,
     exact_support,
@@ -23,9 +24,10 @@ from qarm.qpe import (
     analytic_phase_distribution,
     apply_grover_operator,
     decode_support,
+    estimation_law,
     parallel_amplitude_estimation,
 )
-from qarm.qsim import prepare_uniform, register_marginal
+from qarm.qsim import joint_probs, prepare_uniform, register_marginal
 
 from conftest import random_candidates, random_db
 
@@ -192,23 +194,56 @@ def test_estimation_on_grid_is_deterministic(dtoy):
     assert abs(marg[2] - 0.5) < 1e-12 and abs(marg[6] - 0.5) < 1e-12
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3),
-       big_t=st.sampled_from([4, 8, 16]))
+       big_t=st.sampled_from([2, 4, 8, 16, 32]))
 def test_estimation_joint_is_candidate_mixture(seed, k, big_t):
-    # G is block-diagonal over candidates, so the (est, cand) joint is
-    # (1/C) * the analytic law of each candidate's support, column by column
+    # G is block-diagonal over candidates, so the dense pipeline's
+    # (est, cand) joint is (1/C) * the analytic law of each candidate's
+    # support, column by column: the law estimation_law builds directly
     rng = np.random.default_rng(seed)
-    db = random_db(rng, n=int(rng.integers(1, 9)), m=int(rng.integers(k, 6)))
-    cands = random_candidates(rng, db, k)
-    psi = parallel_amplitude_estimation(db, cands, k, big_t)
+    n, m = int(rng.integers(1, 9)), int(rng.integers(k + 1, 6))
+    rows = rng.random((n, m)) < 0.4
+    rows[:, :k] = True  # {0..k-1} has support 1
+    rows[:, m - 1] = False  # every candidate holding item m-1 has support 0
+    db = TransactionDB.from_rows([list(np.nonzero(r)[0]) for r in rows], n_items=m)
+    extremes = {Itemset(tuple(range(k))), Itemset(tuple(range(m - k, m)))}
+    cands = sorted(set(random_candidates(rng, db, k)) | extremes)
+    assert {exact_support(db, c).value for c in extremes} == {0, 1}
+
+    dense_counter, law_counter = QueryCounter(), QueryCounter()
+    psi = parallel_amplitude_estimation(db, cands, k, big_t, dense_counter)
     assert psi.layout.names == (EST, TXN, CAND)
-    joint = np.sum(np.abs(psi.view()) ** 2, axis=1)
-    expect = np.zeros_like(joint)
-    for j, cand in enumerate(cands):
-        s = exact_support(db, cand).value
-        expect[:, j] = analytic_phase_distribution(s, big_t).probs / len(cands)
-    assert np.max(np.abs(joint - expect)) < 1e-12
+    dense = joint_probs(psi, [EST, CAND])
+    law = estimation_law(db, cands, k, big_t, law_counter, None)
+    assert law.shape == (big_t, len(cands))
+    assert np.max(np.abs(dense[:, :len(cands)] - law)) < 1e-12
+    assert np.max(dense[:, len(cands):], initial=0.0) < 1e-12  # padded slots
+    assert law_counter == dense_counter
+
+
+@pytest.mark.parametrize("cands, k, big_t, cap", [
+    ([Itemset((0,))], 1, 8, 4),                       # over the qubit cap
+    ([Itemset((0,))], 1, 6, None),                    # T not a power of two
+    ([Itemset((0,))], 1, 1, None),
+    ([], 1, 8, None),                                 # no candidates
+    ([Itemset((0,)), Itemset((0,))], 1, 8, None),     # duplicate
+    ([Itemset((7,))], 1, 8, None),                    # outside the items
+    ([Itemset((0, 1))], 1, 8, None),                  # wrong size
+    ([Itemset((0, 1)), Itemset((1,))], 2, 8, None),
+])
+def test_estimation_law_refuses_like_the_pipeline(dtoy, cands, k, big_t, cap):
+    errors = []
+    for run in (lambda c: parallel_amplitude_estimation(dtoy, cands, k, big_t, c,
+                                                        qubit_cap=cap),
+                lambda c: estimation_law(dtoy, cands, k, big_t, c, cap)):
+        counter = QueryCounter()
+        with pytest.raises(ValueError) as info:
+            run(counter)
+        errors.append((type(info.value), str(info.value)))
+        assert counter == QueryCounter()
+    assert errors[0] == errors[1]
+    assert (errors[0][0] is QubitBudgetError) == (cap is not None)
 
 
 def test_estimation_pipeline_query_budget(dtoy):
