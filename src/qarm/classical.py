@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .data import (
     ExactSupport,
     Itemset,
@@ -20,6 +22,9 @@ from .data import (
 )
 from .oracle import QueryCounter
 from .qsim import as_rng
+
+# most row draws sampling_estimate asks of the Generator in one call
+_DRAW_BUDGET = 1 << 22
 
 __all__ = [
     "IterationStats",
@@ -143,18 +148,42 @@ def sampling_estimate(db: TransactionDB, candidates: Sequence[Itemset],
                       n_samples: int, rng=None,
                       counter: QueryCounter | None = None) -> list[tuple[Itemset, float]]:
     """Estimate each support from n_samples uniform row draws (with
-    replacement).  Standard binomial estimator: std sqrt(s(1-s)/n)."""
+    replacement).  Standard binomial estimator: std sqrt(s(1-s)/n).
+
+    Each candidate takes its own n_samples draws, in candidate order.  A
+    row holds a k-itemset iff k of its items mark it in one N-entry
+    buffer, filled from the rows of each item (the CSC view) and cleared
+    after the draws are counted, so no per-item bitset is built.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = as_rng(rng)
-    out = []
+    candidates = list(candidates)
     for x in candidates:
-        contains = db.contains_all(x)
-        draws = rng.integers(0, db.n_transactions, size=n_samples)
-        hits = int(contains[draws].sum())
-        if counter is not None:
-            counter.classical_row_scans += x.size * n_samples
-        out.append((x, hits / n_samples))
+        if x.items[-1] >= db.n_items:
+            bad = next(j for j in x.items if j >= db.n_items)
+            raise ValueError(f"item {bad} out of range")
+    n_rows = db.n_transactions
+    marks = np.zeros(n_rows, dtype=np.min_scalar_type(
+        max((x.size for x in candidates), default=1)))
+    draw_dtype = np.int32 if n_rows <= np.iinfo(np.int32).max else np.int64
+    per_call = max(1, _DRAW_BUDGET // n_samples)
+    out = []
+    for lo in range(0, len(candidates), per_call):
+        chunk = candidates[lo:lo + per_call]
+        # one (rows, n) call draws what len(chunk) calls of size n would
+        draws = rng.integers(0, n_rows, size=(len(chunk), n_samples),
+                             dtype=draw_dtype)
+        for x, row_draws in zip(chunk, draws):
+            item_rows = [db._rows_with_item(j) for j in x.items]
+            for rows in item_rows:
+                marks[rows] += 1
+            hits = int(np.count_nonzero(marks[row_draws] == x.size))
+            for rows in item_rows:
+                marks[rows] = 0
+            out.append((x, hits / n_samples))
+    if counter is not None:
+        counter.classical_row_scans += n_samples * sum(x.size for x in candidates)
     return out
 
 

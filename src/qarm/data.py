@@ -2,9 +2,11 @@
 
 A database is N transactions over M items, a binary matrix D with
 D[i, j] = 1 iff transaction i contains item j.  Rows are stored sparsely
-(sorted item ids per transaction, CSR style); per-item row bitsets are
-packed into Python ints on demand, so counting the support of an itemset
-is an AND across its columns followed by a popcount.
+(sorted item ids per transaction, CSR style), with a lazily built CSC view
+(the rows of each item).  Parsing and row sampling work on these arrays.
+Only exact_support packs per-item row bitsets into Python ints, so the
+support of a k-itemset (k >= 2) is an AND across its columns followed by a
+popcount.
 """
 from __future__ import annotations
 
@@ -29,6 +31,16 @@ __all__ = [
 
 # dense() guard: refuse to materialize more cells than this
 _DENSE_CELL_LIMIT = 1 << 26
+
+# parse_fimi's fast path reads this many bytes at a time (cut at a newline),
+# so its temporaries stay bounded whatever the file size
+_PARSE_BLOCK = 1 << 20
+# the only bytes the fast path reads; any other byte takes the line parser
+_FAST_BYTES = b"0123456789 \t\n"
+# longer digit runs could overflow int64 and take the line parser
+_FAST_MAX_DIGITS = 18
+# n_items = 1 + largest id must fit int64
+_MAX_ITEM_ID = np.iinfo(np.int64).max - 1
 
 
 class FimiParseError(ValueError):
@@ -133,7 +145,7 @@ class TransactionDB:
         if self.labels is not None and len(self.labels) != self.n_items:
             raise ValueError("labels length must equal n_items")
         self._column_counts = np.bincount(indices, minlength=n_items).astype(np.int64)
-        self._col_order = None  # lazy CSC permutation
+        self._csc = None  # lazy (column starts, row ids ordered by column)
         self._col_bits: dict[int, int] = {}
 
     @classmethod
@@ -186,16 +198,20 @@ class TransactionDB:
         return [int(j) for j in np.nonzero(self._column_counts)[0]]
 
     def _rows_with_item(self, j: int) -> np.ndarray:
-        if self._col_order is None:
-            order = np.argsort(self._indices, kind="stable")
+        """Increasing row ids of the transactions that contain item j."""
+        if self._csc is None:
+            # a stable sort has one result, so the narrowest key dtype gives
+            # the int64 permutation, and numpy radix-sorts 16-bit keys
+            keys = self._indices.astype(np.min_scalar_type(self.n_items - 1))
+            order = np.argsort(keys, kind="stable")
             all_rows = np.repeat(
                 np.arange(self.n_transactions), np.diff(self._indptr)
             )
-            self._col_order = (self._indices[order], all_rows[order])
-        sorted_items, sorted_rows = self._col_order
-        lo = np.searchsorted(sorted_items, j, side="left")
-        hi = np.searchsorted(sorted_items, j, side="right")
-        return sorted_rows[lo:hi]
+            starts = np.zeros(self.n_items + 1, dtype=np.int64)
+            np.cumsum(self._column_counts, out=starts[1:])
+            self._csc = (starts, all_rows[order])
+        starts, rows = self._csc
+        return rows[starts[j]:starts[j + 1]]
 
     def column_bitset(self, j: int) -> int:
         """Python int with bit i set iff transaction i contains item j."""
@@ -243,8 +259,78 @@ def parse_fimi(text: str) -> TransactionDB:
     """Parse FIMI format: one transaction per line, space-separated item ids.
 
     Blank lines are skipped.  Duplicate ids inside a line collapse to one.
-    n_items = 1 + max id seen.
+    n_items = 1 + max id seen, which must fit int64.  Text of digits,
+    spaces, tabs and newlines is read in vectorised blocks; any other text
+    is read line by line, which is also what names the line of an error.
     """
+    db = _parse_fimi_blocks(text)
+    return db if db is not None else _parse_fimi_lines(text)
+
+
+def _parse_fimi_blocks(text: str) -> TransactionDB | None:
+    """Vectorised parse of text made only of digits, spaces, tabs and
+    newlines, with no id over _FAST_MAX_DIGITS digits; None for any other
+    text, which the line parser then reads and reports on."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if data.translate(None, _FAST_BYTES):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    values: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
+    lo = 0
+    while lo < raw.size:
+        hi = min(lo + _PARSE_BLOCK, raw.size)
+        if hi < raw.size:
+            cut = data.rfind(b"\n", lo, hi)
+            if cut < 0:  # a line longer than a block is read whole
+                cut = data.find(b"\n", hi)
+            hi = cut + 1 if cut >= 0 else raw.size
+        block = raw[lo:hi]
+        lo = hi
+        digit = np.zeros(block.size + 2, dtype=bool)
+        np.greater_equal(block, ord("0"), out=digit[1:-1])
+        starts = np.flatnonzero(digit[1:] > digit[:-1])
+        if not starts.size:
+            continue
+        ends = np.flatnonzero(digit[1:] < digit[:-1])
+        lengths = ends - starts
+        longest = int(lengths.max())
+        if longest > _FAST_MAX_DIGITS:
+            return None
+        # digit runs to values, one decimal place at a time from the right
+        vals = (block[ends - 1] - ord("0")).astype(np.int64)
+        for place in range(1, longest):
+            longer = np.flatnonzero(lengths > place)
+            vals[longer] += (block[ends[longer] - 1 - place] - ord("0")).astype(
+                np.int64) * 10 ** place
+        # a token's line is the count of newlines before it; rows are the
+        # lines that hold a token, so blank lines drop out
+        line = np.searchsorted(np.flatnonzero(block == ord("\n")), starts)
+        new_row = np.empty(line.size, dtype=bool)
+        new_row[0] = True
+        np.not_equal(line[1:], line[:-1], out=new_row[1:])
+        row = np.cumsum(new_row) - 1
+        # FIMI files usually list each row's ids sorted and distinct
+        if np.any((vals[1:] <= vals[:-1]) & ~new_row[1:]):
+            order = np.lexsort((vals, row))
+            vals, row = vals[order], row[order]
+            keep = np.ones(vals.size, dtype=bool)
+            keep[1:] = (vals[1:] != vals[:-1]) | (row[1:] != row[:-1])
+            vals, row = vals[keep], row[keep]
+        values.append(vals)
+        counts.append(np.bincount(row))
+    if not counts:
+        raise FimiParseError("no transactions")
+    indices = np.concatenate(values)
+    indptr = np.zeros(sum(c.size for c in counts) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return TransactionDB(indptr, indices, int(indices.max()) + 1)
+
+
+def _parse_fimi_lines(text: str) -> TransactionDB:
+    """Line-by-line parse of any text, with the line number of any error."""
     indptr = [0]
     flat: list[int] = []
     top = -1
@@ -259,6 +345,8 @@ def parse_fimi(text: str) -> TransactionDB:
             raise FimiParseError(f"line {lineno}: non-integer token {bad!r}")
         if ids[0] < 0:
             raise FimiParseError(f"line {lineno}: negative item id {ids[0]}")
+        if ids[-1] > _MAX_ITEM_ID:
+            raise FimiParseError(f"line {lineno}: item id {ids[-1]} too large")
         flat.extend(ids)
         indptr.append(len(flat))
         if ids[-1] > top:

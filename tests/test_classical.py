@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qarm import classical
 from qarm import (
     AssociationRule,
     Itemset,
@@ -23,7 +25,7 @@ from qarm import (
 )
 from qarm.classical import REFERENCE_APRIORI_RUNS, REFERENCE_GAMMA
 
-from conftest import random_db
+from conftest import random_candidates, random_db
 
 
 def test_fre_exam_examples(dtoy):
@@ -120,6 +122,61 @@ def test_sampling_charges_and_validation(toy4):
     assert counter.classical_row_scans == 1 * 30 + 2 * 30
     with pytest.raises(ValueError):
         sampling_estimate(toy4, [Itemset.of(0)], 0)
+
+
+def _reference_sampling(db, candidates, n, rng, counter):
+    # one containment vector and one size-n draw per candidate
+    dense = db.dense()
+    out = []
+    for x in candidates:
+        contains = dense[:, list(x.items)].all(axis=1)
+        draws = rng.integers(0, db.n_transactions, size=n)
+        counter.classical_row_scans += x.size * n
+        out.append((x, int(contains[draws].sum()) / n))
+    return out
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3),
+       n=st.sampled_from([1, 7, 8000]), rows_per_call=st.sampled_from([1, 2, 3, None]))
+def test_sampling_matches_per_candidate_reference(seed, k, n, rows_per_call):
+    rng = np.random.default_rng(seed)
+    db = random_db(rng, int(rng.integers(1, 24)), int(rng.integers(k, 7)),
+                   density=float(rng.uniform(0.2, 0.9)))
+    # every size up to k in one list, so sizes mix within a draw call
+    candidates = [x for size in range(1, k + 1)
+                  for x in random_candidates(rng, db, size)]
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got_counter, want_counter = QueryCounter(), QueryCounter()
+
+    def no_bitsets(*_args):
+        raise AssertionError("sampling built a column bitset")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TransactionDB, "column_bitset", no_bitsets)
+        if rows_per_call is not None:  # draw calls end inside the list
+            mp.setattr(classical, "_DRAW_BUDGET", rows_per_call * n)
+        got = sampling_estimate(db, candidates, n, got_rng, got_counter)
+    assert got == _reference_sampling(db, candidates, n, want_rng, want_counter)
+    assert got_counter == want_counter
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 7, 88_162, 2 ** 31 - 1])
+@pytest.mark.parametrize("n", [1, 7, 8000])
+def test_batched_int32_draws_equal_per_candidate_draws(n_rows, n):
+    # sampling_estimate relies on this: one (rows, n) int32 call yields the
+    # draws of `rows` int64 calls of size n, and leaves the same state
+    batched, single = np.random.default_rng(n_rows), np.random.default_rng(n_rows)
+    block = batched.integers(0, n_rows, size=(5, n), dtype=np.int32)
+    rows = [single.integers(0, n_rows, size=n) for _ in range(5)]
+    assert np.array_equal(block, np.stack(rows))
+    assert batched.bit_generator.state == single.bit_generator.state
+
+
+def test_sampling_rejects_items_out_of_range(toy4):
+    with pytest.raises(ValueError, match="item 3 out of range"):
+        sampling_estimate(toy4, [Itemset.of(0), Itemset((1, 3, 4))], 5)
 
 
 def test_generate_rules_confidence_boundary():

@@ -165,6 +165,18 @@ def test_out_of_memory_is_a_clean_error(capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: out of memory")
 
 
+@pytest.mark.parametrize("item_id", [
+    "100000000000000000000000", "9223372036854775807"])
+def test_item_id_beyond_int64_is_a_clean_error(capsys, tmp_path, item_id):
+    # the second id fits int64, but n_items = id + 1 does not
+    path = tmp_path / "big.dat"
+    path.write_text(f"1 2\n{item_id}\n", encoding="ascii")
+    code = main(["mine-classical", "--dataset", str(path), "--min-supp", "1/2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: line 2: item id {item_id} too large\n")
+
+
 def test_synthetic_source(capsys):
     code, doc = run_json(capsys, [
         "mine-classical", "--synthetic", "8", "4", "--density", "0.5",

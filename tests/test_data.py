@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from qarm import data
 from qarm import (
     FimiParseError,
     Itemset,
@@ -55,19 +57,107 @@ def test_parse_rejects_empty_input():
         parse_fimi("\n  \n")
 
 
-def test_roundtrip_random():
+@settings(max_examples=60)
+@given(rows=st.lists(st.lists(st.integers(0, 5000), min_size=1, max_size=8),
+                     min_size=1, max_size=12))
+def test_roundtrip_random(rows):
     # parsed databases have no empty rows, so serialize o parse is stable
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        lines = []
-        for _ in range(int(rng.integers(1, 12))):
-            row = rng.integers(0, 9, size=rng.integers(1, 6))
-            lines.append(" ".join(str(j) for j in row))
-        db = parse_fimi("\n".join(lines) + "\n")
-        again = parse_fimi(serialize_fimi(db))
-        assert again.n_transactions == db.n_transactions
-        assert again.n_items == db.n_items
-        assert list(again.rows()) == list(db.rows())
+    db = TransactionDB.from_rows(rows)
+    assert parse_fimi(serialize_fimi(db)) == db
+
+
+# One FIMI line: ids with their spelling, the whitespace around and between
+# them, and its terminator.  The spellings beyond plain digits are ones
+# Python's int() reads, which only the line parser accepts.
+_SPACE = st.sampled_from([" ", "  ", "\t", " \t "])
+_FANCY_SPACE = st.sampled_from(["\u00a0", " \u3000"])
+
+
+@st.composite
+def _fimi_line(draw, fast):
+    ids = draw(st.lists(st.integers(0, 5000), max_size=6))
+    sep = _SPACE if fast else st.one_of(_SPACE, _FANCY_SPACE)
+    tokens = []
+    for v in ids:
+        tok = "0" * draw(st.integers(0, 3)) + str(v)
+        if not fast:
+            style = draw(st.sampled_from(["plain", "plus", "underscore", "wide"]))
+            if style == "plus":
+                tok = "+" + tok
+            elif style == "underscore" and len(tok) > 1:
+                tok = tok[0] + "_" + tok[1:]
+            elif style == "wide":
+                tok = tok.translate({ord("0") + d: 0xFF10 + d for d in range(10)})
+        tokens.append(tok)
+    body = "".join(draw(sep) + tok for tok in tokens) + draw(st.sampled_from(["", " ", "\t"]))
+    return ids, body
+
+
+@st.composite
+def _fimi_text(draw, fast):
+    lines = draw(st.lists(_fimi_line(fast), min_size=1, max_size=10))
+    ends = st.just("\n") if fast else st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(body + draw(ends) for _, body in lines)
+    if draw(st.booleans()):  # no final newline
+        text = text.rstrip("\r\n")
+    return [ids for ids, _ in lines if ids], text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FimiParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150)
+@given(case=_fimi_text(fast=True), block=st.sampled_from([1, 2, 3, 5, 8, 1 << 20]))
+@example(case=([[12, 345, 6789], [1], [7]], "12 345 6789\n1\n\n \t7"), block=4)
+def test_block_parser_matches_line_parser(case, block):
+    rows, text = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_PARSE_BLOCK", block)  # cuts land mid-file
+        fast = _outcome(data._parse_fimi_blocks, text)
+    assert fast is not None
+    assert fast == _outcome(data._parse_fimi_lines, text)
+    if rows:
+        assert fast == TransactionDB.from_rows(rows)
+    else:
+        assert fast == "no transactions"
+
+
+@settings(max_examples=100)
+@given(case=_fimi_text(fast=False))
+def test_parse_reads_what_int_reads(case):
+    # '+', '_', wide digits, NBSP and '\r' leave the fast path; the line
+    # parser reads them as it always has
+    rows, text = case
+    expected = TransactionDB.from_rows(rows) if rows else "no transactions"
+    assert _outcome(parse_fimi, text) == expected
+
+
+@settings(max_examples=80)
+@given(before=_fimi_text(fast=False), tail=st.sampled_from(["", "8 9", "y\n-1\n"]),
+       bad=st.sampled_from(["x", "1x", "_5", "5_", "1__0", "3.0", "0x1f", "1e3",
+                            "\u00b2", "\u00e9", "-3", "-12"]),
+       where=st.integers(0, 3))
+def test_parse_errors_name_the_first_bad_line(before, tail, bad, where):
+    head = before[1] + "\n"
+    line = " ".join(["4", "5", "6"][:where] + [bad] + ["7"])
+    lineno = len(head.splitlines()) + 1
+    if bad.startswith("-"):
+        message = f"line {lineno}: negative item id {bad}"
+    else:
+        message = f"line {lineno}: non-integer token {bad!r}"
+    with pytest.raises(FimiParseError) as err:
+        parse_fimi(head + line + "\n" + tail)
+    assert str(err.value) == message
+
+
+def test_long_ids_take_the_line_parser():
+    text = "1 " + "0" * 18 + "7\n"
+    assert data._parse_fimi_blocks(text) is None
+    assert parse_fimi(text).row(0) == (1, 7)
 
 
 def test_exact_support_dtoy(dtoy):
