@@ -146,8 +146,16 @@ class Report:
 
 def _load_db(args) -> tuple[TransactionDB, dict]:
     if args.dataset is not None:
-        with open(args.dataset, "r", encoding="ascii") as fh:
-            db = parse_fimi(fh.read())
+        try:
+            with open(args.dataset, "r", encoding="ascii") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            # a whole-file read decodes the file's bytes in one call
+            raw = exc.object
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise FimiParseError(
+                f"line {line}: non-ASCII byte 0x{raw[exc.start]:02x}") from None
+        db = parse_fimi(text)
         source = {"dataset": args.dataset}
     elif args.synthetic is not None:
         n, m = args.synthetic

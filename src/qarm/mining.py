@@ -20,6 +20,16 @@ Tapp, quant-ph/0005055).  Amplification modes:
   measurement and re-preparation until a good outcome appears (Boyer,
   Brassard, Hoyer and Tapp, quant-ph/9605034).
 
+What no shot changes is built once per level, in a private plan made
+right after the law: the good mask, p and phi, the decoded estimate of
+every y, the amplified law of the first two modes, and the CDFs the
+draws search.  Each measurement is one `searchsorted` of one uniform on
+the CDF that `rng.choice` would build from the same weights, so a shot
+costs O(log(T*C)) and the random stream, the draws and the ledger are
+those of drawing with `rng.choice` from a freshly amplified law.
+`amplitude_amplify` returns that amplified law for one shot and is the
+reference the tests hold the plan to.
+
 Each Q iteration costs two pipeline traversals, 2(T-1) Grover
 applications; re-preparations cost T-1.  With shots counted as state
 preparations, basic-oracle calls always equal
@@ -61,6 +71,8 @@ AMPLIFY_MODES = ("ideal-projection", "grover-known", "bbht")
 
 # good-subspace weight at or below this counts as "no frequent candidates"
 _P_FLOOR = 1e-15
+# how far from 1 `Generator.choice` lets its p sum
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 class NoFrequentCandidatesError(RuntimeError):
@@ -105,10 +117,127 @@ def _rotation(mask: np.ndarray, p: float, phi: float, r: int) -> np.ndarray:
     return np.where(mask, math.sin(angle) ** 2 / p, bad)
 
 
-def _sample(weights: np.ndarray, rng) -> int:
-    """Born-rule draw of one flat index from nonnegative weights."""
+def _cdf(q: np.ndarray) -> np.ndarray:
+    """The CDF that `Generator.choice(q.size, p=q)` draws from, after the
+    checks choice makes on q: finite, non-negative, summing to 1."""
+    if (not (np.isfinite(q).all() and (q >= 0).all())
+            or abs(float(q.sum()) - 1.0) > _CHOICE_ATOL):
+        raise ValueError("draw weights must be finite, non-negative and sum to 1")
+    cdf = q.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _weights_cdf(weights: np.ndarray) -> np.ndarray:
+    """`_cdf` of nonnegative weights, normalised as a Born-rule draw does."""
     flat = weights.ravel()
-    return int(rng.choice(flat.size, p=flat / flat.sum()))
+    return _cdf(flat / flat.sum())
+
+
+def _draw(cdf: np.ndarray, rng) -> int:
+    """One flat index from a `_cdf`: the index `rng.choice(n, p=q)` returns,
+    from the same single uniform of the stream."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+class _LevelPlan:
+    """The parts of a level's amplify-and-measure shots that no shot changes.
+
+    Built once from the level's (est, cand) law: the good mask, the good
+    weight p and sin^2(phi) = p, the decoded estimate of every y, the
+    amplified law of ideal-projection or grover-known (with its fixed r),
+    and the CDFs every draw searches.  The flat CDF of those two modes is
+    made on the first shot; bbht makes one est CDF per iteration count r
+    and one cand CDF per good y it collapses onto, each the first time it
+    is needed.  Every CDF is the one `rng.choice` would build from the
+    same normalised weights, so a shot costs O(log(T*C)) and takes the
+    same uniforms from the stream as one `rng.choice` per measurement.
+    """
+
+    def __init__(self, law: np.ndarray, good: GoodSet, mode: str, k: int):
+        big_t = law.shape[0]
+        if good.big_t != big_t:
+            raise ValueError("good set grid does not match the estimation register")
+        if mode not in AMPLIFY_MODES:
+            raise ValueError(f"unknown amplification mode {mode!r}")
+        mask = good.mask()
+        est = law.sum(axis=1)
+        p = float(est[mask].sum())
+        if p <= _P_FLOOR:
+            raise NoFrequentCandidatesError(
+                f"no candidate clears min_supp={good.min_supp}: good-subspace weight {p:.3e}"
+            )
+        self.law, self.good, self.mode, self.k, self.big_t = law, good, mode, k, big_t
+        self.mask, self.est, self.p = mask, est, p
+        self.phi = math.asin(math.sqrt(min(1.0, p)))
+        self.estimates = [decode_support(y, big_t) for y in range(big_t)]
+        self.r = 0
+        self.amplified: np.ndarray | None = None
+        if mode == "ideal-projection":
+            projected = law * mask[:, None]
+            self.amplified = projected / projected.sum()
+        elif mode == "grover-known":
+            self.r = max(0, round(math.pi / (4.0 * self.phi) - 0.5))
+            self.amplified = law * _rotation(mask, p, self.phi, self.r)[:, None]
+        self._flat_cdf: np.ndarray | None = None
+        self._est_cdfs: dict[int, np.ndarray] = {}
+        self._row_cdfs: dict[int, np.ndarray] = {}
+
+    def shot(self, rng, counter: QueryCounter) -> tuple[int, int]:
+        """Amplify and measure once: the (y, j) outcome of est and cand."""
+        if self.mode == "bbht":
+            y = self.bbht_outcome(rng, counter)
+            return y, _draw(self._row_cdf(y), rng)
+        counter.charge_amplification_iterations(self.k, self.big_t, self.r)
+        if self._flat_cdf is None:
+            self._flat_cdf = _weights_cdf(self.amplified)
+        return divmod(_draw(self._flat_cdf, rng), self.law.shape[1])
+
+    def bbht_outcome(self, rng, counter: QueryCounter) -> int:
+        """bbht: grow the iteration window, measure est, retry on a bad
+        outcome; returns the good y measured."""
+        k, big_t, p = self.k, self.big_t, self.p
+        m = 1.0
+        m_cap = max(1.0, 1.1 / math.sqrt(p))
+        budget = int(200.0 / math.sqrt(p)) + 50
+        spent = 0
+        first = True
+        while True:
+            if not first:
+                counter.charge_estimation_pipeline(k, big_t)
+            first = False
+            r = int(rng.integers(0, int(math.ceil(m))))
+            counter.charge_amplification_iterations(k, big_t, r)
+            y = _draw(self._est_cdf(r), rng)
+            counter.measurements += 1
+            if y in self.good:
+                return y
+            spent += r + 1
+            if spent > budget:
+                raise RuntimeError("amplitude amplification failed to converge")
+            m = min(m * 6.0 / 5.0, m_cap)
+
+    def _est_cdf(self, r: int) -> np.ndarray:
+        """CDF of the est marginal after r iterations of Q."""
+        cdf = self._est_cdfs.get(r)
+        if cdf is None:
+            cdf = self._est_cdfs[r] = _weights_cdf(
+                self.est * _rotation(self.mask, self.p, self.phi, r))
+        return cdf
+
+    def _row_cdf(self, y: int) -> np.ndarray:
+        """CDF of cand once est has collapsed onto y.  The collapsed law is
+        row y of a zero T x C array; its normaliser is the sum over that
+        whole padded array, which can differ in the last bit from the
+        row's own sum."""
+        cdf = self._row_cdfs.get(y)
+        if cdf is None:
+            n_cand = self.law.shape[1]
+            row = self.law[y] / self.law[y].sum()
+            padded = np.zeros(self.law.size)
+            padded[y * n_cand:(y + 1) * n_cand] = row
+            cdf = self._row_cdfs[y] = _cdf(row / padded.sum())
+        return cdf
 
 
 def amplitude_amplify(law: np.ndarray, good: GoodSet, mode: str = "ideal-projection",
@@ -125,62 +254,20 @@ def amplitude_amplify(law: np.ndarray, good: GoodSet, mode: str = "ideal-project
     charges.  bbht measures the estimation register internally and
     returns the law collapsed onto a good outcome y; the other modes
     leave the estimation register unmeasured.
+
+    This is the law-returning form of one shot of the level plan the
+    miner draws from: the same amplification, charges and bbht draws.
     """
-    big_t = law.shape[0]
-    if good.big_t != big_t:
-        raise ValueError("good set grid does not match the estimation register")
-    if mode not in AMPLIFY_MODES:
-        raise ValueError(f"unknown amplification mode {mode!r}")
-    mask = good.mask()
-    est = law.sum(axis=1)
-    p = float(est[mask].sum())
-    if p <= _P_FLOOR:
-        raise NoFrequentCandidatesError(
-            f"no candidate clears min_supp={good.min_supp}: good-subspace weight {p:.3e}"
-        )
-
-    if mode == "ideal-projection":
-        projected = law * mask[:, None]
-        return projected / projected.sum()
-
-    rng = as_rng(rng)
-    phi = math.asin(math.sqrt(min(1.0, p)))
-
-    if mode == "grover-known":
-        r = max(0, round(math.pi / (4.0 * phi) - 0.5))
-        if counter is not None:
-            for _ in range(r):
-                counter.charge_amplification_iteration(k, big_t)
-        return law * _rotation(mask, p, phi, r)[:, None]
-
-    # bbht: grow the iteration window, measure, retry on a bad outcome
-    m = 1.0
-    m_cap = max(1.0, 1.1 / math.sqrt(p))
-    budget = int(200.0 / math.sqrt(p)) + 50
-    spent = 0
-    first = True
-    est_after: dict[int, np.ndarray] = {}  # est marginal after r iterations
-    while True:
-        if not first and counter is not None:
-            counter.charge_estimation_pipeline(k, big_t)
-        first = False
-        r = int(rng.integers(0, int(math.ceil(m))))
-        if counter is not None:
-            for _ in range(r):
-                counter.charge_amplification_iteration(k, big_t)
-        if r not in est_after:
-            est_after[r] = est * _rotation(mask, p, phi, r)
-        y = _sample(est_after[r], rng)
-        if counter is not None:
-            counter.measurements += 1
-        if y in good:
-            collapsed = np.zeros_like(law)
-            collapsed[y] = law[y] / law[y].sum()
-            return collapsed
-        spent += r + 1
-        if spent > budget:
-            raise RuntimeError("amplitude amplification failed to converge")
-        m = min(m * 6.0 / 5.0, m_cap)
+    plan = _LevelPlan(law, good, mode, k)
+    if counter is None:
+        counter = QueryCounter()
+    if mode == "bbht":
+        y = plan.bbht_outcome(as_rng(rng), counter)
+        collapsed = np.zeros_like(law)
+        collapsed[y] = law[y] / law[y].sum()
+        return collapsed
+    counter.charge_amplification_iterations(k, plan.big_t, plan.r)
+    return plan.amplified
 
 
 @dataclass(frozen=True)
@@ -233,7 +320,7 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
     total = float(law.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"(est, cand) law of |Psi3> sums to {total!r}")
-    good = good_set(big_t, min_supp)
+    plan = _LevelPlan(law, good_set(big_t, min_supp), mode, k)
 
     found: dict[Itemset, MinedItemset] = {}
     misses = 0
@@ -242,13 +329,12 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
         if not first:
             counter.charge_estimation_pipeline(k, big_t)
         first = False
-        shot = amplitude_amplify(law, good, mode, rng, counter, k=k)
-        y, j = divmod(_sample(shot, rng), shot.shape[1])
+        y, j = plan.shot(rng, counter)
         counter.measurements += 1
         if j >= len(candidates):
             raise AssertionError("measured an index beyond the candidates")
         itemset = candidates[j]
-        estimate = decode_support(y, big_t)
+        estimate = plan.estimates[y]
         if estimate.value >= thr - GRID_TOL and itemset not in found:
             found[itemset] = MinedItemset(
                 itemset=itemset,

@@ -92,11 +92,11 @@ class QueryCounter:
         self.state_preparations += 1
         self._charge_grovers(k, big_t - 1)
 
-    def charge_amplification_iteration(self, k: int, big_t: int):
-        """One Q = R_psi * S_good step: the reflection about |Psi3> costs a
+    def charge_amplification_iterations(self, k: int, big_t: int, n: int):
+        """n Q = R_psi * S_good steps: each reflection about |Psi3> costs a
         pipeline forward and backward, 2(T-1) Grover applications."""
-        self.amplification_iterations += 1
-        self._charge_grovers(k, 2 * (big_t - 1))
+        self.amplification_iterations += n
+        self._charge_grovers(k, 2 * (big_t - 1) * n)
 
     def snapshot(self) -> "QueryCounter":
         return replace(self)

@@ -146,9 +146,9 @@ def test_synthetic_rejects_density_outside_unit_interval(capsys, density):
 
 
 def test_bbht_non_convergence_is_a_clean_error(capsys, monkeypatch):
-    # every internal est draw reads y = 0, which is never good, so the
-    # bbht loop runs out of budget
-    monkeypatch.setattr(qarm.mining, "_sample", lambda weights, rng: 0)
+    # every draw reads flat index 0, so every internal est outcome is
+    # y = 0, which is never good, and the bbht loop runs out of budget
+    monkeypatch.setattr(qarm.mining, "_draw", lambda cdf, rng: 0)
     code = main(["mine-quantum", "--synthetic", "8", "4", "--min-supp", "1/4",
                  "--mode", "bbht", "-T", "8"])
     assert code == 2
@@ -175,6 +175,14 @@ def test_item_id_beyond_int64_is_a_clean_error(capsys, tmp_path, item_id):
     assert code == 2
     assert capsys.readouterr().err == (
         f"error: line 2: item id {item_id} too large\n")
+
+
+def test_non_ascii_dataset_names_the_line(capsys, tmp_path):
+    path = tmp_path / "accent.dat"
+    path.write_bytes("1 2\n3 \u00e9\n".encode("utf-8"))
+    code = main(["mine-classical", "--dataset", str(path), "--min-supp", "1/2"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 2: non-ASCII byte 0xc3\n"
 
 
 def test_synthetic_source(capsys):

@@ -140,7 +140,10 @@ def test_amplify_validates_inputs(toy4):
 
 
 class RecordingRng(np.random.Generator):
-    """A seeded Generator that logs every iteration count and outcome drawn."""
+    """A seeded Generator that logs every iteration count and every uniform
+    a measurement draws.  `Generator.choice(p=...)` takes its uniform
+    through `self.random`, so the dense reference's `rng.choice` and the
+    law's CDF search log the same entry when they read the same uniform."""
 
     def __init__(self, seed):
         super().__init__(np.random.PCG64(seed))
@@ -151,9 +154,9 @@ class RecordingRng(np.random.Generator):
         self.draws.append(("r", int(value)))
         return value
 
-    def choice(self, *args, **kwargs):
-        value = super().choice(*args, **kwargs)
-        self.draws.append(("y", int(value)))
+    def random(self, *args, **kwargs):
+        value = super().random(*args, **kwargs)
+        self.draws.append(("u", float(value)))
         return value
 
 
@@ -176,7 +179,7 @@ def dense_amplify(state, good, mode, rng, counter, k):
         for _ in range(r):
             rows[mask] *= -1.0
             reflect_about_state(state, ref)
-            counter.charge_amplification_iteration(k, big_t)
+            counter.charge_amplification_iterations(k, big_t, 1)
 
     if mode == "grover-known":
         iterate(max(0, round(math.pi / (4.0 * math.asin(math.sqrt(min(1.0, p)))) - 0.5)))
@@ -223,7 +226,151 @@ def test_law_amplification_matches_dense_reference(seed, k, big_t, min_supp):
         out = amplitude_amplify(law, good, mode, law_rng, law_counter, k=k)
         assert np.max(np.abs(out - joint_probs(state, [EST, CAND]))) < 1e-12
         assert law_counter == dense_counter
-        assert law_rng.draws == dense_rng.draws  # same r sequence, same y
+        assert law_rng.draws == dense_rng.draws  # same r sequence, same uniforms
+        assert law_rng.bit_generator.state == dense_rng.bit_generator.state
+
+
+def parent_amplify(law, good, mode, rng, counter, k):
+    """The per-shot amplification the level plan replaced: recompute the
+    level's mask, p and phi and return a fresh amplified law every shot."""
+    big_t = law.shape[0]
+    mask = good.mask()
+    est = law.sum(axis=1)
+    p = float(est[mask].sum())
+    if p <= 1e-15:
+        raise NoFrequentCandidatesError("no good weight")
+
+    def rotation(r):
+        angle = (2 * r + 1) * phi
+        bad = math.cos(angle) ** 2 / (1.0 - p) if p < 1.0 else 0.0
+        return np.where(mask, math.sin(angle) ** 2 / p, bad)
+
+    if mode == "ideal-projection":
+        projected = law * mask[:, None]
+        return projected / projected.sum()
+    phi = math.asin(math.sqrt(min(1.0, p)))
+    if mode == "grover-known":
+        r = max(0, round(math.pi / (4.0 * phi) - 0.5))
+        for _ in range(r):
+            counter.charge_amplification_iterations(k, big_t, 1)
+        return law * rotation(r)[:, None]
+    m, m_cap = 1.0, max(1.0, 1.1 / math.sqrt(p))
+    budget, spent, first = int(200.0 / math.sqrt(p)) + 50, 0, True
+    while True:
+        if not first:
+            counter.charge_estimation_pipeline(k, big_t)
+        first = False
+        r = int(rng.integers(0, int(math.ceil(m))))
+        for _ in range(r):
+            counter.charge_amplification_iterations(k, big_t, 1)
+        y = parent_sample(est * rotation(r), rng)
+        counter.measurements += 1
+        if y in good:
+            collapsed = np.zeros_like(law)
+            collapsed[y] = law[y] / law[y].sum()
+            return collapsed
+        spent += r + 1
+        if spent > budget:
+            raise RuntimeError("amplitude amplification failed to converge")
+        m = min(m * 6.0 / 5.0, m_cap)
+
+
+def parent_sample(weights, rng):
+    flat = weights.ravel()
+    return int(rng.choice(flat.size, p=flat / flat.sum()))
+
+
+def run_shots(shot, law, k, rng, counter, n_shots):
+    """n_shots of one level as qarm_mine_k runs them: the drawn (y, j),
+    or the error that stopped them."""
+    draws = []
+    try:
+        for i in range(n_shots):
+            if i:
+                counter.charge_estimation_pipeline(k, law.shape[0])
+            draws.append(shot())
+            counter.measurements += 1
+    except (NoFrequentCandidatesError, RuntimeError) as exc:
+        draws.append(type(exc))
+    return draws, counter, rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from(AMPLIFY_MODES),
+       k=st.integers(1, 3), big_t=st.sampled_from([2, 4, 8, 16, 32, 64]),
+       n_cand=st.integers(1, 12), zero_share=st.sampled_from([0.0, 0.3, 0.7]),
+       min_supp=st.sampled_from([0.05, 0.25, 0.5, 0.75, 1.0]))
+def test_level_plan_draws_equal_per_shot_choice(seed, mode, k, big_t, n_cand,
+                                                zero_share, min_supp):
+    # the plan against the loop it replaced, on random laws with columns
+    # of zero weight: the same outcomes, ledger and generator state
+    gen = np.random.default_rng(seed)
+    law = gen.random((big_t, n_cand)) ** 3
+    law[:, gen.random(n_cand) < zero_share] = 0.0
+    if not law.any():
+        law[:, 0] = 1.0
+    law /= law.sum()
+    good = good_set(big_t, min_supp)
+    runs = []
+    for planned in (True, False):
+        rng, counter = np.random.default_rng(seed + 1), QueryCounter()
+        if planned:
+            try:
+                plan = qarm.mining._LevelPlan(law, good, mode, k)
+            except NoFrequentCandidatesError:
+                runs.append(([NoFrequentCandidatesError], counter, rng.bit_generator.state))
+                continue
+            shot = lambda: plan.shot(rng, counter)
+        else:
+            def shot():
+                out = parent_amplify(law, good, mode, rng, counter, k)
+                return divmod(parent_sample(out, rng), n_cand)
+        runs.append(run_shots(shot, law, k, rng, counter, 30))
+    assert runs[0] == runs[1]
+
+
+def choice_cdf(weights):
+    """The CDF `rng.choice(p=...)` searches when `parent_sample` draws."""
+    flat = weights.ravel()
+    cdf = (flat / flat.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), big_t=st.sampled_from([2, 4, 8, 16, 32, 64]),
+       n_cand=st.integers(1, 40), min_supp=st.sampled_from([0.05, 0.25, 0.5]))
+def test_plan_cdfs_equal_choice_cdfs_bit_for_bit(seed, big_t, n_cand, min_supp):
+    # a last-bit difference in a CDF moves a draw only when the uniform
+    # lands between the two values, so pin the CDFs themselves: ideal-
+    # projection normalises twice, and a collapsed bbht row is normalised
+    # by the sum over its zero-padded T x C array
+    gen = np.random.default_rng(seed)
+    law = gen.random((big_t, n_cand)) ** 3
+    law[:, gen.random(n_cand) < 0.3] = 0.0
+    if not law.any():
+        law[:, 0] = 1.0
+    law /= law.sum()
+    good = good_set(big_t, min_supp)
+    if good_weight(law, good) <= 1e-15:
+        return
+    for mode in ("ideal-projection", "grover-known"):
+        plan = qarm.mining._LevelPlan(law, good, mode, 1)
+        plan.shot(np.random.default_rng(0), QueryCounter())
+        want = choice_cdf(parent_amplify(law, good, mode, None, QueryCounter(), 1))
+        assert np.array_equal(plan._flat_cdf, want)
+    plan = qarm.mining._LevelPlan(law, good, "bbht", 1)
+    for r in range(4):
+        angle = (2 * r + 1) * plan.phi
+        factor = np.where(good.mask(), math.sin(angle) ** 2 / plan.p,
+                          math.cos(angle) ** 2 / (1.0 - plan.p) if plan.p < 1.0 else 0.0)
+        assert np.array_equal(plan._est_cdf(r), choice_cdf(law.sum(axis=1) * factor))
+    for y in sorted(good.members):
+        if law[y].sum() > 0:
+            collapsed = np.zeros_like(law)
+            collapsed[y] = law[y] / law[y].sum()
+            want = choice_cdf(collapsed)[y * n_cand:(y + 1) * n_cand]
+            assert np.array_equal(plan._row_cdf(y), want)
 
 
 def test_mine_k1_finds_exact_toy_frequents(toy4):

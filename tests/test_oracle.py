@@ -250,7 +250,7 @@ def test_counter_charge_laws():
     assert c.basic_oracle_calls == 2 * 2 * 7
 
     c = QueryCounter()
-    c.charge_amplification_iteration(1, 4)
+    c.charge_amplification_iterations(1, 4, 1)
     assert c.amplification_iterations == 1
     assert c.grover_applications == 6
     assert c.basic_oracle_calls == 12
@@ -258,8 +258,9 @@ def test_counter_charge_laws():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_bulk_charges_equal_a_grover_loop(k):
-    # the pipeline and Q-step charges add whole Grover counts at once; every
-    # field must end where one charge_grover per application leaves it
+    # the pipeline charge and the charge for n Q steps add whole Grover
+    # counts at once; every field must end where one charge_grover per
+    # application leaves it
     for big_t in (1 << e for e in range(1, 11)):
         bulk, loop = QueryCounter(measurements=3), QueryCounter(measurements=3)
         bulk.charge_estimation_pipeline(k, big_t)
@@ -267,11 +268,12 @@ def test_bulk_charges_equal_a_grover_loop(k):
         for _ in range(big_t - 1):
             loop.charge_grover(k)
         assert bulk == loop
-        bulk.charge_amplification_iteration(k, big_t)
-        loop.amplification_iterations += 1
-        for _ in range(2 * (big_t - 1)):
-            loop.charge_grover(k)
-        assert bulk == loop
+        for n in (0, 1, 2, 5):
+            bulk.charge_amplification_iterations(k, big_t, n)
+            loop.amplification_iterations += n
+            for _ in range(2 * (big_t - 1) * n):
+                loop.charge_grover(k)
+            assert bulk == loop
 
 
 def test_counter_snapshot_delta():
