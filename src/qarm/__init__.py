@@ -34,7 +34,6 @@ from .mining import (
 )
 from .oracle import QueryCounter, build_layout
 from .qpe import (
-    GroverSpectrum,
     PhaseDistribution,
     SupportEstimate,
     analytic_phase_distribution,
@@ -53,7 +52,6 @@ __all__ = [
     "ExactSupport",
     "FimiParseError",
     "GoodSet",
-    "GroverSpectrum",
     "Itemset",
     "IterationStats",
     "MinedItemset",

@@ -1,4 +1,10 @@
-"""Exact level-wise mining, the sampling baseline, and rule generation.
+"""The level-wise driver, exact Apriori, the sampling baseline, and rule
+generation.
+
+Every miner here and in `qarm.mining` runs the level policy of
+Agrawal and Srikant (VLDB 1994) through `mine_levels`: level 1 is the
+items that occur, each level keeps some of its candidates, and level k+1
+is `cand_gen` of what level k kept.  Only how a level is examined differs.
 
 All thresholds are exact rationals; a support passes iff numerator/N >=
 threshold as fractions, so percentage cutoffs never suffer float
@@ -9,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,10 +36,13 @@ __all__ = [
     "IterationStats",
     "AssociationRule",
     "AprioriResult",
+    "LevelRun",
     "fre_exam",
     "cand_gen",
+    "mine_levels",
     "apriori",
     "sampling_estimate",
+    "sampling_apriori",
     "generate_rules",
     "gamma_metric",
     "REFERENCE_APRIORI_RUNS",
@@ -118,30 +127,57 @@ def cand_gen(frequents: Sequence[Itemset]) -> list[Itemset]:
 
 
 @dataclass(frozen=True)
+class LevelRun:
+    """What `mine_levels` saw, one entry per level in every list."""
+
+    candidates: list[list[Itemset]]
+    kept: list[list[Itemset]]
+    results: list
+    stats: list[IterationStats]
+
+
+def mine_levels(db: TransactionDB,
+                examine: Callable[[list[Itemset], int], tuple[list[Itemset], object]]
+                ) -> LevelRun:
+    """Run the level policy: level 1 is the items present in db,
+    examine(candidates, k) returns the itemsets the level keeps and a
+    result of the caller's choosing, and level k+1 is `cand_gen` of the
+    kept itemsets.  Stops at the first level with no candidates."""
+    run = LevelRun(candidates=[], kept=[], results=[], stats=[])
+    candidates = [Itemset.of(j) for j in db.present_items()]
+    k = 1
+    while candidates:
+        kept, result = examine(candidates, k)
+        run.candidates.append(candidates)
+        run.kept.append(kept)
+        run.results.append(result)
+        run.stats.append(IterationStats(k, len(candidates), len(kept)))
+        candidates = cand_gen(kept)
+        k += 1
+    return run
+
+
+@dataclass(frozen=True)
 class AprioriResult:
     frequents: dict[Itemset, ExactSupport]
     levels: list[list[Itemset]]
     stats: list[IterationStats]
+    candidates: list[list[Itemset]]
 
 
 def apriori(db: TransactionDB, min_supp,
             counter: QueryCounter | None = None) -> AprioriResult:
     """Level-wise exact mining; level 1 candidates are the items that occur."""
     thr = support_threshold(min_supp)
-    candidates: list[Itemset] = [Itemset.of(j) for j in db.present_items()]
-    frequents: dict[Itemset, ExactSupport] = {}
-    levels: list[list[Itemset]] = []
-    stats: list[IterationStats] = []
-    k = 1
-    while candidates:
+
+    def examine(candidates, _k):
         level = fre_exam(db, candidates, thr, counter)
-        stats.append(IterationStats(k, len(candidates), len(level)))
-        level_sets = [x for x, _ in level]
-        levels.append(level_sets)
-        frequents.update(level)
-        candidates = cand_gen(level_sets)
-        k += 1
-    return AprioriResult(frequents=frequents, levels=levels, stats=stats)
+        return [x for x, _ in level], level
+
+    run = mine_levels(db, examine)
+    frequents = {x: sup for level in run.results for x, sup in level}
+    return AprioriResult(frequents=frequents, levels=run.kept, stats=run.stats,
+                         candidates=run.candidates)
 
 
 def sampling_estimate(db: TransactionDB, candidates: Sequence[Itemset],
@@ -185,6 +221,25 @@ def sampling_estimate(db: TransactionDB, candidates: Sequence[Itemset],
     if counter is not None:
         counter.classical_row_scans += n_samples * sum(x.size for x in candidates)
     return out
+
+
+def sampling_apriori(db: TransactionDB, min_supp, n_samples: int, rng,
+                     counter: QueryCounter | None
+                     ) -> tuple[list[tuple[Itemset, float]], list[IterationStats]]:
+    """Level-wise mining on sampled supports: a candidate is kept when its
+    hit count over n_samples row draws reaches the threshold exactly.
+    Returns every kept (itemset, estimate) pair and the level stats."""
+    thr = support_threshold(min_supp)
+    rng = as_rng(rng)
+
+    def examine(candidates, _k):
+        level = [(x, est) for x, est in sampling_estimate(db, candidates, n_samples,
+                                                          rng, counter)
+                 if Fraction(round(est * n_samples), n_samples) >= thr]
+        return [x for x, _ in level], level
+
+    run = mine_levels(db, examine)
+    return [pair for level in run.results for pair in level], run.stats
 
 
 def generate_rules(supports: Mapping[Itemset, ExactSupport | Fraction],

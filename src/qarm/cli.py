@@ -15,24 +15,20 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .classical import (
-    AprioriResult,
     IterationStats,
     REFERENCE_APRIORI_RUNS,
     REFERENCE_GAMMA,
     apriori,
-    cand_gen,
     gamma_metric,
     generate_rules,
-    sampling_estimate,
+    sampling_apriori,
 )
 from .data import (
     FimiParseError,
-    Itemset,
     TransactionDB,
     exact_support,
     parse_fimi,
@@ -144,18 +140,22 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _read_fimi(path: str) -> TransactionDB:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        # a whole-file read decodes the file's bytes in one call
+        raw = exc.object
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise FimiParseError(
+            f"line {line}: non-ASCII byte 0x{raw[exc.start]:02x}") from None
+    return parse_fimi(text)
+
+
 def _load_db(args) -> tuple[TransactionDB, dict]:
     if args.dataset is not None:
-        try:
-            with open(args.dataset, "r", encoding="ascii") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            # a whole-file read decodes the file's bytes in one call
-            raw = exc.object
-            line = raw.count(b"\n", 0, exc.start) + 1
-            raise FimiParseError(
-                f"line {line}: non-ASCII byte 0x{raw[exc.start]:02x}") from None
-        db = parse_fimi(text)
+        db = _read_fimi(args.dataset)
         source = {"dataset": args.dataset}
     elif args.synthetic is not None:
         n, m = args.synthetic
@@ -192,7 +192,7 @@ def _quantum_itemsets(results: list[MiningResult]) -> list[dict]:
     out = []
     for level, res in enumerate(results, start=1):
         for mi in res.found:
-            entry = {
+            out.append({
                 "items": list(mi.itemset.items),
                 "k": level,
                 "estimate": mi.estimate.value,
@@ -200,10 +200,7 @@ def _quantum_itemsets(results: list[MiningResult]) -> list[dict]:
                 "T": mi.estimate.big_t,
                 "epsilon_scale": mi.estimate.epsilon_scale,
                 "boundary_uncertain": mi.boundary_uncertain,
-            }
-            if mi.exact is not None:
-                entry["exact"] = f"{mi.exact.numerator}/{mi.exact.denominator}"
-            out.append(entry)
+            })
     return out
 
 
@@ -243,22 +240,6 @@ def cmd_mine_classical(args) -> tuple[Report, int]:
     return report, 0
 
 
-def _sampling_mine(db: TransactionDB, thr: Fraction, n_samples: int, rng,
-                   counter: QueryCounter):
-    candidates = [Itemset.of(j) for j in db.present_items()]
-    stats: list[IterationStats] = []
-    kept: list[tuple[Itemset, float]] = []
-    while candidates:
-        k = candidates[0].size
-        estimates = sampling_estimate(db, candidates, n_samples, rng, counter)
-        level = [(x, est) for x, est in estimates
-                 if Fraction(round(est * n_samples), n_samples) >= thr]
-        stats.append(IterationStats(k, len(candidates), len(level)))
-        kept.extend(level)
-        candidates = cand_gen([x for x, _ in level])
-    return kept, stats
-
-
 def cmd_mine_sampling(args) -> tuple[Report, int]:
     db, source = _load_db(args)
     thr = support_threshold(args.min_supp)
@@ -269,7 +250,7 @@ def cmd_mine_sampling(args) -> tuple[Report, int]:
         n_samples = max(1, math.ceil(1.0 / args.epsilon ** 2))
     counter = QueryCounter()
     rng = np.random.default_rng(args.seed)
-    kept, stats = _sampling_mine(db, thr, n_samples, rng, counter)
+    kept, stats = sampling_apriori(db, thr, n_samples, rng, counter)
     report = Report(
         command="mine-sampling",
         config=dict(source, min_supp=str(thr), seed=args.seed,
@@ -303,16 +284,6 @@ def cmd_mine_quantum(args) -> tuple[Report, int]:
     return report, 0
 
 
-def _apriori_candidate_levels(db: TransactionDB, result: AprioriResult):
-    levels = [[Itemset.of(j) for j in db.present_items()]]
-    for level_sets in result.levels:
-        nxt = cand_gen(level_sets)
-        if not nxt:
-            break
-        levels.append(nxt)
-    return levels
-
-
 def cmd_compare(args) -> tuple[Report, int]:
     db, source = _load_db(args)
     thr = support_threshold(args.min_supp)
@@ -322,18 +293,18 @@ def cmd_compare(args) -> tuple[Report, int]:
     classical = apriori(db, thr, classical_counter)
 
     sampling_counter = QueryCounter()
-    _, sampling_stats = _sampling_mine(db, thr, args.samples, rng, sampling_counter)
+    # run for its ledger; its draws also advance the rng the quantum miner shares
+    sampling_apriori(db, thr, args.samples, rng, sampling_counter)
 
     quantum_counter = QueryCounter()
-    results, quantum_stats = qarm_full(db, thr, args.grid, args.mode, rng,
-                                       patience=args.patience,
-                                       qubit_cap=args.qubit_cap,
-                                       counter=quantum_counter)
+    results, _ = qarm_full(db, thr, args.grid, args.mode, rng,
+                           patience=args.patience, qubit_cap=args.qubit_cap,
+                           counter=quantum_counter)
 
     quantum_found = {mi.itemset for res in results for mi in res.found}
     classical_found = set(classical.frequents)
     min_steps = math.inf
-    for level in _apriori_candidate_levels(db, classical):
+    for level in classical.candidates:
         for x in level:
             sup = exact_support(db, x)
             min_steps = min(min_steps, grid_steps_between(sup.value, thr, args.grid))
@@ -386,8 +357,7 @@ def cmd_reproduce_appendix(args) -> tuple[Report, int]:
                            "detail": "dataset file not found"})
             continue
         ran = True
-        with open(path, "r", encoding="ascii") as fh:
-            db = parse_fimi(fh.read())
+        db = _read_fimi(path)
         for label in ("1%", "2%"):
             counter = QueryCounter()
             result = apriori(db, support_threshold(label), counter)
@@ -528,12 +498,16 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(report.to_json())
-    if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(report.iterations_csv())
+    try:
+        if args.output:
+            with open(args.output, "w", encoding="ascii") as fh:
+                fh.write(report.to_json())
+        if args.csv:
+            with open(args.csv, "w", encoding="ascii") as fh:
+                fh.write(report.iterations_csv())
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         sys.stdout.write(report.to_json())
     else:

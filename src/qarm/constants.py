@@ -3,9 +3,6 @@
 # Allowed L2-norm drift of a statevector after any public operation.
 NORM_TOL = 1e-10
 
-# Exactness demanded of unitary building blocks (oracle equivalence, QFT).
-UNITARY_TOL = 1e-12
-
 # Slack when comparing sin^2 grid values against support thresholds: the
 # grid point sin^2(pi*2/8) evaluates to 0.4999999999999999 in binary floats
 # and must still count as >= 0.5.

@@ -81,9 +81,6 @@ class Itemset:
     def __contains__(self, item: int) -> bool:
         return item in self.items
 
-    def union(self, other: "Itemset") -> "Itemset":
-        return Itemset.of(self.items + other.items)
-
     def subsets(self, size: int) -> Iterator["Itemset"]:
         for combo in combinations(self.items, size):
             yield Itemset(combo)
@@ -118,7 +115,7 @@ class ExactSupport:
 class TransactionDB:
     """Immutable transaction database over items 0..n_items-1."""
 
-    def __init__(self, indptr, indices, n_items: int, labels=None):
+    def __init__(self, indptr, indices, n_items: int):
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         if indptr.ndim != 1 or indptr.size < 2 or indptr[0] != 0:
@@ -141,16 +138,13 @@ class TransactionDB:
         self._indices = indices
         self.n_transactions = int(indptr.size - 1)
         self.n_items = int(n_items)
-        self.labels = list(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.n_items:
-            raise ValueError("labels length must equal n_items")
         self._column_counts = np.bincount(indices, minlength=n_items).astype(np.int64)
         self._csc = None  # lazy (column starts, row ids ordered by column)
         self._col_bits: dict[int, int] = {}
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], n_items: int | None = None,
-                  labels=None) -> "TransactionDB":
+    def from_rows(cls, rows: Iterable[Iterable[int]],
+                  n_items: int | None = None) -> "TransactionDB":
         canon = [sorted({int(j) for j in row}) for row in rows]
         if not canon:
             raise ValueError("no transactions")
@@ -166,7 +160,7 @@ class TransactionDB:
         indptr[1:] = np.cumsum([len(r) for r in canon])
         flat = [j for row in canon for j in row]
         indices = np.asarray(flat, dtype=np.int64)
-        return cls(indptr, indices, n_items, labels=labels)
+        return cls(indptr, indices, n_items)
 
     def row(self, i: int) -> tuple[int, ...]:
         lo, hi = self._indptr[i], self._indptr[i + 1]

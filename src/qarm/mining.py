@@ -42,15 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import IterationStats, cand_gen
+from .classical import IterationStats, mine_levels
 from .constants import GRID_TOL, NORM_TOL
-from .data import (
-    ExactSupport,
-    Itemset,
-    TransactionDB,
-    exact_support,
-    support_threshold,
-)
+from .data import Itemset, TransactionDB, support_threshold
 from .oracle import QueryCounter
 from .qpe import SupportEstimate, decode_support, estimation_law
 from .qsim import as_rng
@@ -275,7 +269,6 @@ class MinedItemset:
     itemset: Itemset
     estimate: SupportEstimate
     boundary_uncertain: bool
-    exact: ExactSupport | None = None
 
 
 @dataclass(frozen=True)
@@ -298,8 +291,7 @@ def _grid_step_at(estimate: SupportEstimate) -> float:
 def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int,
                 min_supp, mode: str = "ideal-projection", rng=None,
                 patience: int = 25, counter: QueryCounter | None = None,
-                qubit_cap: int | None = None,
-                verify_boundary: bool = False) -> MiningResult:
+                qubit_cap: int | None = None) -> MiningResult:
     """Mine one level: repeat estimate-amplify-measure until `patience`
     consecutive shots add no new itemset.
 
@@ -340,7 +332,6 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
                 itemset=itemset,
                 estimate=estimate,
                 boundary_uncertain=abs(estimate.value - thr) < _grid_step_at(estimate),
-                exact=exact_support(db, itemset) if verify_boundary else None,
             )
             misses = 0
         else:
@@ -365,16 +356,14 @@ def qarm_full(db: TransactionDB, min_supp, big_t: int,
               qubit_cap: int | None = None,
               counter: QueryCounter | None = None
               ) -> tuple[list[MiningResult], list[IterationStats]]:
-    """Level-wise quantum mining: level 1 candidates are the items that
-    occur; level k+1 candidates come from joining level-k results."""
+    """Level-wise quantum mining on `mine_levels`: each level is one
+    `qarm_mine_k`, and a level where nothing clears the threshold keeps
+    nothing."""
     rng = as_rng(rng)
     if counter is None:
         counter = QueryCounter()
-    candidates = [Itemset.of(j) for j in db.present_items()]
-    results: list[MiningResult] = []
-    stats: list[IterationStats] = []
-    k = 1
-    while candidates:
+
+    def examine(candidates, k):
         try:
             res = qarm_mine_k(db, candidates, k, big_t, min_supp, mode, rng,
                               patience=patience, counter=counter,
@@ -382,8 +371,7 @@ def qarm_full(db: TransactionDB, min_supp, big_t: int,
         except NoFrequentCandidatesError:
             res = MiningResult(found=(), counters=counter.snapshot(),
                                mode=mode, shots_used=0)
-        stats.append(IterationStats(k, len(candidates), len(res.found)))
-        results.append(res)
-        candidates = cand_gen(res.itemsets())
-        k += 1
-    return results, stats
+        return res.itemsets(), res
+
+    run = mine_levels(db, examine)
+    return run.results, run.stats

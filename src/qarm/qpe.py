@@ -49,7 +49,6 @@ from .qsim import (
 )
 
 __all__ = [
-    "GroverSpectrum",
     "PhaseDistribution",
     "SupportEstimate",
     "decode_support",
@@ -59,27 +58,6 @@ __all__ = [
     "estimation_law",
     "analytic_phase_distribution",
 ]
-
-
-@dataclass(frozen=True)
-class GroverSpectrum:
-    """Eigenstructure of G restricted to one candidate's rotation plane."""
-
-    support: float
-    theta: float
-    degenerate: bool
-
-    @classmethod
-    def from_support(cls, support) -> "GroverSpectrum":
-        s = float(support)
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"support {s} outside [0, 1]")
-        theta = math.asin(math.sqrt(s))
-        return cls(support=s, theta=theta, degenerate=s in (0.0, 1.0))
-
-    @property
-    def eigenvalues(self) -> tuple[complex, complex]:
-        return (np.exp(2j * self.theta), np.exp(-2j * self.theta))
 
 
 @dataclass(frozen=True)
@@ -134,11 +112,6 @@ class PhaseDistribution:
 
     def as_dict(self, floor: float = 1e-15) -> dict[int, float]:
         return {int(y): float(p) for y, p in enumerate(self.probs) if p > floor}
-
-    def total_variation(self, other: "PhaseDistribution") -> float:
-        if other.big_t != self.big_t:
-            raise ValueError("distributions live on different grids")
-        return 0.5 * float(np.sum(np.abs(self.probs - other.probs)))
 
 
 def _branch_probs(t_omega: float, big_t: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from qarm import (
     generate_rules,
     sampling_estimate,
 )
-from qarm.classical import REFERENCE_APRIORI_RUNS, REFERENCE_GAMMA
+from qarm.classical import REFERENCE_APRIORI_RUNS, REFERENCE_GAMMA, mine_levels
 
 from conftest import random_candidates, random_db
 
@@ -60,6 +60,57 @@ def test_cand_gen_join_and_prune():
         cand_gen([Itemset.of(0), Itemset((0, 1))])
     with pytest.raises(ValueError):
         cand_gen([Itemset.of(0), Itemset.of(0)])
+
+
+@given(data=st.data(), k=st.integers(1, 3), n_items=st.integers(1, 7))
+def test_cand_gen_is_sound_and_complete(data, k, n_items):
+    pool = list(itertools.combinations(range(n_items), k))
+    frequents = [Itemset(c) for c in pool if data.draw(st.booleans())]
+    if not frequents:
+        assert cand_gen(frequents) == []
+        return
+    fset = set(frequents)
+    got = cand_gen(data.draw(st.permutations(frequents)))
+    assert got == sorted(set(got))
+    # sound: every output is a (k+1)-set whose k-subsets are all frequent
+    for x in got:
+        assert x.size == k + 1
+        assert all(sub in fset for sub in x.subsets(k))
+    # complete: every such (k+1)-set is an output
+    want = [Itemset(c) for c in itertools.combinations(range(n_items), k + 1)
+            if all(sub in fset for sub in Itemset(c).subsets(k))]
+    assert got == want
+
+
+@settings(max_examples=60)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_mine_levels_joins_each_level_kept(data, seed):
+    rng = np.random.default_rng(seed)
+    db = random_db(rng, int(rng.integers(1, 9)), int(rng.integers(1, 7)),
+                   density=float(rng.uniform(0.0, 1.0)))
+    seen = []
+
+    def examine(candidates, k):
+        seen.append(k)
+        kept = [x for x in candidates if data.draw(st.booleans())]
+        return kept, (k, len(candidates))
+
+    run = mine_levels(db, examine)
+    levels = len(run.candidates)
+    assert seen == list(range(1, levels + 1))
+    assert len(run.kept) == len(run.results) == len(run.stats) == levels
+    if db.present_items():
+        assert run.candidates[0] == [Itemset.of(j) for j in db.present_items()]
+    else:
+        assert levels == 0
+    for i in range(1, levels):
+        assert run.candidates[i] == cand_gen(run.kept[i - 1])
+    if levels:
+        assert cand_gen(run.kept[-1]) == []
+    assert all(c for c in run.candidates)
+    assert [(s.k, s.m_candidates, s.m_frequent) for s in run.stats] == [
+        (i + 1, len(run.candidates[i]), len(run.kept[i])) for i in range(levels)]
+    assert run.results == [(i + 1, len(c)) for i, c in enumerate(run.candidates)]
 
 
 def brute_force_frequents(db, thr, max_size):

@@ -300,3 +300,85 @@ def test_mine_quantum_golden_transcript(capsys, mode):
     assert [(tuple(e["items"]), e["y"]) for e in doc["itemsets"]] == itemsets
     assert [row["shots_used"] for row in doc["iterations"]] == shots
     assert doc["counters"]["quantum"] == counters
+
+
+def test_unwritable_output_is_a_clean_error(capsys, tmp_path, clear_db_path):
+    missing = tmp_path / "no-such-dir"
+    for flag in ("--output", "--csv"):
+        code = main(["mine-classical", "--dataset", clear_db_path,
+                     "--min-supp", "3/4", flag, str(missing / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no-such-dir" in err
+
+
+def test_reproduce_appendix_non_ascii_names_the_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QARM_KOSARAK", raising=False)
+    path = tmp_path / "accent.dat"
+    path.write_bytes("1 2\n3 é\n".encode("utf-8"))
+    code = main(["reproduce-appendix", "--retail", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 2: non-ASCII byte 0xc3\n"
+
+
+# Recorded before the sampling and compare miners moved onto the shared
+# level-wise driver; the driver must reproduce every level and draw.
+GOLDEN_SAMPLING_16x6 = (
+    [(1, 6, 6), (2, 15, 8), (3, 1, 0)],
+    [((0,), 0.57), ((0, 1), 0.395), ((0, 3), 0.3), ((0, 5), 0.275), ((1,), 0.525),
+     ((1, 2), 0.285), ((1, 4), 0.275), ((2,), 0.26), ((2, 3), 0.255), ((3,), 0.525),
+     ((3, 4), 0.305), ((3, 5), 0.3), ((4,), 0.425), ((5,), 0.445)],
+    7800,
+)
+
+
+def _levels(doc):
+    return [(r["k"], r["m_candidates"], r["m_frequent"]) for r in doc["iterations"]]
+
+
+def _ledger(counts):
+    return {name: value for name, value in counts.items() if value}
+
+
+def test_mine_sampling_golden_transcript(capsys):
+    levels, itemsets, scans = GOLDEN_SAMPLING_16x6
+    code, doc = run_json(capsys, [
+        "mine-sampling", "--synthetic", "16", "6", "--density", "0.5",
+        "--min-supp", "1/4", "--seed", "3", "--samples", "200"])
+    assert code == 0
+    assert _levels(doc) == levels
+    assert [(tuple(e["items"]), e["estimate"]) for e in doc["itemsets"]] == itemsets
+    assert _ledger(doc["counters"]["sampling"]) == {"classical_row_scans": scans}
+
+
+def test_compare_golden_transcript(capsys):
+    code, doc = run_json(capsys, [
+        "compare", "--synthetic", "16", "6", "--density", "0.5", "--min-supp", "0.3",
+        "-T", "32", "--samples", "200", "--seed", "2", "--mode", "grover-known"])
+    assert code == 0
+    assert _levels(doc) == [(1, 6, 6), (2, 15, 4), (3, 1, 1)]
+    assert [(tuple(e["items"]), e["y"]) for e in doc["itemsets"]] == [
+        ((0,), 9), ((1,), 8), ((2,), 6), ((3,), 9), ((4,), 6), ((5,), 12),
+        ((0, 1), 8), ((0, 2), 15), ((0, 3), 7), ((0, 4), 7), ((0, 5), 7),
+        ((1, 3), 6), ((1, 4), 6), ((1, 5), 6), ((2, 3), 6), ((2, 5), 6),
+        ((3, 4), 6), ((3, 5), 7), ((4, 5), 6), ((0, 1, 3), 12), ((0, 1, 4), 6),
+        ((0, 1, 5), 7), ((0, 2, 3), 16), ((0, 2, 5), 6), ((0, 3, 4), 6),
+        ((0, 3, 5), 6), ((0, 4, 5), 9), ((1, 3, 4), 10), ((1, 3, 5), 8),
+        ((1, 4, 5), 8), ((2, 3, 5), 6), ((3, 4, 5), 11), ((0, 1, 3, 4), 10),
+        ((0, 1, 3, 5), 9), ((0, 2, 3, 5), 8), ((0, 3, 4, 5), 11), ((1, 3, 4, 5), 10)]
+    assert {scope: _ledger(c) for scope, c in doc["counters"].items()} == {
+        "classical": {"classical_row_scans": 624},
+        "sampling": {"classical_row_scans": 5800},
+        "quantum": {"amplification_iterations": 428, "basic_oracle_calls": 205406,
+                    "elementary_gates": 170934, "grover_applications": 34472,
+                    "measurements": 256, "phase_oracle_k_calls": 34472,
+                    "state_preparations": 256},
+    }
+    assert doc["agreement"] == {
+        "all_supports_two_grid_steps_clear": False,
+        "min_grid_steps_to_threshold": 0.13812139032530496,
+        "pass": True,
+        "quantum_equals_classical": False,
+    }
+    assert doc["status"] == "ok"

@@ -205,7 +205,6 @@ def test_itemset_subsets_and_union():
     x = Itemset.of([0, 2, 5])
     assert set(x.subsets(2)) == {Itemset.of([0, 2]), Itemset.of([0, 5]),
                                  Itemset.of([2, 5])}
-    assert Itemset.of([0, 2]).union(Itemset.of(5)) == x
 
 
 def test_db_validation_rejects_bad_rows():

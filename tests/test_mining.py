@@ -20,7 +20,6 @@ from qarm import (
     qarm_mine_k,
     synth_db,
 )
-from qarm.data import ExactSupport
 from qarm.mining import AMPLIFY_MODES
 from qarm.oracle import CAND, EST
 from qarm.qpe import estimation_law, parallel_amplitude_estimation
@@ -412,18 +411,6 @@ def test_mine_query_ledger_all_modes(dtoy):
         assert res.shots_used == counter.state_preparations
         assert Itemset.of(0) in res.itemsets()
         assert Itemset.of(1) in res.itemsets()
-
-
-def test_mine_verify_boundary_attaches_exact(toy4):
-    res = qarm_mine_k(toy4, ITEMS(0, 1), 1, 8, 0.5,
-                      rng=np.random.default_rng(7), verify_boundary=True)
-    by_set = {mi.itemset: mi for mi in res.found}
-    assert by_set[Itemset.of(0)].exact == ExactSupport(2, 4)
-    assert by_set[Itemset.of(1)].exact == ExactSupport(4, 4)
-
-    res = qarm_mine_k(toy4, ITEMS(0, 1), 1, 8, 0.5,
-                      rng=np.random.default_rng(7))
-    assert all(mi.exact is None for mi in res.found)
 
 
 def test_mine_k2_pair_level(dtoy):

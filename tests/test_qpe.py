@@ -19,7 +19,6 @@ from qarm import (
 )
 from qarm.oracle import CAND, EST, TXN, build_layout, phase_oracle_sign_table
 from qarm.qpe import (
-    GroverSpectrum,
     PhaseDistribution,
     analytic_phase_distribution,
     apply_grover_operator,
@@ -45,19 +44,6 @@ def test_decode_support_examples():
         decode_support(8, 8)
     with pytest.raises(ValueError):
         decode_support(-1, 8)
-
-
-def test_grover_spectrum():
-    spec = GroverSpectrum.from_support(0.3)
-    assert abs(math.sin(spec.theta) ** 2 - 0.3) < 1e-15
-    lam_plus, lam_minus = spec.eigenvalues
-    assert abs(lam_plus - np.exp(2j * spec.theta)) < 1e-15
-    assert abs(lam_plus * lam_minus - 1.0) < 1e-15
-    assert not spec.degenerate
-    assert GroverSpectrum.from_support(0).degenerate
-    assert GroverSpectrum.from_support(1).degenerate
-    with pytest.raises(ValueError):
-        GroverSpectrum.from_support(1.5)
 
 
 def test_grid_steps_between_values():
@@ -118,10 +104,6 @@ def test_phase_distribution_validation():
         PhaseDistribution(big_t=2, probs=np.array([0.7, 0.4]))
     with pytest.raises(ValueError):
         PhaseDistribution(big_t=2, probs=np.array([-0.2, 1.2]))
-    a = analytic_phase_distribution(0.5, 8)
-    assert a.total_variation(a) == 0.0
-    with pytest.raises(ValueError):
-        a.total_variation(analytic_phase_distribution(0.5, 16))
 
 
 def test_grover_operator_matches_dense(dtoy):
