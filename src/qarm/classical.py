@@ -41,6 +41,7 @@ __all__ = [
     "cand_gen",
     "mine_levels",
     "apriori",
+    "check_n_samples",
     "sampling_estimate",
     "sampling_apriori",
     "generate_rules",
@@ -86,15 +87,21 @@ class AssociationRule:
 
 
 def fre_exam(db: TransactionDB, candidates: Sequence[Itemset], min_supp,
-             counter: QueryCounter | None = None) -> list[tuple[Itemset, ExactSupport]]:
+             counter: QueryCounter | None = None, *,
+             supports: dict[Itemset, ExactSupport] | None = None
+             ) -> list[tuple[Itemset, ExactSupport]]:
     """Keep the candidates whose exact support reaches the threshold.
 
     Charges k*N row operations per k-candidate to the classical ledger.
+    Every candidate's support, kept or not, is also stored in `supports`
+    when it is given.
     """
     thr = support_threshold(min_supp)
     out = []
     for x in candidates:
         sup = exact_support(db, x)
+        if supports is not None:
+            supports[x] = sup
         if counter is not None:
             counter.classical_row_scans += x.size * db.n_transactions
         if sup.value >= thr:
@@ -162,22 +169,30 @@ class AprioriResult:
     frequents: dict[Itemset, ExactSupport]
     levels: list[list[Itemset]]
     stats: list[IterationStats]
-    candidates: list[list[Itemset]]
+    # every candidate of every level, frequent or not, in level order
+    supports: dict[Itemset, ExactSupport]
 
 
 def apriori(db: TransactionDB, min_supp,
             counter: QueryCounter | None = None) -> AprioriResult:
     """Level-wise exact mining; level 1 candidates are the items that occur."""
     thr = support_threshold(min_supp)
+    supports: dict[Itemset, ExactSupport] = {}
 
     def examine(candidates, _k):
-        level = fre_exam(db, candidates, thr, counter)
+        level = fre_exam(db, candidates, thr, counter, supports=supports)
         return [x for x, _ in level], level
 
     run = mine_levels(db, examine)
     frequents = {x: sup for level in run.results for x, sup in level}
     return AprioriResult(frequents=frequents, levels=run.kept, stats=run.stats,
-                         candidates=run.candidates)
+                         supports=supports)
+
+
+def check_n_samples(n_samples: int) -> None:
+    """Refuse a row-draw count below 1."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
 
 
 def sampling_estimate(db: TransactionDB, candidates: Sequence[Itemset],
@@ -188,11 +203,19 @@ def sampling_estimate(db: TransactionDB, candidates: Sequence[Itemset],
 
     Each candidate takes its own n_samples draws, in candidate order.  A
     row holds a k-itemset iff k of its items mark it in one N-entry
-    buffer, filled from the rows of each item (the CSC view) and cleared
-    after the draws are counted, so no per-item bitset is built.
+    buffer, filled from the rows of each item (the CSC view), so no
+    per-item bitset is built.  Consecutive candidates with the same
+    (k-1)-prefix, as `cand_gen` emits them, mark that prefix once.
+
+    The draws come in chunks of candidates, one `rng.integers` call of at
+    most _DRAW_BUDGET rows each.  One helper thread, alive for the whole
+    call, draws chunk i+1 while the calling thread counts the hits of
+    chunk i, so at most two chunks are alive.  The calls keep their order
+    and shapes and none is made past the last chunk, so the stream and
+    the Generator's final state are those of drawing inline.  A draw's
+    exception is raised here.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    check_n_samples(n_samples)
     rng = as_rng(rng)
     candidates = list(candidates)
     for x in candidates:
@@ -204,20 +227,35 @@ def sampling_estimate(db: TransactionDB, candidates: Sequence[Itemset],
         max((x.size for x in candidates), default=1)))
     draw_dtype = np.int32 if n_rows <= np.iinfo(np.int32).max else np.int64
     per_call = max(1, _DRAW_BUDGET // n_samples)
+
+    def draw(lo):
+        # one (rows, n) call draws what `rows` calls of size n would
+        rows = min(per_call, len(candidates) - lo)
+        return rng.integers(0, n_rows, size=(rows, n_samples), dtype=draw_dtype)
+
+    # imported here, so that `import qarm.cli` does not pay ~7 ms for it
+    from concurrent.futures import ThreadPoolExecutor
+
     out = []
-    for lo in range(0, len(candidates), per_call):
-        chunk = candidates[lo:lo + per_call]
-        # one (rows, n) call draws what len(chunk) calls of size n would
-        draws = rng.integers(0, n_rows, size=(len(chunk), n_samples),
-                             dtype=draw_dtype)
-        for x, row_draws in zip(chunk, draws):
-            item_rows = [db._rows_with_item(j) for j in x.items]
-            for rows in item_rows:
-                marks[rows] += 1
-            hits = int(np.count_nonzero(marks[row_draws] == x.size))
-            for rows in item_rows:
-                marks[rows] = 0
-            out.append((x, hits / n_samples))
+    prefix: tuple[int, ...] = ()
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(draw, 0) if candidates else None
+        for lo in range(0, len(candidates), per_call):
+            draws = pending.result()
+            if lo + per_call < len(candidates):
+                pending = helper.submit(draw, lo + per_call)
+            for x, row_draws in zip(candidates[lo:lo + per_call], draws):
+                if x.items[:-1] != prefix:
+                    for j in prefix:
+                        marks[db._rows_with_item(j)] = 0
+                    prefix = x.items[:-1]
+                    for j in prefix:
+                        marks[db._rows_with_item(j)] += 1
+                last = db._rows_with_item(x.items[-1])
+                marks[last] += 1
+                hits = int(np.count_nonzero(marks.take(row_draws) == x.size))
+                marks[last] -= 1
+                out.append((x, hits / n_samples))
     if counter is not None:
         counter.classical_row_scans += n_samples * sum(x.size for x in candidates)
     return out
@@ -229,6 +267,7 @@ def sampling_apriori(db: TransactionDB, min_supp, n_samples: int, rng,
     """Level-wise mining on sampled supports: a candidate is kept when its
     hit count over n_samples row draws reaches the threshold exactly.
     Returns every kept (itemset, estimate) pair and the level stats."""
+    check_n_samples(n_samples)
     thr = support_threshold(min_supp)
     rng = as_rng(rng)
 

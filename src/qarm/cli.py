@@ -23,6 +23,7 @@ from .classical import (
     REFERENCE_APRIORI_RUNS,
     REFERENCE_GAMMA,
     apriori,
+    check_n_samples,
     gamma_metric,
     generate_rules,
     sampling_apriori,
@@ -30,12 +31,11 @@ from .classical import (
 from .data import (
     FimiParseError,
     TransactionDB,
-    exact_support,
     parse_fimi,
     support_threshold,
     synth_db,
 )
-from .mining import AMPLIFY_MODES, MiningResult, qarm_full
+from .mining import AMPLIFY_MODES, MiningResult, check_mining_args, qarm_full
 from .oracle import QueryCounter
 from .qpe import grid_steps_between
 from .qsim import QubitBudgetError
@@ -285,6 +285,9 @@ def cmd_mine_quantum(args) -> tuple[Report, int]:
 
 
 def cmd_compare(args) -> tuple[Report, int]:
+    # Apriori runs first, so refuse what the other two miners would refuse
+    check_n_samples(args.samples)
+    check_mining_args(args.grid, args.patience)
     db, source = _load_db(args)
     thr = support_threshold(args.min_supp)
     rng = np.random.default_rng(args.seed)
@@ -303,11 +306,8 @@ def cmd_compare(args) -> tuple[Report, int]:
 
     quantum_found = {mi.itemset for res in results for mi in res.found}
     classical_found = set(classical.frequents)
-    min_steps = math.inf
-    for level in classical.candidates:
-        for x in level:
-            sup = exact_support(db, x)
-            min_steps = min(min_steps, grid_steps_between(sup.value, thr, args.grid))
+    min_steps = min((grid_steps_between(sup.value, thr, args.grid)
+                     for sup in classical.supports.values()), default=math.inf)
     clear = bool(min_steps >= 2.0) if min_steps is not math.inf else True
     agree = quantum_found == classical_found
     agreement = {

@@ -45,7 +45,7 @@ import numpy as np
 from .classical import IterationStats, mine_levels
 from .constants import GRID_TOL, NORM_TOL
 from .data import Itemset, TransactionDB, support_threshold
-from .oracle import QueryCounter
+from .oracle import QueryCounter, _log2_exact
 from .qpe import SupportEstimate, decode_support, estimation_law
 from .qsim import as_rng
 
@@ -56,6 +56,7 @@ __all__ = [
     "amplitude_amplify",
     "MinedItemset",
     "MiningResult",
+    "check_mining_args",
     "qarm_mine_k",
     "qarm_full",
     "AMPLIFY_MODES",
@@ -288,6 +289,14 @@ def _grid_step_at(estimate: SupportEstimate) -> float:
     return abs(nxt - estimate.value)
 
 
+def check_mining_args(big_t: int, patience: int) -> None:
+    """Refuse a grid size T that is not a power of two >= 2 and a patience
+    below 1."""
+    _log2_exact(big_t)
+    if patience < 1:
+        raise ValueError("patience must be >= 1")
+
+
 def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int,
                 min_supp, mode: str = "ideal-projection", rng=None,
                 patience: int = 25, counter: QueryCounter | None = None,
@@ -301,8 +310,7 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
     """
     if mode not in AMPLIFY_MODES:
         raise ValueError(f"unknown amplification mode {mode!r}")
-    if patience < 1:
-        raise ValueError("patience must be >= 1")
+    check_mining_args(big_t, patience)
     thr = float(support_threshold(min_supp))
     rng = as_rng(rng)
     if counter is None:
@@ -358,7 +366,8 @@ def qarm_full(db: TransactionDB, min_supp, big_t: int,
               ) -> tuple[list[MiningResult], list[IterationStats]]:
     """Level-wise quantum mining on `mine_levels`: each level is one
     `qarm_mine_k`, and a level where nothing clears the threshold keeps
-    nothing."""
+    nothing.  T and patience are checked before any level runs."""
+    check_mining_args(big_t, patience)
     rng = as_rng(rng)
     if counter is None:
         counter = QueryCounter()

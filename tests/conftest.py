@@ -1,7 +1,9 @@
-"""Shared fixtures: small reference databases and dataset discovery."""
+"""Shared fixtures: small reference databases, dataset discovery, and a
+guard against leaked threads."""
 
 import os
 import sys
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -23,6 +25,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for n in sorted(lines):
             terminalreporter.write_line(lines[n])
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    # sampling draws on a helper thread; every test must leave none alive
+    before = set(threading.enumerate())
+    yield
+    extra = [t.name for t in threading.enumerate() if t not in before]
+    if extra:
+        pytest.fail(f"test left threads alive: {extra}")
 
 
 @pytest.fixture
@@ -52,6 +64,20 @@ def random_candidates(rng: np.random.Generator, db: TransactionDB,
     picks = rng.choice(len(pool), size=int(rng.integers(1, len(pool) + 1)),
                        replace=False)
     return [Itemset(pool[i]) for i in sorted(picks)]
+
+
+class SecondDrawFails(np.random.Generator):
+    """A seeded Generator whose second `integers` call runs out of memory."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.draw_calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.draw_calls += 1
+        if self.draw_calls == 2:
+            raise MemoryError("cannot allocate the second chunk of draws")
+        return super().integers(*args, **kwargs)
 
 
 def find_dataset(name: str) -> str | None:

@@ -2,6 +2,7 @@
 and the query-advantage metric."""
 
 import itertools
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -23,9 +24,14 @@ from qarm import (
     generate_rules,
     sampling_estimate,
 )
-from qarm.classical import REFERENCE_APRIORI_RUNS, REFERENCE_GAMMA, mine_levels
+from qarm.classical import (
+    REFERENCE_APRIORI_RUNS,
+    REFERENCE_GAMMA,
+    mine_levels,
+    sampling_apriori,
+)
 
-from conftest import random_candidates, random_db
+from conftest import SecondDrawFails, random_candidates, random_db
 
 
 def test_fre_exam_examples(dtoy):
@@ -124,20 +130,21 @@ def brute_force_frequents(db, thr, max_size):
     return out
 
 
-def test_apriori_matches_brute_force():
-    rng = np.random.default_rng(1009)
-    for _ in range(25):
-        db = random_db(rng, n=rng.integers(3, 9), m=rng.integers(2, 6),
-                       density=0.55)
-        thr = Fraction(rng.integers(1, 4), 4)
-        got = apriori(db, thr)
-        expect = brute_force_frequents(db, thr, db.n_items)
-        assert got.frequents == expect
-        # downward closure: every subset of a frequent itemset is frequent
-        for x in got.frequents:
-            for size in range(1, x.size):
-                for sub in x.subsets(size):
-                    assert sub in got.frequents
+@given(data=st.data(), n=st.integers(3, 8), m=st.integers(2, 5),
+       quarters=st.integers(1, 3))
+def test_apriori_matches_brute_force(data, n, m, quarters):
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                              min_size=n, max_size=n))
+    db = TransactionDB.from_rows([[j for j in range(m) if row[j]] for row in rows],
+                                 n_items=m)
+    thr = Fraction(quarters, 4)
+    got = apriori(db, thr)
+    assert got.frequents == brute_force_frequents(db, thr, db.n_items)
+    # downward closure: every subset of a frequent itemset is frequent
+    for x in got.frequents:
+        for size in range(1, x.size):
+            for sub in x.subsets(size):
+                assert sub in got.frequents
 
 
 def test_apriori_stats_and_levels(dtoy):
@@ -223,6 +230,22 @@ def test_batched_int32_draws_equal_per_candidate_draws(n_rows, n):
     rows = [single.integers(0, n_rows, size=n) for _ in range(5)]
     assert np.array_equal(block, np.stack(rows))
     assert batched.bit_generator.state == single.bit_generator.state
+
+
+def test_failed_draw_is_raised_and_leaves_no_thread(toy4, monkeypatch):
+    monkeypatch.setattr(classical, "_DRAW_BUDGET", 5)  # one candidate per draw
+    rng = SecondDrawFails(0)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="second chunk"):
+        sampling_estimate(toy4, [Itemset.of(j) for j in range(3)], 5, rng)
+    assert threading.active_count() == threads
+    assert rng.draw_calls == 2  # no draw was started past the failed one
+
+
+def test_sampling_apriori_checks_samples_before_any_level():
+    empty = TransactionDB.from_rows([[], []], n_items=2)
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        sampling_apriori(empty, "1/2", 0, 0, None)
 
 
 def test_sampling_rejects_items_out_of_range(toy4):

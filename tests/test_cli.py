@@ -1,12 +1,23 @@
 """Command-line entry points, exercised in-process through main()."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 
+import qarm
+import qarm.classical
 import qarm.cli
+import qarm.data
 import qarm.mining
 from qarm.cli import main
+
+from conftest import SecondDrawFails
 
 CLEAR_FIMI = "0 1 2\n" * 4 + "0 1\n" * 4
 
@@ -382,3 +393,71 @@ def test_compare_golden_transcript(capsys):
         "quantum_equals_classical": False,
     }
     assert doc["status"] == "ok"
+
+
+# at the parent these exited 0 with status "ok": no item occurs, so no
+# level ran to refuse the value
+EMPTY_DB = ["--synthetic", "8", "4", "--density", "0", "--min-supp", "1/2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mine-sampling", "--samples", "0"], "n_samples must be >= 1"),
+    (["compare", "--samples", "-3"], "n_samples must be >= 1"),
+    (["mine-quantum", "--patience", "0"], "patience must be >= 1"),
+    (["compare", "--patience", "0"], "patience must be >= 1"),
+    (["mine-quantum", "--patience", "0", "-T", "3"],
+     "T must be a power of two >= 2, got 3"),
+    (["compare", "-T", "1"], "T must be a power of two >= 2, got 1"),
+    (["mine-quantum", "-T", "24"], "T must be a power of two >= 2, got 24"),
+])
+def test_bad_run_arguments_exit_before_any_level(capsys, argv, message):
+    assert main(argv + EMPTY_DB + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_compare_computes_each_apriori_support_once(capsys, monkeypatch):
+    real = qarm.data.exact_support
+    callers = Counter()
+
+    def counted(db, x):
+        callers[sys._getframe(1).f_globals["__name__"]] += 1
+        return real(db, x)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("qarm") and getattr(module, "exact_support", None) is real:
+            monkeypatch.setattr(module, "exact_support", counted)
+    assert main(["compare", "--synthetic", "32", "8", "--density", "0.5",
+                 "--min-supp", "0.3", "-T", "16", "--samples", "200", "--json"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert sum(row["m_candidates"] for row in doc["iterations"]) == 36
+    # the quantum miner's estimation law reads its own supports
+    del callers["qarm.qpe"]
+    assert sum(callers.values()) == 36
+    # recorded at the commit that computed each support twice
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "4206d92a575fd44734469a8bf4e539fe1ee4895db094320e689cb520d0cd0ae9")
+
+
+def test_failed_draw_is_a_clean_error(capsys, monkeypatch, clear_db_path):
+    monkeypatch.setattr(qarm.classical, "_DRAW_BUDGET", 7)  # one candidate per draw
+    monkeypatch.setattr(np.random, "default_rng", SecondDrawFails)
+    code = main(["mine-sampling", "--dataset", clear_db_path, "--min-supp", "1/2",
+                 "--samples", "7", "--json"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: out of memory: cannot allocate the second chunk of draws\n")
+
+
+def test_cli_import_does_not_load_concurrent_futures():
+    # sampling imports it where it draws, so set-up does not pay for it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qarm.__file__)))
+    probe = ("import sys, qarm.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout == "[]\n"

@@ -508,3 +508,15 @@ def test_qarm_full_empty_db():
     db = TransactionDB.from_rows([[], []], n_items=3)
     results, stats = qarm_full(db, 0.5, 8)
     assert results == [] and stats == []
+
+
+@pytest.mark.parametrize("big_t, patience, message", [
+    (8, 0, "patience must be >= 1"),
+    (3, 25, "T must be a power of two >= 2, got 3"),
+    (1, 25, "T must be a power of two >= 2, got 1"),
+])
+def test_qarm_full_checks_arguments_before_any_level(big_t, patience, message):
+    # no item occurs, so no level would run to refuse them
+    db = TransactionDB.from_rows([[], []], n_items=3)
+    with pytest.raises(ValueError, match=message):
+        qarm_full(db, 0.5, big_t, patience=patience)
