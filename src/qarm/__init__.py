@@ -23,7 +23,6 @@ from .data import (
     synth_db,
 )
 from .mining import (
-    GoodSet,
     MinedItemset,
     MiningResult,
     NoFrequentCandidatesError,
@@ -34,7 +33,6 @@ from .mining import (
 )
 from .oracle import QueryCounter, build_layout
 from .qpe import (
-    PhaseDistribution,
     SupportEstimate,
     analytic_phase_distribution,
     apply_grover_operator,
@@ -51,13 +49,11 @@ __all__ = [
     "AssociationRule",
     "ExactSupport",
     "FimiParseError",
-    "GoodSet",
     "Itemset",
     "IterationStats",
     "MinedItemset",
     "MiningResult",
     "NoFrequentCandidatesError",
-    "PhaseDistribution",
     "QueryCounter",
     "QubitBudgetError",
     "RegisterLayout",

@@ -135,10 +135,8 @@ def cand_gen(frequents: Sequence[Itemset]) -> list[Itemset]:
 
 @dataclass(frozen=True)
 class LevelRun:
-    """What `mine_levels` saw, one entry per level in every list."""
+    """What `mine_levels` saw, one entry per level in each list."""
 
-    candidates: list[list[Itemset]]
-    kept: list[list[Itemset]]
     results: list
     stats: list[IterationStats]
 
@@ -150,13 +148,11 @@ def mine_levels(db: TransactionDB,
     examine(candidates, k) returns the itemsets the level keeps and a
     result of the caller's choosing, and level k+1 is `cand_gen` of the
     kept itemsets.  Stops at the first level with no candidates."""
-    run = LevelRun(candidates=[], kept=[], results=[], stats=[])
+    run = LevelRun(results=[], stats=[])
     candidates = [Itemset.of(j) for j in db.present_items()]
     k = 1
     while candidates:
         kept, result = examine(candidates, k)
-        run.candidates.append(candidates)
-        run.kept.append(kept)
         run.results.append(result)
         run.stats.append(IterationStats(k, len(candidates), len(kept)))
         candidates = cand_gen(kept)
@@ -167,7 +163,6 @@ def mine_levels(db: TransactionDB,
 @dataclass(frozen=True)
 class AprioriResult:
     frequents: dict[Itemset, ExactSupport]
-    levels: list[list[Itemset]]
     stats: list[IterationStats]
     # every candidate of every level, frequent or not, in level order
     supports: dict[Itemset, ExactSupport]
@@ -185,8 +180,7 @@ def apriori(db: TransactionDB, min_supp,
 
     run = mine_levels(db, examine)
     frequents = {x: sup for level in run.results for x, sup in level}
-    return AprioriResult(frequents=frequents, levels=run.kept, stats=run.stats,
-                         supports=supports)
+    return AprioriResult(frequents=frequents, stats=run.stats, supports=supports)
 
 
 def check_n_samples(n_samples: int) -> None:

@@ -161,8 +161,7 @@ def _load_db(args) -> tuple[TransactionDB, dict]:
         n, m = args.synthetic
         if not 0.0 <= args.density <= 1.0:
             raise ValueError(f"--density must be in [0, 1], got {args.density}")
-        db, _ = synth_db(n, m, {}, seed=args.seed,
-                         background_density=args.density)
+        db = synth_db(n, m, {}, seed=args.seed, background_density=args.density)
         source = {"synthetic": {"n": n, "m": m, "density": args.density}}
     else:
         raise ValueError("provide --dataset PATH or --synthetic N M")
@@ -247,7 +246,11 @@ def cmd_mine_sampling(args) -> tuple[Report, int]:
     if args.epsilon is not None:
         if not args.epsilon > 0:
             raise ValueError(f"--epsilon must be > 0, got {args.epsilon}")
-        n_samples = max(1, math.ceil(1.0 / args.epsilon ** 2))
+        square = args.epsilon ** 2
+        if square == 0.0 or math.isinf(1.0 / square):
+            raise ValueError(f"--epsilon {args.epsilon} is too small: "
+                             "1/eps^2 is not a finite sample count")
+        n_samples = max(1, math.ceil(1.0 / square))
     counter = QueryCounter()
     rng = np.random.default_rng(args.seed)
     kept, stats = sampling_apriori(db, thr, n_samples, rng, counter)

@@ -388,94 +388,54 @@ def support_threshold(value) -> Fraction:
     Accepts Fraction, int, float, 'a/b', decimal strings, and 'x%'.
     Floats are read at their printed precision, so 0.01 means exactly 1/100.
     """
-    if isinstance(value, str):
-        txt = value.strip()
-        frac = Fraction(txt[:-1].strip()) / 100 if txt.endswith("%") else Fraction(txt)
-    else:
-        frac = _as_exact_fraction(value)
+    try:
+        if isinstance(value, str):
+            txt = value.strip()
+            frac = Fraction(txt[:-1].strip()) / 100 if txt.endswith("%") else Fraction(txt)
+        else:
+            frac = _as_exact_fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"threshold {value!r} has a zero denominator") from None
     if not 0 < frac <= 1:
         raise ValueError(f"threshold must be in (0, 1], got {frac}")
     return frac
 
 
 def synth_db(n: int, m: int, support_targets: Mapping, seed: int,
-             background_density: float = 0.0):
-    """Synthesize an n x m database hitting the requested supports.
+             background_density: float = 0.0) -> TransactionDB:
+    """Synthesize an n x m database whose items have the requested supports.
 
-    Singleton targets are met exactly; targets on larger itemsets are
-    approached greedily by re-placing the rows of the largest item.  Each
-    target must be a rational with denominator dividing n.  Items not
+    Each target names a single item, and its support must be a rational
+    with denominator dividing n; every target is met exactly.  Items not
     mentioned in any target get independent background_density fill.
-    Returns (db, achieved) where achieved maps each requested itemset to
-    its exact achieved support.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    targets: dict[Itemset, Fraction] = {}
+    counts: dict[int, int] = {}
     for key, val in support_targets.items():
         x = key if isinstance(key, Itemset) else Itemset.of(key)
-        if x.items[-1] >= m:
-            raise ValueError(f"target item {x.items[-1]} out of range for m={m}")
+        if x.size != 1:
+            raise ValueError(f"target {x} is not a single item")
+        j = x.items[0]
+        if j >= m:
+            raise ValueError(f"target item {j} out of range for m={m}")
         frac = _as_exact_fraction(val)
         count = frac * n
         if count.denominator != 1:
             raise ValueError(f"target {frac} of {n} rows is not an integer count")
         if not 0 <= count <= n:
             raise ValueError(f"target support {frac} infeasible for n={n}")
-        targets[x] = frac
+        counts[j] = int(count)
 
     rng = np.random.default_rng(seed)
-    col_rows: dict[int, set[int]] = {}
-
-    def place(count: int) -> set[int]:
-        return set(int(r) for r in rng.permutation(n)[:count])
-
-    singles = {x.items[0]: int(targets[x] * n) for x in targets if x.size == 1}
-    multi = sorted((x for x in targets if x.size > 1), key=lambda x: (x.size, x.items))
-    mentioned = {j for x in targets for j in x.items}
-    for j, count in singles.items():
-        col_rows[j] = place(count)
-    for j in sorted(mentioned - set(singles)):
-        # no explicit singleton target: give it just enough rows for the
-        # largest multi target it participates in
-        need = max(int(targets[x] * n) for x in multi if j in x.items)
-        col_rows[j] = place(need)
-
-    for x in multi:
-        want = int(targets[x] * n)
-        *rest, last = x.items
-        base = set.intersection(*(col_rows[j] for j in rest)) if rest else set(range(n))
-        cur = col_rows[last]
-        size = len(cur)
-        inside = min(want, len(base), size)
-        keep_in = sorted(cur & base)[:inside]
-        new_rows = set(keep_in)
-        for r in sorted(base - new_rows):
-            if len(new_rows) >= inside:
-                break
-            new_rows.add(r)
-        outside_pool = [r for r in sorted(cur - base) if r not in new_rows]
-        for r in outside_pool:
-            if len(new_rows) >= size:
-                break
-            new_rows.add(r)
-        for r in map(int, rng.permutation(n)):
-            if len(new_rows) >= size:
-                break
-            if r not in base and r not in new_rows:
-                new_rows.add(r)
-        col_rows[last] = new_rows
-
+    col_rows = {j: rng.permutation(n)[:count] for j, count in counts.items()}
     if background_density > 0:
         for j in range(m):
-            if j not in mentioned:
-                mask = rng.random(n) < background_density
-                col_rows[j] = set(int(r) for r in np.nonzero(mask)[0])
+            if j not in counts:
+                col_rows[j] = np.flatnonzero(rng.random(n) < background_density)
 
     rows: list[list[int]] = [[] for _ in range(n)]
     for j, members in col_rows.items():
-        for r in members:
+        for r in members.tolist():
             rows[r].append(j)
-    db = TransactionDB.from_rows(rows, n_items=m)
-    achieved = {x: exact_support(db, x).value for x in targets}
-    return db, achieved
+    return TransactionDB.from_rows(rows, n_items=m)

@@ -51,7 +51,6 @@ from .qsim import as_rng
 
 __all__ = [
     "NoFrequentCandidatesError",
-    "GoodSet",
     "good_set",
     "amplitude_amplify",
     "MinedItemset",
@@ -74,35 +73,16 @@ class NoFrequentCandidatesError(RuntimeError):
     """The good subspace carries no probability: nothing clears the threshold."""
 
 
-@dataclass(frozen=True)
-class GoodSet:
-    """Estimation outcomes whose decoded support reaches the threshold."""
-
-    big_t: int
-    min_supp: float
-    members: frozenset[int]
-
-    def __contains__(self, y: int) -> bool:
-        return y in self.members
-
-    def mask(self) -> np.ndarray:
-        out = np.zeros(self.big_t, dtype=bool)
-        out[list(self.members)] = True
-        return out
-
-
-def good_set(big_t: int, min_supp) -> GoodSet:
-    """All y in 0..T-1 with sin^2(pi*min(y, T-y)/T) >= min_supp.
+def good_set(big_t: int, min_supp) -> np.ndarray:
+    """The good mask: a length-T boolean array, True at the y in 0..T-1
+    with sin^2(pi*min(y, T-y)/T) >= min_supp.
 
     Grid values are compared with GRID_TOL slack so exact boundaries
-    (e.g. sin^2(pi/4) vs 1/2) land inside.  Symmetric: y in <=> T-y in.
+    (e.g. sin^2(pi/4) vs 1/2) land inside.  Symmetric: y is good iff T-y is.
     """
     thr = float(support_threshold(min_supp))
-    members = frozenset(
-        y for y in range(big_t)
-        if decode_support(y, big_t).value >= thr - GRID_TOL
-    )
-    return GoodSet(big_t=big_t, min_supp=thr, members=members)
+    return np.array([decode_support(y, big_t).value >= thr - GRID_TOL
+                     for y in range(big_t)], dtype=bool)
 
 
 def _rotation(mask: np.ndarray, p: float, phi: float, r: int) -> np.ndarray:
@@ -149,21 +129,21 @@ class _LevelPlan:
     same uniforms from the stream as one `rng.choice` per measurement.
     """
 
-    def __init__(self, law: np.ndarray, good: GoodSet, mode: str, k: int):
-        big_t = law.shape[0]
-        if good.big_t != big_t:
-            raise ValueError("good set grid does not match the estimation register")
+    def __init__(self, law: np.ndarray, min_supp, mode: str, k: int):
         if mode not in AMPLIFY_MODES:
             raise ValueError(f"unknown amplification mode {mode!r}")
-        mask = good.mask()
+        big_t = law.shape[0]
+        mask = good_set(big_t, min_supp)
         est = law.sum(axis=1)
         p = float(est[mask].sum())
         if p <= _P_FLOOR:
             raise NoFrequentCandidatesError(
-                f"no candidate clears min_supp={good.min_supp}: good-subspace weight {p:.3e}"
+                f"no candidate clears min_supp={float(support_threshold(min_supp))}: "
+                f"good-subspace weight {p:.3e}"
             )
-        self.law, self.good, self.mode, self.k, self.big_t = law, good, mode, k, big_t
-        self.mask, self.est, self.p = mask, est, p
+        self.law, self.mode, self.k, self.big_t = law, mode, k, big_t
+        # a list, so that each shot's lookup is cheap
+        self.mask, self.good, self.est, self.p = mask, mask.tolist(), est, p
         self.phi = math.asin(math.sqrt(min(1.0, p)))
         self.estimates = [decode_support(y, big_t) for y in range(big_t)]
         self.r = 0
@@ -205,7 +185,7 @@ class _LevelPlan:
             counter.charge_amplification_iterations(k, big_t, r)
             y = _draw(self._est_cdf(r), rng)
             counter.measurements += 1
-            if y in self.good:
+            if self.good[y]:
                 return y
             spent += r + 1
             if spent > budget:
@@ -235,13 +215,14 @@ class _LevelPlan:
         return cdf
 
 
-def amplitude_amplify(law: np.ndarray, good: GoodSet, mode: str = "ideal-projection",
+def amplitude_amplify(law: np.ndarray, min_supp, mode: str = "ideal-projection",
                       rng=None, counter: QueryCounter | None = None, *,
                       k: int) -> np.ndarray:
     """Amplify the good subspace of |Psi3>, given as its (est, cand) law.
 
     law[y, j] is the probability of measuring est = y and cand = j on
-    |Psi3>; the returned array is that law after amplification.  Q acts
+    |Psi3>; the returned array is that law after amplification.  The good
+    rows are `good_set(T, min_supp)` for the law's T.  Q acts
     in the good/bad plane, so with p the good weight and sin^2(phi) = p,
     r iterations scale every good row by sin^2((2r+1)phi)/p and every bad
     row by cos^2((2r+1)phi)/(1-p) and leave each row's cand conditional
@@ -253,7 +234,7 @@ def amplitude_amplify(law: np.ndarray, good: GoodSet, mode: str = "ideal-project
     This is the law-returning form of one shot of the level plan the
     miner draws from: the same amplification, charges and bbht draws.
     """
-    plan = _LevelPlan(law, good, mode, k)
+    plan = _LevelPlan(law, min_supp, mode, k)
     if counter is None:
         counter = QueryCounter()
     if mode == "bbht":
@@ -275,8 +256,6 @@ class MinedItemset:
 @dataclass(frozen=True)
 class MiningResult:
     found: tuple[MinedItemset, ...]
-    counters: QueryCounter
-    mode: str
     shots_used: int
 
     def itemsets(self) -> list[Itemset]:
@@ -320,7 +299,7 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
     total = float(law.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"(est, cand) law of |Psi3> sums to {total!r}")
-    plan = _LevelPlan(law, good_set(big_t, min_supp), mode, k)
+    plan = _LevelPlan(law, min_supp, mode, k)
 
     found: dict[Itemset, MinedItemset] = {}
     misses = 0
@@ -335,7 +314,7 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
             raise AssertionError("measured an index beyond the candidates")
         itemset = candidates[j]
         estimate = plan.estimates[y]
-        if estimate.value >= thr - GRID_TOL and itemset not in found:
+        if plan.good[y] and itemset not in found:
             found[itemset] = MinedItemset(
                 itemset=itemset,
                 estimate=estimate,
@@ -355,8 +334,7 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
     if delta.basic_oracle_calls != 2 * k * delta.phase_oracle_k_calls:
         raise AssertionError("basic calls must be 2k per phase-oracle call")
     ordered = tuple(found[key] for key in sorted(found))
-    return MiningResult(found=ordered, counters=counter.snapshot(), mode=mode,
-                        shots_used=delta.state_preparations)
+    return MiningResult(found=ordered, shots_used=delta.state_preparations)
 
 
 def qarm_full(db: TransactionDB, min_supp, big_t: int,
@@ -378,8 +356,7 @@ def qarm_full(db: TransactionDB, min_supp, big_t: int,
                               patience=patience, counter=counter,
                               qubit_cap=qubit_cap)
         except NoFrequentCandidatesError:
-            res = MiningResult(found=(), counters=counter.snapshot(),
-                               mode=mode, shots_used=0)
+            res = MiningResult(found=(), shots_used=0)
         return res.itemsets(), res
 
     run = mine_levels(db, examine)

@@ -26,7 +26,7 @@ tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .oracle import (
     EST,
     TXN,
     QueryCounter,
+    _log2_exact,
     candidate_layout,
     candidate_sign_table,
     item_registers,
@@ -49,7 +50,6 @@ from .qsim import (
 )
 
 __all__ = [
-    "PhaseDistribution",
     "SupportEstimate",
     "decode_support",
     "grid_steps_between",
@@ -90,30 +90,6 @@ def grid_steps_between(support, threshold, big_t: int) -> float:
     return abs(a - b) * big_t / math.pi
 
 
-@dataclass(frozen=True)
-class PhaseDistribution:
-    """Distribution over estimation-register outcomes y in 0..T-1."""
-
-    big_t: int
-    probs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", probs)
-        if probs.shape != (self.big_t,):
-            raise ValueError("probs must have length T")
-        if probs.min() < -1e-12:
-            raise ValueError(f"negative probability {probs.min()}")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}")
-
-    def prob(self, y: int) -> float:
-        return float(self.probs[y])
-
-    def as_dict(self, floor: float = 1e-15) -> dict[int, float]:
-        return {int(y): float(p) for y, p in enumerate(self.probs) if p > floor}
-
-
 def _branch_probs(t_omega: float, big_t: int) -> np.ndarray:
     """|<y|E_T(omega)>|^2 for all y; exact point mass at integer T*omega."""
     y = np.arange(big_t, dtype=np.float64)
@@ -124,11 +100,11 @@ def _branch_probs(t_omega: float, big_t: int) -> np.ndarray:
     return np.where(delta == 0.0, 1.0, num / safe)
 
 
-def analytic_phase_distribution(support, big_t: int) -> PhaseDistribution:
-    """Closed-form outcome distribution for a single candidate of the
-    given support: the equal mixture of the two eigenphase branches."""
-    if big_t < 2 or big_t & (big_t - 1):
-        raise ValueError(f"T must be a power of two >= 2, got {big_t}")
+def analytic_phase_distribution(support, big_t: int) -> np.ndarray:
+    """Closed-form law of the estimation outcome y in 0..T-1 for a single
+    candidate of the given support: the equal mixture of the two
+    eigenphase branches, as a length-T float64 array."""
+    _log2_exact(big_t)
     s = float(support)
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"support {s} outside [0, 1]")
@@ -142,7 +118,11 @@ def analytic_phase_distribution(support, big_t: int) -> PhaseDistribution:
         omega = theta / math.pi
         probs = 0.5 * (_branch_probs(big_t * omega, big_t)
                        + _branch_probs(big_t * (1.0 - omega), big_t))
-    return PhaseDistribution(big_t=big_t, probs=probs)
+    if probs.min() < -1e-12:
+        raise ValueError(f"negative probability {probs.min()}")
+    if abs(probs.sum() - 1.0) > 1e-12:
+        raise ValueError(f"probabilities sum to {probs.sum()!r}")
+    return probs
 
 
 def _grover_kernel(block: np.ndarray, sign_table: np.ndarray, txn_axis: int,
@@ -240,7 +220,7 @@ def estimation_law(db: TransactionDB, candidates: list[Itemset], k: int,
         count = exact_support(db, cand).numerator
         if count not in columns:
             s = count / db.n_transactions
-            columns[count] = analytic_phase_distribution(s, big_t).probs / n_cands
+            columns[count] = analytic_phase_distribution(s, big_t) / n_cands
         law[:, j] = columns[count]
     counter.charge_estimation_pipeline(k, big_t)
     return law

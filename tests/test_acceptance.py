@@ -152,7 +152,7 @@ def test_acceptance_4_distribution_equality():
         for big_t in (8, 16, 32):
             psi = parallel_amplitude_estimation(db, [Itemset.of(item)], 1, big_t)
             marg = register_marginal(psi, "est")
-            expect = analytic_phase_distribution(s, big_t).probs
+            expect = analytic_phase_distribution(s, big_t)
             tv = 0.5 * float(np.sum(np.abs(marg - expect)))
             worst = max(worst, tv)
     report(4, "distribution equality", worst <= 1e-9,
@@ -229,7 +229,7 @@ def _leak_ok(s, thr):
     if s >= thr:
         return True
     d = analytic_phase_distribution(float(s), BIG_T)
-    return float(d.probs[good_set(BIG_T, thr).mask()].sum()) <= LEAK_CAP
+    return float(d[good_set(BIG_T, thr)].sum()) <= LEAK_CAP
 
 
 def _frequents(db, cands, thr):
@@ -252,8 +252,8 @@ def _k1_run(seed) -> bool:
         mf = sum(1 for s in sup if s >= Fraction(str(thr)))
         if 1 <= mf <= 5 and sum(1 for s in sup if s > 0) >= 2:
             break
-    db, _ = synth_db(16, m, {(j,): s for j, s in enumerate(sup)},
-                     int(rng.integers(2 ** 31)))
+    db = synth_db(16, m, {(j,): s for j, s in enumerate(sup)},
+                  int(rng.integers(2 ** 31)))
     cands = [Itemset.of(j) for j in db.present_items()]
     _assert_clear_instance(db, cands, thr)
     res = qarm_mine_k(db, cands, 1, BIG_T, thr, "ideal-projection", rng,
@@ -302,11 +302,10 @@ def test_acceptance_8_amplification_scaling():
         cands = [Itemset.of(j) for j in range(16)]
         psi = parallel_amplitude_estimation(db, cands, 1, BIG_T)
         law = joint_probs(psi, [EST, CAND])
-        good = good_set(BIG_T, 0.5)
         total = 0
         for _ in range(shots):
             counter = QueryCounter()
-            amplitude_amplify(law, good, "bbht", rng, counter, k=1)
+            amplitude_amplify(law, 0.5, "bbht", rng, counter, k=1)
             total += counter.amplification_iterations
         return total / shots
 

@@ -94,29 +94,31 @@ def test_mine_levels_joins_each_level_kept(data, seed):
     rng = np.random.default_rng(seed)
     db = random_db(rng, int(rng.integers(1, 9)), int(rng.integers(1, 7)),
                    density=float(rng.uniform(0.0, 1.0)))
-    seen = []
+    seen, candidates_seen, kept_seen = [], [], []
 
     def examine(candidates, k):
         seen.append(k)
         kept = [x for x in candidates if data.draw(st.booleans())]
+        candidates_seen.append(candidates)
+        kept_seen.append(kept)
         return kept, (k, len(candidates))
 
     run = mine_levels(db, examine)
-    levels = len(run.candidates)
+    levels = len(candidates_seen)
     assert seen == list(range(1, levels + 1))
-    assert len(run.kept) == len(run.results) == len(run.stats) == levels
+    assert len(kept_seen) == len(run.results) == len(run.stats) == levels
     if db.present_items():
-        assert run.candidates[0] == [Itemset.of(j) for j in db.present_items()]
+        assert candidates_seen[0] == [Itemset.of(j) for j in db.present_items()]
     else:
         assert levels == 0
     for i in range(1, levels):
-        assert run.candidates[i] == cand_gen(run.kept[i - 1])
+        assert candidates_seen[i] == cand_gen(kept_seen[i - 1])
     if levels:
-        assert cand_gen(run.kept[-1]) == []
-    assert all(c for c in run.candidates)
+        assert cand_gen(kept_seen[-1]) == []
+    assert all(c for c in candidates_seen)
     assert [(s.k, s.m_candidates, s.m_frequent) for s in run.stats] == [
-        (i + 1, len(run.candidates[i]), len(run.kept[i])) for i in range(levels)]
-    assert run.results == [(i + 1, len(c)) for i, c in enumerate(run.candidates)]
+        (i + 1, len(candidates_seen[i]), len(kept_seen[i])) for i in range(levels)]
+    assert run.results == [(i + 1, len(c)) for i, c in enumerate(candidates_seen)]
 
 
 def brute_force_frequents(db, thr, max_size):
@@ -149,7 +151,7 @@ def test_apriori_matches_brute_force(data, n, m, quarters):
 
 def test_apriori_stats_and_levels(dtoy):
     res = apriori(dtoy, 0.5)
-    assert res.levels == [[Itemset.of(0), Itemset.of(1)], [Itemset((0, 1))]]
+    assert list(res.frequents) == [Itemset.of(0), Itemset.of(1), Itemset((0, 1))]
     assert [(st.k, st.m_candidates, st.m_frequent) for st in res.stats] == [
         (1, 3, 2), (2, 1, 1)]
     assert res.frequents[Itemset((0, 1))].value == Fraction(1, 2)

@@ -136,7 +136,7 @@ def test_sampling_epsilon_sets_sample_count(capsys, clear_db_path):
     assert all(0.0 <= e["estimate"] <= 1.0 for e in doc["itemsets"])
 
 
-@pytest.mark.parametrize("epsilon", ["0", "-0.5"])
+@pytest.mark.parametrize("epsilon", ["0", "-0.5", "1e-160", "1e-300"])
 def test_sampling_rejects_non_positive_epsilon(capsys, epsilon):
     code = main(["mine-sampling", "--synthetic", "8", "4", "--min-supp", "1/4",
                  f"--epsilon={epsilon}", "--json"])
@@ -238,11 +238,18 @@ def test_datasets_command(capsys):
     assert "retail.dat" in out and "kosarak.dat" in out
 
 
-def test_bad_threshold_is_a_clean_error(capsys, clear_db_path):
-    code = main(["mine-classical", "--dataset", clear_db_path,
-                 "--min-supp", "abc"])
+@pytest.mark.parametrize("thresholds", [
+    ["--min-supp", "abc"],
+    ["--min-supp", "1/0"],
+    ["--min-supp", "0/0"],
+    ["--min-supp", "1/0%"],
+    ["--min-supp", "1/2", "--min-conf", "1/0"],
+], ids=["abc", "1/0", "0/0", "1/0%", "min-conf-1/0"])
+def test_bad_threshold_is_a_clean_error(capsys, clear_db_path, thresholds):
+    code = main(["mine-classical", "--dataset", clear_db_path] + thresholds)
     assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_missing_data_source_is_a_clean_error(capsys):
