@@ -259,8 +259,17 @@ def test_synth_db_infeasible_targets():
         synth_db(4, 1, {(0,): Fraction(3, 2)}, seed=0)
     with pytest.raises(ValueError):
         synth_db(4, 1, {(1,): Fraction(1, 2)}, seed=0)  # item out of range
+
+
+def test_synth_db_pair_target_post_checked():
+    # a pair target cannot be met exactly by per-item fill, so it is refused
+    # up front rather than reported back as a best-effort figure
     with pytest.raises(ValueError, match="not a single item"):
-        synth_db(8, 2, {(0,): Fraction(1, 2), (0, 1): Fraction(1, 4)}, seed=9)
+        synth_db(8, 2, {(0,): Fraction(1, 2), (1,): Fraction(1, 2),
+                        (0, 1): Fraction(1, 4)}, seed=9)
+    db = synth_db(8, 2, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}, seed=9)
+    assert exact_support(db, Itemset.of(0)).value == Fraction(1, 2)
+    assert exact_support(db, Itemset.of(1)).value == Fraction(1, 2)
 
 
 def test_synth_db_background_density():
