@@ -59,6 +59,7 @@ __all__ = [
     "RegisterLayout",
     "Statevector",
     "SupportEstimate",
+    "TransactionDB",
     "amplitude_amplify",
     "analytic_phase_distribution",
     "apply_grover_operator",

@@ -23,7 +23,7 @@ from .data import (
     ExactSupport,
     Itemset,
     TransactionDB,
-    exact_support,
+    level_supports,
     support_threshold,
 )
 from .oracle import QueryCounter
@@ -97,15 +97,17 @@ def fre_exam(db: TransactionDB, candidates: Sequence[Itemset], min_supp,
     when it is given.
     """
     thr = support_threshold(min_supp)
+    candidates = list(candidates)
+    n_rows = db.n_transactions
     out = []
-    for x in candidates:
-        sup = exact_support(db, x)
+    for x, count in zip(candidates, level_supports(db, candidates).tolist()):
+        sup = ExactSupport(count, n_rows)
         if supports is not None:
             supports[x] = sup
-        if counter is not None:
-            counter.classical_row_scans += x.size * db.n_transactions
-        if sup.value >= thr:
+        if count * thr.denominator >= thr.numerator * n_rows:  # count/N >= thr
             out.append((x, sup))
+    if counter is not None:
+        counter.classical_row_scans += n_rows * sum(x.size for x in candidates)
     return out
 
 
@@ -195,59 +197,53 @@ def sampling_estimate(db: TransactionDB, candidates: Sequence[Itemset],
     """Estimate each support from n_samples uniform row draws (with
     replacement).  Standard binomial estimator: std sqrt(s(1-s)/n).
 
-    Each candidate takes its own n_samples draws, in candidate order.  A
-    row holds a k-itemset iff k of its items mark it in one N-entry
-    buffer, filled from the rows of each item (the CSC view), so no
-    per-item bitset is built.  Consecutive candidates with the same
-    (k-1)-prefix, as `cand_gen` emits them, mark that prefix once.
-
-    The draws come in chunks of candidates, one `rng.integers` call of at
-    most _DRAW_BUDGET rows each.  One helper thread, alive for the whole
-    call, draws chunk i+1 while the calling thread counts the hits of
-    chunk i, so at most two chunks are alive.  The calls keep their order
-    and shapes and none is made past the last chunk, so the stream and
-    the Generator's final state are those of drawing inline.  A draw's
-    exception is raised here.
+    Each candidate takes its own n_samples draws, in order, in
+    `rng.integers` calls of at most _DRAW_BUDGET rows: a chunk of
+    candidates per call, or one candidate over several calls past the
+    budget.  A helper thread makes call i+1 while this thread counts the
+    hits of call i on `TransactionDB.prefix_walk` marks.  The stream and
+    the Generator's final state are those of one size-n_samples draw per
+    candidate, and a draw's exception is raised here.
     """
     check_n_samples(n_samples)
     rng = as_rng(rng)
     candidates = list(candidates)
-    for x in candidates:
-        if x.items[-1] >= db.n_items:
-            bad = next(j for j in x.items if j >= db.n_items)
-            raise ValueError(f"item {bad} out of range")
+    db.check_items(candidates)
     n_rows = db.n_transactions
     marks = np.zeros(n_rows, dtype=np.min_scalar_type(
         max((x.size for x in candidates), default=1)))
     draw_dtype = np.int32 if n_rows <= np.iinfo(np.int32).max else np.int64
     per_call = max(1, _DRAW_BUDGET // n_samples)
-
-    def draw(lo):
-        # one (rows, n) call draws what `rows` calls of size n would
-        rows = min(per_call, len(candidates) - lo)
-        return rng.integers(0, n_rows, size=(rows, n_samples), dtype=draw_dtype)
+    width = min(n_samples, _DRAW_BUDGET)
 
     # imported here, so that `import qarm.cli` does not pay ~7 ms for it
     from concurrent.futures import ThreadPoolExecutor
 
     out = []
-    prefix: tuple[int, ...] = ()
+    walk = db.prefix_walk(candidates, marks)
     with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(draw, 0) if candidates else None
-        for lo in range(0, len(candidates), per_call):
-            draws = pending.result()
-            if lo + per_call < len(candidates):
-                pending = helper.submit(draw, lo + per_call)
-            for x, row_draws in zip(candidates[lo:lo + per_call], draws):
-                if x.items[:-1] != prefix:
-                    for j in prefix:
-                        marks[db._rows_with_item(j)] = 0
-                    prefix = x.items[:-1]
-                    for j in prefix:
-                        marks[db._rows_with_item(j)] += 1
-                last = db._rows_with_item(x.items[-1])
+        def prefetched():
+            # one (rows, n) call draws what `rows` calls of size n would,
+            # and so do consecutive slices of one row
+            queue = (helper.submit(rng.integers, 0, n_rows, dtype=draw_dtype,
+                                   size=(min(per_call, len(candidates) - lo),
+                                         min(width, n_samples - start)))
+                     for lo in range(0, len(candidates), per_call)
+                     for start in range(0, n_samples, width))
+            pending = next(queue, None)
+            while pending is not None:
+                draws = pending.result()
+                pending = next(queue, None)
+                yield draws
+
+        calls = prefetched()
+        # draws first, so that the walk never passes the last drawn candidate
+        for draws in calls:
+            for row_draws, (x, last) in zip(draws, walk):
                 marks[last] += 1
-                hits = int(np.count_nonzero(marks.take(row_draws) == x.size))
+                hits = np.count_nonzero(marks.take(row_draws) == x.size)
+                for _ in range(width, n_samples, width):  # per_call is 1 here
+                    hits += np.count_nonzero(marks.take(next(calls)[0]) == x.size)
                 marks[last] -= 1
                 out.append((x, hits / n_samples))
     if counter is not None:

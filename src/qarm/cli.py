@@ -239,6 +239,12 @@ def cmd_mine_classical(args) -> tuple[Report, int]:
     return report, 0
 
 
+def _check_samples(n_samples: int) -> None:
+    check_n_samples(n_samples)
+    if n_samples > np.iinfo(np.int64).max:
+        raise ValueError(f"--samples {n_samples} does not fit int64")
+
+
 def cmd_mine_sampling(args) -> tuple[Report, int]:
     db, source = _load_db(args)
     thr = support_threshold(args.min_supp)
@@ -247,10 +253,11 @@ def cmd_mine_sampling(args) -> tuple[Report, int]:
         if not args.epsilon > 0:
             raise ValueError(f"--epsilon must be > 0, got {args.epsilon}")
         square = args.epsilon ** 2
-        if square == 0.0 or math.isinf(1.0 / square):
+        if square == 0.0 or 1.0 / square >= 2.0 ** 63:
             raise ValueError(f"--epsilon {args.epsilon} is too small: "
-                             "1/eps^2 is not a finite sample count")
+                             "1/eps^2 row draws do not fit int64")
         n_samples = max(1, math.ceil(1.0 / square))
+    _check_samples(n_samples)
     counter = QueryCounter()
     rng = np.random.default_rng(args.seed)
     kept, stats = sampling_apriori(db, thr, n_samples, rng, counter)
@@ -289,7 +296,7 @@ def cmd_mine_quantum(args) -> tuple[Report, int]:
 
 def cmd_compare(args) -> tuple[Report, int]:
     # Apriori runs first, so refuse what the other two miners would refuse
-    check_n_samples(args.samples)
+    _check_samples(args.samples)
     check_mining_args(args.grid, args.patience)
     db, source = _load_db(args)
     thr = support_threshold(args.min_supp)

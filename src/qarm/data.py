@@ -3,10 +3,9 @@
 A database is N transactions over M items, a binary matrix D with
 D[i, j] = 1 iff transaction i contains item j.  Rows are stored sparsely
 (sorted item ids per transaction, CSR style), with a lazily built CSC view
-(the rows of each item).  Parsing and row sampling work on these arrays.
-Only exact_support packs per-item row bitsets into Python ints, so the
-support of a k-itemset (k >= 2) is an AND across its columns followed by a
-popcount.
+(the rows of each item).  Every support, exact or sampled, is counted on
+the CSC view by `TransactionDB.prefix_walk`, in the tid-list manner of
+Eclat (Zaki, IEEE TKDE 2000).
 """
 from __future__ import annotations
 
@@ -25,6 +24,7 @@ __all__ = [
     "parse_fimi",
     "serialize_fimi",
     "exact_support",
+    "level_supports",
     "support_threshold",
     "synth_db",
 ]
@@ -140,7 +140,6 @@ class TransactionDB:
         self.n_items = int(n_items)
         self._column_counts = np.bincount(indices, minlength=n_items).astype(np.int64)
         self._csc = None  # lazy (column starts, row ids ordered by column)
-        self._col_bits: dict[int, int] = {}
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]],
@@ -158,8 +157,7 @@ class TransactionDB:
             n_items = top + 1
         indptr = np.zeros(len(canon) + 1, dtype=np.int64)
         indptr[1:] = np.cumsum([len(r) for r in canon])
-        flat = [j for row in canon for j in row]
-        indices = np.asarray(flat, dtype=np.int64)
+        indices = np.asarray([j for row in canon for j in row], dtype=np.int64)
         return cls(indptr, indices, n_items)
 
     def row(self, i: int) -> tuple[int, ...]:
@@ -180,13 +178,6 @@ class TransactionDB:
         out[rows, self._indices] = True
         return out
 
-    @property
-    def column_counts(self) -> np.ndarray:
-        return self._column_counts
-
-    def column_count(self, j: int) -> int:
-        return int(self._column_counts[j])
-
     def present_items(self) -> list[int]:
         """Items occurring in at least one transaction."""
         return [int(j) for j in np.nonzero(self._column_counts)[0]]
@@ -198,40 +189,47 @@ class TransactionDB:
             # the int64 permutation, and numpy radix-sorts 16-bit keys
             keys = self._indices.astype(np.min_scalar_type(self.n_items - 1))
             order = np.argsort(keys, kind="stable")
-            all_rows = np.repeat(
-                np.arange(self.n_transactions), np.diff(self._indptr)
-            )
+            all_rows = np.repeat(np.arange(self.n_transactions), np.diff(self._indptr))
             starts = np.zeros(self.n_items + 1, dtype=np.int64)
             np.cumsum(self._column_counts, out=starts[1:])
             self._csc = (starts, all_rows[order])
         starts, rows = self._csc
         return rows[starts[j]:starts[j + 1]]
 
-    def column_bitset(self, j: int) -> int:
-        """Python int with bit i set iff transaction i contains item j."""
-        if not 0 <= j < self.n_items:
-            raise ValueError(f"item {j} out of range")
-        cached = self._col_bits.get(j)
-        if cached is None:
-            mask = np.zeros(self.n_transactions, dtype=bool)
-            mask[self._rows_with_item(j)] = True
-            packed = np.packbits(mask, bitorder="little")
-            cached = int.from_bytes(packed.tobytes(), "little")
-            self._col_bits[j] = cached
-        return cached
+    def check_items(self, candidates: Iterable[Itemset]) -> None:
+        """Refuse candidates with items past n_items, naming the first."""
+        bad = next((j for x in candidates if x.items[-1] >= self.n_items
+                    for j in x.items if j >= self.n_items), None)
+        if bad is not None:
+            raise ValueError(f"item {bad} out of range for {self.n_items} items")
 
-    def support_bitset(self, itemset: Itemset) -> int:
-        bits = self.column_bitset(itemset.items[0])
-        for j in itemset.items[1:]:
-            bits &= self.column_bitset(j)
-        return bits
+    def prefix_walk(self, candidates: Iterable[Itemset],
+                    marks: np.ndarray) -> Iterator[tuple[Itemset, np.ndarray]]:
+        """Yield (x, rows of x's last item) per candidate, in any order and
+        sizes, while marks[i] counts the items of x's (k-1)-prefix row i
+        holds (marks start at zero); a run sharing a prefix marks it once."""
+        prefix: tuple[int, ...] = ()
+        for x in candidates:
+            if x.items[:-1] != prefix:
+                for j in prefix:
+                    marks[self._rows_with_item(j)] = 0
+                prefix = x.items[:-1]
+                for j in prefix:
+                    marks[self._rows_with_item(j)] += 1
+            yield x, self._rows_with_item(x.items[-1])
 
     def contains_all(self, itemset: Itemset) -> np.ndarray:
         """Boolean vector over transactions: row contains every item of x."""
-        bits = self.support_bitset(itemset)
-        n_bytes = (self.n_transactions + 7) // 8
-        raw = np.frombuffer(bits.to_bytes(n_bytes, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[: self.n_transactions].astype(bool)
+        self.check_items([itemset])
+        held = np.zeros(self.n_transactions, dtype=np.int64)
+        for j in itemset.items:
+            held[self._rows_with_item(j)] += 1
+        return held == itemset.size
+
+    def column_bitset(self, j: int) -> int:
+        """Python int with bit i set iff transaction i contains item j."""
+        mask = self.contains_all(Itemset.of(j))
+        return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TransactionDB):
@@ -243,10 +241,8 @@ class TransactionDB:
         )
 
     def __repr__(self) -> str:
-        return (
-            f"TransactionDB(n_transactions={self.n_transactions}, "
-            f"n_items={self.n_items}, nnz={self._indices.size})"
-        )
+        return (f"TransactionDB(n_transactions={self.n_transactions}, "
+                f"n_items={self.n_items}, nnz={self._indices.size})")
 
 
 def parse_fimi(text: str) -> TransactionDB:
@@ -332,11 +328,13 @@ def _parse_fimi_lines(text: str) -> TransactionDB:
         tokens = line.split()
         if not tokens:
             continue
-        try:
-            ids = sorted({int(tok) for tok in tokens})
-        except ValueError:
-            bad = next(tok for tok in tokens if not _is_int(tok))
-            raise FimiParseError(f"line {lineno}: non-integer token {bad!r}")
+        ids = set()
+        for tok in tokens:
+            try:
+                ids.add(int(tok))
+            except ValueError:
+                raise FimiParseError(f"line {lineno}: non-integer token {tok!r}") from None
+        ids = sorted(ids)
         if ids[0] < 0:
             raise FimiParseError(f"line {lineno}: negative item id {ids[0]}")
         if ids[-1] > _MAX_ITEM_ID:
@@ -350,29 +348,28 @@ def _parse_fimi_lines(text: str) -> TransactionDB:
     return TransactionDB(np.asarray(indptr), np.asarray(flat, dtype=np.int64), top + 1)
 
 
-def _is_int(tok: str) -> bool:
-    try:
-        int(tok)
-        return True
-    except ValueError:
-        return False
-
-
 def serialize_fimi(db: TransactionDB) -> str:
     """Inverse of parse_fimi.  Rows with no items become blank lines, which
     parse_fimi skips; parsed databases never contain such rows."""
     return "".join(" ".join(map(str, row)) + "\n" for row in db.rows())
 
 
+def level_supports(db: TransactionDB, candidates: Iterable[Itemset]) -> np.ndarray:
+    """Support counts |{i : x subset of row i}| of the candidates, in order,
+    as an int64 array: one gather of the column counts for a level of
+    single items, and `TransactionDB.prefix_walk` for any other list."""
+    candidates = list(candidates)
+    db.check_items(candidates)
+    if all(x.size == 1 for x in candidates):
+        return db._column_counts[[x.items[0] for x in candidates]]
+    marks = np.zeros(db.n_transactions, np.min_scalar_type(max(x.size for x in candidates)))
+    return np.array([np.count_nonzero(marks[last] == x.size - 1)
+                     for x, last in db.prefix_walk(candidates, marks)], dtype=np.int64)
+
+
 def exact_support(db: TransactionDB, x: Itemset) -> ExactSupport:
     """Exact support of x: |{i : x subset of row i}| / N."""
-    if x.items[-1] >= db.n_items:
-        raise ValueError(f"item {x.items[-1]} out of range for {db.n_items} items")
-    if x.size == 1:
-        num = db.column_count(x.items[0])
-    else:
-        num = db.support_bitset(x).bit_count()
-    return ExactSupport(num, db.n_transactions)
+    return ExactSupport(int(level_supports(db, [x])[0]), db.n_transactions)
 
 
 def _as_exact_fraction(value) -> Fraction:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Itemset, TransactionDB, exact_support
+from .data import Itemset, TransactionDB, level_supports
 from .oracle import (
     CAND,
     EST,
@@ -158,12 +158,11 @@ def _check_candidates(db: TransactionDB, candidates: list[Itemset], k: int):
     candidates."""
     if not candidates:
         raise ValueError("need at least one candidate")
+    db.check_items(candidates)
     seen = set()
     for cand in candidates:
         if cand.size != k:
             raise ValueError(f"candidate {cand} is not a {k}-itemset")
-        if cand.items[-1] >= db.n_items:
-            raise ValueError(f"candidate {cand} outside the item range")
         if cand in seen:
             raise ValueError(f"duplicate candidate {cand}")
         seen.add(cand)
@@ -216,8 +215,7 @@ def estimation_law(db: TransactionDB, candidates: list[Itemset], k: int,
     n_cands = len(candidates)
     law = np.empty((big_t, n_cands))
     columns: dict[int, np.ndarray] = {}
-    for j, cand in enumerate(candidates):
-        count = exact_support(db, cand).numerator
+    for j, count in enumerate(level_supports(db, candidates).tolist()):
         if count not in columns:
             s = count / db.n_transactions
             columns[count] = analytic_phase_distribution(s, big_t) / n_cands

@@ -198,7 +198,8 @@ def _reference_sampling(db, candidates, n, rng, counter):
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3),
-       n=st.sampled_from([1, 7, 8000]), rows_per_call=st.sampled_from([1, 2, 3, None]))
+       n=st.sampled_from([1, 7, 8000]),
+       rows_per_call=st.sampled_from([0.3, 1, 2, 3, None]))
 def test_sampling_matches_per_candidate_reference(seed, k, n, rows_per_call):
     rng = np.random.default_rng(seed)
     db = random_db(rng, int(rng.integers(1, 24)), int(rng.integers(k, 7)),
@@ -215,7 +216,8 @@ def test_sampling_matches_per_candidate_reference(seed, k, n, rows_per_call):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TransactionDB, "column_bitset", no_bitsets)
         if rows_per_call is not None:  # draw calls end inside the list
-            mp.setattr(classical, "_DRAW_BUDGET", rows_per_call * n)
+            # under one row per call, a candidate's draws come in slices
+            mp.setattr(classical, "_DRAW_BUDGET", max(1, int(rows_per_call * n)))
         got = sampling_estimate(db, candidates, n, got_rng, got_counter)
     assert got == _reference_sampling(db, candidates, n, want_rng, want_counter)
     assert got_counter == want_counter

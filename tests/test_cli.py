@@ -15,6 +15,7 @@ import qarm.classical
 import qarm.cli
 import qarm.data
 import qarm.mining
+from qarm import TransactionDB, apriori, qarm_full, synth_db
 from qarm.cli import main
 
 from conftest import SecondDrawFails
@@ -416,6 +417,11 @@ EMPTY_DB = ["--synthetic", "8", "4", "--density", "0", "--min-supp", "1/2"]
      "T must be a power of two >= 2, got 3"),
     (["compare", "-T", "1"], "T must be a power of two >= 2, got 1"),
     (["mine-quantum", "-T", "24"], "T must be a power of two >= 2, got 24"),
+    (["mine-sampling", "--samples", str(2 ** 63)],
+     f"--samples {2 ** 63} does not fit int64"),
+    (["compare", "--samples", str(2 ** 63)], f"--samples {2 ** 63} does not fit int64"),
+    (["mine-sampling", "--epsilon", "1e-100"],
+     "--epsilon 1e-100 is too small: 1/eps^2 row draws do not fit int64"),
 ])
 def test_bad_run_arguments_exit_before_any_level(capsys, argv, message):
     assert main(argv + EMPTY_DB + ["--json"]) == 2
@@ -425,16 +431,17 @@ def test_bad_run_arguments_exit_before_any_level(capsys, argv, message):
 
 
 def test_compare_computes_each_apriori_support_once(capsys, monkeypatch):
-    real = qarm.data.exact_support
+    real = qarm.data.level_supports
     callers = Counter()
 
-    def counted(db, x):
-        callers[sys._getframe(1).f_globals["__name__"]] += 1
-        return real(db, x)
+    def counted(db, candidates):
+        candidates = list(candidates)
+        callers[sys._getframe(1).f_globals["__name__"]] += len(candidates)
+        return real(db, candidates)
 
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("qarm") and getattr(module, "exact_support", None) is real:
-            monkeypatch.setattr(module, "exact_support", counted)
+        if module.__name__.startswith("qarm") and getattr(module, "level_supports", None) is real:
+            monkeypatch.setattr(module, "level_supports", counted)
     assert main(["compare", "--synthetic", "32", "8", "--density", "0.5",
                  "--min-supp", "0.3", "-T", "16", "--samples", "200", "--json"]) == 0
     out = capsys.readouterr().out
@@ -446,6 +453,32 @@ def test_compare_computes_each_apriori_support_once(capsys, monkeypatch):
     # recorded at the commit that computed each support twice
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
         "4206d92a575fd44734469a8bf4e539fe1ee4895db094320e689cb520d0cd0ae9")
+
+
+def test_no_miner_builds_a_bitset(capsys, monkeypatch):
+    def no_bitsets(*_args):
+        raise AssertionError("a miner built a column bitset")
+
+    monkeypatch.setattr(TransactionDB, "column_bitset", no_bitsets)
+    monkeypatch.setattr(TransactionDB, "contains_all", no_bitsets)
+    db = synth_db(32, 8, {}, seed=7, background_density=0.5)
+    assert apriori(db, "0.3").frequents
+    assert qarm_full(db, "0.3", 16, "bbht", np.random.default_rng(7))[0]
+    assert main(["compare", "--synthetic", "32", "8", "--density", "0.5",
+                 "--min-supp", "0.3", "-T", "16", "--samples", "200", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
+SAMPLING_RUN = ["mine-sampling", "--synthetic", "16", "6", "--min-supp", "1/4",
+                "--seed", "5", "--samples", "200", "--json"]
+
+
+def test_sampling_draws_past_the_budget_in_slices(capsys, monkeypatch):
+    assert main(SAMPLING_RUN) == 0
+    whole = capsys.readouterr()
+    monkeypatch.setattr(qarm.classical, "_DRAW_BUDGET", 64)  # 200 draws in 4 slices
+    assert main(SAMPLING_RUN) == 0
+    assert capsys.readouterr() == whole
 
 
 def test_failed_draw_is_a_clean_error(capsys, monkeypatch, clear_db_path):

@@ -11,12 +11,14 @@ from qarm import (
     FimiParseError,
     Itemset,
     TransactionDB,
+    cand_gen,
     exact_support,
     parse_fimi,
     serialize_fimi,
     support_threshold,
     synth_db,
 )
+from qarm.data import level_supports
 from conftest import random_db
 
 
@@ -219,9 +221,36 @@ def test_db_validation_rejects_bad_rows():
     assert db.row(0) == db.row(1) == (1,)
 
 
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), shuffled=st.booleans())
+def test_level_supports_match_dense(seed, shuffled):
+    rng = np.random.default_rng(seed)
+    db = random_db(rng, int(rng.integers(1, 30)), int(rng.integers(1, 8)),
+                   density=float(rng.uniform(0.1, 0.9)))
+    # each level of every size, in cand_gen order: single items, then the
+    # joins of a random share of the previous level
+    level = [Itemset.of(j) for j in range(db.n_items)]
+    candidates = []
+    while level:
+        candidates += level
+        level = cand_gen([x for x in level if rng.random() < 0.7])
+    if shuffled:
+        candidates = [candidates[i] for i in rng.permutation(len(candidates))]
+    got = level_supports(db, candidates)
+    dense = db.dense()
+    assert got.dtype == np.int64
+    assert got.tolist() == [int(dense[:, list(x.items)].all(axis=1).sum())
+                            for x in candidates]
+    assert level_supports(db, []).tolist() == []
+
+
+def test_level_supports_rejects_items_out_of_range(dtoy):
+    with pytest.raises(ValueError, match="item 3 out of range"):
+        level_supports(dtoy, [Itemset.of(0), Itemset((1, 3, 4))])
+
+
 def test_bitset_support_matches_dense(dtoy):
     assert dtoy.column_bitset(0).bit_count() == 3
-    assert dtoy.support_bitset(Itemset.of([0, 1])).bit_count() == 2
     mask = dtoy.contains_all(Itemset.of([0, 1]))
     assert mask.tolist() == [True, True, False, False]
 
