@@ -13,12 +13,14 @@ boundary errors.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .constants import LEVEL_BYTES
 from .data import (
     ExactSupport,
     Itemset,
@@ -31,6 +33,9 @@ from .qsim import as_rng
 
 # most row draws sampling_estimate asks of the Generator in one call
 _DRAW_BUDGET = 1 << 22
+# bytes one level allocates, rounded up from tracemalloc peaks: per
+# candidate (Itemset, support and list slots) and per transaction (marks)
+_CANDIDATE_BYTES, _ROW_BYTES = 512, 4
 
 __all__ = [
     "IterationStats",
@@ -143,13 +148,23 @@ class LevelRun:
     stats: list[IterationStats]
 
 
+def _check_level_bytes(db: TransactionDB, k: int, n_candidates: int, grid: str,
+                       other_bytes: int) -> None:
+    """MemoryError if level k's candidates, rows and other_bytes pass LEVEL_BYTES."""
+    n_bytes = n_candidates * _CANDIDATE_BYTES + db.n_transactions * _ROW_BYTES + other_bytes
+    if n_bytes > LEVEL_BYTES:
+        raise MemoryError(f"level {k}: {n_candidates} candidates{grid} need about "
+                          f"{n_bytes} bytes, over the {LEVEL_BYTES}-byte level budget")
+
+
 def mine_levels(db: TransactionDB,
                 examine: Callable[[list[Itemset], int], tuple[list[Itemset], object]]
                 ) -> LevelRun:
     """Run the level policy: level 1 is the items present in db,
     examine(candidates, k) returns the itemsets the level keeps and a
     result of the caller's choosing, and level k+1 is `cand_gen` of the
-    kept itemsets.  Stops at the first level with no candidates."""
+    kept itemsets.  Stops at the first level with no candidates, and
+    raises MemoryError before building a level over LEVEL_BYTES."""
     run = LevelRun(results=[], stats=[])
     candidates = [Itemset.of(j) for j in db.present_items()]
     k = 1
@@ -157,8 +172,11 @@ def mine_levels(db: TransactionDB,
         kept, result = examine(candidates, k)
         run.results.append(result)
         run.stats.append(IterationStats(k, len(candidates), len(kept)))
-        candidates = cand_gen(kept)
         k += 1
+        # the pairs cand_gen joins, and its copies of the kept itemsets
+        joins = sum(g * (g - 1) // 2 for g in Counter(x.items[:-1] for x in kept).values())
+        _check_level_bytes(db, k, joins, "", len(kept) * _CANDIDATE_BYTES)
+        candidates = cand_gen(kept)
     return run
 
 

@@ -38,7 +38,6 @@ from .data import (
 from .mining import AMPLIFY_MODES, MiningResult, check_mining_args, qarm_full
 from .oracle import QueryCounter
 from .qpe import grid_steps_between
-from .qsim import QubitBudgetError
 
 SCHEMA_VERSION = 1
 
@@ -250,8 +249,8 @@ def cmd_mine_sampling(args) -> tuple[Report, int]:
     thr = support_threshold(args.min_supp)
     n_samples = args.samples
     if args.epsilon is not None:
-        if not args.epsilon > 0:
-            raise ValueError(f"--epsilon must be > 0, got {args.epsilon}")
+        if not 0 < args.epsilon < math.inf:
+            raise ValueError(f"--epsilon must be finite and > 0, got {args.epsilon}")
         square = args.epsilon ** 2
         if square == 0.0 or 1.0 / square >= 2.0 ** 63:
             raise ValueError(f"--epsilon {args.epsilon} is too small: "
@@ -281,8 +280,7 @@ def cmd_mine_quantum(args) -> tuple[Report, int]:
     counter = QueryCounter()
     rng = np.random.default_rng(args.seed)
     results, stats = qarm_full(db, thr, args.grid, args.mode, rng,
-                               patience=args.patience,
-                               qubit_cap=args.qubit_cap, counter=counter)
+                               patience=args.patience, counter=counter)
     report = Report(
         command="mine-quantum",
         config=dict(source, min_supp=str(thr), seed=args.seed, T=args.grid,
@@ -311,8 +309,7 @@ def cmd_compare(args) -> tuple[Report, int]:
 
     quantum_counter = QueryCounter()
     results, _ = qarm_full(db, thr, args.grid, args.mode, rng,
-                           patience=args.patience, qubit_cap=args.qubit_cap,
-                           counter=quantum_counter)
+                           patience=args.patience, counter=quantum_counter)
 
     quantum_found = {mi.itemset for res in results for mi in res.found}
     classical_found = set(classical.frequents)
@@ -454,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 default="ideal-projection")
     quantum_parent.add_argument("--patience", type=int, default=25,
                                 help="stop after this many shots with nothing new")
-    quantum_parent.add_argument("--qubit-cap", type=int, default=None)
 
     p = sub.add_parser("mine-classical", parents=[data_parent, supp_parent, io_parent],
                        help="exact level-wise mining")
@@ -498,9 +494,6 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, code = args.func(args)
-    except QubitBudgetError as exc:
-        print(f"refusing: {exc}", file=sys.stderr)
-        return 2
     except (FimiParseError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,9 @@ NORM_TOL = 1e-10
 # and must still count as >= 0.5.
 GRID_TOL = 1e-12
 
-# Default ceiling on total simulated qubits; override per call or via env.
+# Default ceiling on the qubits of one dense reference state.
 DEFAULT_QUBIT_CAP = 26
-QUBIT_CAP_ENV = "QARM_QUBIT_CAP"
+
+# Most bytes one mining level may allocate, checked before it allocates:
+# the 2^26-amplitude complex128 state that the default qubit cap admitted.
+LEVEL_BYTES = 1 << 30

@@ -21,14 +21,14 @@ Tapp, quant-ph/0005055).  Amplification modes:
   Brassard, Hoyer and Tapp, quant-ph/9605034).
 
 What no shot changes is built once per level, in a private plan made
-right after the law: the good mask, p and phi, the decoded estimate of
-every y, the amplified law of the first two modes, and the CDFs the
-draws search.  Each measurement is one `searchsorted` of one uniform on
-the CDF that `rng.choice` would build from the same weights, so a shot
-costs O(log(T*C)) and the random stream, the draws and the ledger are
-those of drawing with `rng.choice` from a freshly amplified law.
-`amplitude_amplify` returns that amplified law for one shot and is the
-reference the tests hold the plan to.
+right after the law: the good mask, p and phi, the amplified law of the
+first two modes, and the CDFs the draws search.  Each measurement is one
+`searchsorted` of one uniform on the CDF that `rng.choice` would build
+from the same weights, so a shot costs O(log(T*C)) and the random
+stream, the draws and the ledger are those of drawing with `rng.choice`
+from a freshly amplified law.  `amplitude_amplify` returns that
+amplified law for one shot and is the reference the tests hold the plan
+to.  A level over `constants.LEVEL_BYTES` is refused before its law.
 
 Each Q iteration costs two pipeline traversals, 2(T-1) Grover
 applications; re-preparations cost T-1.  With shots counted as state
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import IterationStats, mine_levels
+from .classical import IterationStats, _check_level_bytes, mine_levels
 from .constants import GRID_TOL, NORM_TOL
 from .data import Itemset, TransactionDB, support_threshold
 from .oracle import QueryCounter, _log2_exact
@@ -67,6 +67,9 @@ AMPLIFY_MODES = ("ideal-projection", "grover-known", "bbht")
 _P_FLOOR = 1e-15
 # how far from 1 `Generator.choice` lets its p sum
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+# T x C float arrays a level holds at once (law, amplified, weights, CDF);
+# two more columns hold the T-length arrays and one count's phase law
+_LAW_COPIES = 4
 
 
 class NoFrequentCandidatesError(RuntimeError):
@@ -119,13 +122,13 @@ class _LevelPlan:
     """The parts of a level's amplify-and-measure shots that no shot changes.
 
     Built once from the level's (est, cand) law: the good mask, the good
-    weight p and sin^2(phi) = p, the decoded estimate of every y, the
-    amplified law of ideal-projection or grover-known (with its fixed r),
-    and the CDFs every draw searches.  The flat CDF of those two modes is
-    made on the first shot; bbht makes one est CDF per iteration count r
-    and one cand CDF per good y it collapses onto, each the first time it
-    is needed.  Every CDF is the one `rng.choice` would build from the
-    same normalised weights, so a shot costs O(log(T*C)) and takes the
+    weight p and sin^2(phi) = p, the amplified law of ideal-projection or
+    grover-known (with its fixed r), and the CDFs every draw searches.
+    The flat CDF of those two modes is made on the first shot; bbht makes
+    one est CDF per iteration count r (keeping C of them) and one cand CDF
+    per good y it collapses onto (a row of a T x C array), each the first
+    time it is needed.  Every CDF is the one `rng.choice` would build from
+    the same normalised weights, so a shot costs O(log(T*C)) and takes the
     same uniforms from the stream as one `rng.choice` per measurement.
     """
 
@@ -145,7 +148,6 @@ class _LevelPlan:
         # a list, so that each shot's lookup is cheap
         self.mask, self.good, self.est, self.p = mask, mask.tolist(), est, p
         self.phi = math.asin(math.sqrt(min(1.0, p)))
-        self.estimates = [decode_support(y, big_t) for y in range(big_t)]
         self.r = 0
         self.amplified: np.ndarray | None = None
         if mode == "ideal-projection":
@@ -156,7 +158,7 @@ class _LevelPlan:
             self.amplified = law * _rotation(mask, p, self.phi, self.r)[:, None]
         self._flat_cdf: np.ndarray | None = None
         self._est_cdfs: dict[int, np.ndarray] = {}
-        self._row_cdfs: dict[int, np.ndarray] = {}
+        self._row_cdfs = np.zeros_like(law) if mode == "bbht" else None
 
     def shot(self, rng, counter: QueryCounter) -> tuple[int, int]:
         """Amplify and measure once: the (y, j) outcome of est and cand."""
@@ -196,23 +198,23 @@ class _LevelPlan:
         """CDF of the est marginal after r iterations of Q."""
         cdf = self._est_cdfs.get(r)
         if cdf is None:
-            cdf = self._est_cdfs[r] = _weights_cdf(
-                self.est * _rotation(self.mask, self.p, self.phi, r))
+            cdf = _weights_cdf(self.est * _rotation(self.mask, self.p, self.phi, r))
+            if len(self._est_cdfs) < self.law.shape[1]:
+                self._est_cdfs[r] = cdf
         return cdf
 
     def _row_cdf(self, y: int) -> np.ndarray:
         """CDF of cand once est has collapsed onto y.  The collapsed law is
         row y of a zero T x C array; its normaliser is the sum over that
         whole padded array, which can differ in the last bit from the
-        row's own sum."""
-        cdf = self._row_cdfs.get(y)
-        if cdf is None:
+        row's own sum.  Rows not made yet are zero; a made row ends in 1."""
+        if self._row_cdfs[y, -1] == 0.0:
             n_cand = self.law.shape[1]
             row = self.law[y] / self.law[y].sum()
             padded = np.zeros(self.law.size)
             padded[y * n_cand:(y + 1) * n_cand] = row
-            cdf = self._row_cdfs[y] = _cdf(row / padded.sum())
-        return cdf
+            self._row_cdfs[y] = _cdf(row / padded.sum())
+        return self._row_cdfs[y]
 
 
 def amplitude_amplify(law: np.ndarray, min_supp, mode: str = "ideal-projection",
@@ -278,14 +280,15 @@ def check_mining_args(big_t: int, patience: int) -> None:
 
 def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int,
                 min_supp, mode: str = "ideal-projection", rng=None,
-                patience: int = 25, counter: QueryCounter | None = None,
-                qubit_cap: int | None = None) -> MiningResult:
+                patience: int = 25, counter: QueryCounter | None = None
+                ) -> MiningResult:
     """Mine one level: repeat estimate-amplify-measure until `patience`
     consecutive shots add no new itemset.
 
     Raises NoFrequentCandidatesError when no candidate's support reaches
-    the threshold (good-subspace weight zero).  Every recorded estimate
-    is at the threshold or above; an itemset keeps its first estimate.
+    the threshold (good-subspace weight zero), and MemoryError before the
+    law when the level would pass LEVEL_BYTES.  Every recorded estimate is
+    at the threshold or above; an itemset keeps its first estimate.
     """
     if mode not in AMPLIFY_MODES:
         raise ValueError(f"unknown amplification mode {mode!r}")
@@ -295,7 +298,9 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
     if counter is None:
         counter = QueryCounter()
     start = counter.snapshot()
-    law = estimation_law(db, candidates, k, big_t, counter, qubit_cap)
+    _check_level_bytes(db, k, len(candidates), f" at T={big_t}",
+                       (len(candidates) + 2) * _LAW_COPIES * 8 * big_t)
+    law = estimation_law(db, candidates, k, big_t, counter)
     total = float(law.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"(est, cand) law of |Psi3> sums to {total!r}")
@@ -313,8 +318,8 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
         if j >= len(candidates):
             raise AssertionError("measured an index beyond the candidates")
         itemset = candidates[j]
-        estimate = plan.estimates[y]
         if plan.good[y] and itemset not in found:
+            estimate = decode_support(y, big_t)
             found[itemset] = MinedItemset(
                 itemset=itemset,
                 estimate=estimate,
@@ -339,7 +344,6 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
 
 def qarm_full(db: TransactionDB, min_supp, big_t: int,
               mode: str = "ideal-projection", rng=None, *, patience: int = 25,
-              qubit_cap: int | None = None,
               counter: QueryCounter | None = None
               ) -> tuple[list[MiningResult], list[IterationStats]]:
     """Level-wise quantum mining on `mine_levels`: each level is one
@@ -353,8 +357,7 @@ def qarm_full(db: TransactionDB, min_supp, big_t: int,
     def examine(candidates, k):
         try:
             res = qarm_mine_k(db, candidates, k, big_t, min_supp, mode, rng,
-                              patience=patience, counter=counter,
-                              qubit_cap=qubit_cap)
+                              patience=patience, counter=counter)
         except NoFrequentCandidatesError:
             res = MiningResult(found=(), shots_used=0)
         return res.itemsets(), res

@@ -19,9 +19,9 @@ law is (1/C) times the sum of the per-candidate laws.
 
 The miner takes that law from `estimation_law`, which builds it in
 closed form from the candidates' exact support counts and charges the
-ledger as the pipeline would.  `parallel_amplitude_estimation` runs the
-pipeline on the dense state; it is the reference the closed form is
-tested against.
+ledger as the pipeline would; the miner bounds it in bytes, not qubits.
+`parallel_amplitude_estimation` runs the pipeline on the dense state; it
+is the reference the closed form is tested against.
 """
 from __future__ import annotations
 
@@ -198,20 +198,17 @@ def parallel_amplitude_estimation(db: TransactionDB, candidates: list[Itemset],
 
 
 def estimation_law(db: TransactionDB, candidates: list[Itemset], k: int,
-                   big_t: int, counter: QueryCounter,
-                   qubit_cap: int | None) -> np.ndarray:
+                   big_t: int, counter: QueryCounter) -> np.ndarray:
     """The (est, cand) law of |Psi3>, built in closed form.
 
     law[y, j] is the probability that measuring |Psi3> gives est = y and
     cand = j: column j is analytic_phase_distribution(s_j, T) / C for
-    candidates[j] of support s_j.  Inputs are checked and refused exactly
-    as by parallel_amplitude_estimation, and the ledger is charged the
-    same: one state preparation and T-1 Grover applications.
+    candidates[j] of support s_j.  Inputs are refused as by
+    parallel_amplitude_estimation, bar its qubit cap, and the ledger is
+    charged the same: one state preparation and T-1 Grover applications.
     """
     _check_candidates(db, candidates, k)
-    # the layout is not simulated, but sizing it applies the same T check
-    # and qubit cap as the dense pipeline
-    candidate_layout(db, len(candidates), big_t, qubit_cap)
+    _log2_exact(big_t)
     n_cands = len(candidates)
     law = np.empty((big_t, n_cands))
     columns: dict[int, np.ndarray] = {}

@@ -10,12 +10,11 @@ its bits of b, most significant qubit first.
 """
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
 
-from .constants import DEFAULT_QUBIT_CAP, NORM_TOL, QUBIT_CAP_ENV
+from .constants import DEFAULT_QUBIT_CAP, NORM_TOL
 
 __all__ = [
     "QubitBudgetError",
@@ -38,19 +37,6 @@ class QubitBudgetError(ValueError):
     """Layout would need more qubits than the configured cap."""
 
 
-def _qubit_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get(QUBIT_CAP_ENV)
-    if not env:
-        return DEFAULT_QUBIT_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(
-            f"{QUBIT_CAP_ENV} must be an integer, got {env!r}") from None
-
-
 def as_rng(rng) -> np.random.Generator:
     """Accept a Generator, a seed, or None (fresh entropy)."""
     if isinstance(rng, np.random.Generator):
@@ -71,7 +57,7 @@ class RegisterLayout:
                 raise ValueError(f"register {name!r} must have width >= 1")
         self.registers = tuple((str(n), int(w)) for n, w in registers)
         self.n_qubits = sum(w for _, w in self.registers)
-        cap = _qubit_cap(qubit_cap)
+        cap = DEFAULT_QUBIT_CAP if qubit_cap is None else int(qubit_cap)
         if self.n_qubits > cap:
             raise QubitBudgetError(
                 f"layout needs {self.n_qubits} qubits "

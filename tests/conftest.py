@@ -4,6 +4,7 @@ guard against leaked threads."""
 import os
 import sys
 import threading
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -64,6 +65,21 @@ def random_candidates(rng: np.random.Generator, db: TransactionDB,
     picks = rng.choice(len(pool), size=int(rng.integers(1, len(pool) + 1)),
                        replace=False)
     return [Itemset(pool[i]) for i in sorted(picks)]
+
+
+# what one call allocates whatever the level's size (frames, small
+# containers, numpy's scalar results), left out of the level byte counts
+CALL_BYTES = 8 << 10
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that Python and NumPy allocate while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class SecondDrawFails(np.random.Generator):

@@ -3,6 +3,7 @@ and the query-advantage metric."""
 
 import itertools
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -30,8 +31,9 @@ from qarm.classical import (
     mine_levels,
     sampling_apriori,
 )
+from qarm.data import level_supports
 
-from conftest import SecondDrawFails, random_candidates, random_db
+from conftest import CALL_BYTES, SecondDrawFails, random_candidates, random_db, traced_peak
 
 
 def test_fre_exam_examples(dtoy):
@@ -86,6 +88,25 @@ def test_cand_gen_is_sound_and_complete(data, k, n_items):
     want = [Itemset(c) for c in itertools.combinations(range(n_items), k + 1)
             if all(sub in fset for sub in Itemset(c).subsets(k))]
     assert got == want
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3))
+def test_level_bytes_bound_cand_gen_and_fre_exam(seed, k):
+    # what mine_levels counts for level k+1 before cand_gen builds it
+    rng = np.random.default_rng(seed)
+    # up to 780 joins, enough for the per-candidate figure to show
+    db = random_db(rng, int(rng.integers(1, 3000)), int(rng.integers(k + 1, 40 // k + 1)),
+                   density=float(rng.uniform(0.1, 0.9)))
+    level_supports(db, [Itemset((0, 1))])  # the CSC view is the database's
+    kept = random_candidates(rng, db, k)
+    groups = Counter(x.items[:-1] for x in kept).values()
+    joins = sum(g * (g - 1) // 2 for g in groups)
+    supports = {}
+    peak = traced_peak(lambda: fre_exam(db, cand_gen(kept), "1/4", supports=supports))
+    bound = ((joins + len(kept)) * classical._CANDIDATE_BYTES
+             + db.n_transactions * classical._ROW_BYTES)
+    assert peak <= bound + CALL_BYTES
 
 
 @settings(max_examples=60)

@@ -109,22 +109,49 @@ def test_compare_reports_agreement(capsys, clear_db_path):
 
 
 def test_qubit_cap_refusal(capsys, clear_db_path):
+    # what the qubit cap refused, the level byte budget refuses: 3
+    # candidates at T = 2^25 would make 3 GiB of T x C laws
     code = main(["mine-quantum", "--dataset", clear_db_path,
-                 "--min-supp", "1/2", "-T", "32", "--qubit-cap", "4"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("refusing:")
-
-
-def test_bad_qubit_cap_variable_is_a_clean_error(capsys, monkeypatch):
-    monkeypatch.setenv("QARM_QUBIT_CAP", "abc")
-    code = main(["mine-quantum", "--synthetic", "8", "4", "--min-supp", "1/4",
-                 "--json"])
+                 "--min-supp", "1/2", "-T", str(1 << 25), "--json"])
     assert code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
-    assert "QARM_QUBIT_CAP" in captured.err and "'abc'" in captured.err
     assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: out of memory: level 1: 3 candidates at T={1 << 25} need about ")
+    assert captured.err.count("\n") == 1
+
+
+def test_levels_the_qubit_cap_refused_now_run(capsys):
+    # est 6 + txn 12 + cand 10 qubits, over the old cap of 26, but the
+    # largest law is 64 x 1,453 floats
+    code, doc = run_json(capsys, ["mine-quantum", "--synthetic", "4096", "40",
+                                  "-T", "64", "--min-supp", "1/16", "--seed", "3"])
+    assert code == 0
+    assert doc["itemsets"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mine-classical"],
+    ["mine-sampling", "--samples", "200"],
+    ["mine-quantum", "-T", "2"],
+    ["mine-quantum", "-T", "2", "--mode", "bbht"],
+])
+def test_level_over_budget_is_refused_before_it_is_built(capsys, monkeypatch, argv):
+    # 12 items of support about 1/2 all pass level 1 (12 candidates at
+    # T = 2 need 7,296 bytes); joining them makes 66 pairs, over 2^14
+    monkeypatch.setattr(qarm.classical, "LEVEL_BYTES", 1 << 14)
+
+    def cand_gen(_frequents):
+        raise AssertionError("the level was built")
+
+    monkeypatch.setattr(qarm.classical, "cand_gen", cand_gen)
+    code = main(argv + ["--synthetic", "64", "12", "--density", "0.5",
+                        "--min-supp", "1/4", "--json"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: level 2: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_sampling_epsilon_sets_sample_count(capsys, clear_db_path):
@@ -137,7 +164,7 @@ def test_sampling_epsilon_sets_sample_count(capsys, clear_db_path):
     assert all(0.0 <= e["estimate"] <= 1.0 for e in doc["itemsets"])
 
 
-@pytest.mark.parametrize("epsilon", ["0", "-0.5", "1e-160", "1e-300"])
+@pytest.mark.parametrize("epsilon", ["0", "-0.5", "1e-160", "1e-300", "inf"])
 def test_sampling_rejects_non_positive_epsilon(capsys, epsilon):
     code = main(["mine-sampling", "--synthetic", "8", "4", "--min-supp", "1/4",
                  f"--epsilon={epsilon}", "--json"])

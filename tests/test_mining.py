@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qarm.classical
 import qarm.mining
 from qarm import (
     Itemset,
@@ -22,10 +23,11 @@ from qarm import (
 )
 from qarm.mining import AMPLIFY_MODES
 from qarm.oracle import CAND, EST
+from qarm.data import level_supports
 from qarm.qpe import estimation_law, parallel_amplitude_estimation
 from qarm.qsim import joint_probs, measure, reflect_about_state, register_marginal
 
-from conftest import random_candidates, random_db
+from conftest import CALL_BYTES, random_candidates, random_db, traced_peak
 
 ITEMS = lambda *js: [Itemset.of(j) for j in js]
 
@@ -457,10 +459,9 @@ def test_qarm_full_two_levels_matches_apriori():
     assert [st.m_frequent for st in exact.stats] == [2, 1]
 
 
-def dense_estimation_law(db, candidates, k, big_t, counter, qubit_cap):
+def dense_estimation_law(db, candidates, k, big_t, counter):
     """estimation_law read off the dense pipeline, padded cand slots kept."""
-    psi = parallel_amplitude_estimation(db, candidates, k, big_t, counter,
-                                        qubit_cap=qubit_cap)
+    psi = parallel_amplitude_estimation(db, candidates, k, big_t, counter)
     return joint_probs(psi, [EST, CAND])
 
 
@@ -515,3 +516,27 @@ def test_qarm_full_checks_arguments_before_any_level(big_t, patience, message):
     db = TransactionDB.from_rows([[], []], n_items=3)
     with pytest.raises(ValueError, match=message):
         qarm_full(db, 0.5, big_t, patience=patience)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 2),
+       log_t=st.integers(1, 11), mode=st.sampled_from(AMPLIFY_MODES))
+def test_level_bytes_bound_qarm_mine_k(seed, k, log_t, mode):
+    # what qarm_mine_k counts before it builds the level's law
+    rng = np.random.default_rng(seed)
+    db = random_db(rng, int(rng.integers(1, 3000)), int(rng.integers(k + 1, 16)),
+                   density=float(rng.uniform(0.1, 0.9)))
+    level_supports(db, [Itemset((0, 1))])  # the CSC view is the database's
+    cands, big_t = random_candidates(rng, db, k), 1 << log_t
+
+    def mine():
+        try:
+            qarm_mine_k(db, cands, k, big_t, "1/4", mode, np.random.default_rng(seed))
+        except NoFrequentCandidatesError:
+            pass
+
+    peak = traced_peak(mine)
+    bound = (len(cands) * qarm.classical._CANDIDATE_BYTES
+             + db.n_transactions * qarm.classical._ROW_BYTES
+             + (len(cands) + 2) * qarm.mining._LAW_COPIES * 8 * big_t)
+    assert peak <= bound + CALL_BYTES

@@ -56,13 +56,6 @@ def test_layout_rejects_duplicates_and_budget():
     assert RegisterLayout([("a", 27)], qubit_cap=27).dims == (1 << 27,)
 
 
-def test_layout_cap_from_environment(monkeypatch):
-    monkeypatch.setenv("QARM_QUBIT_CAP", "3")
-    with pytest.raises(QubitBudgetError):
-        RegisterLayout([("a", 4)])
-    assert RegisterLayout([("a", 3)]).dims == (8,)
-
-
 def test_prepare_uniform_cases():
     layout = small_layout(("r", 2))
     state = prepare_uniform(Statevector.zero(layout), "r", 4)
