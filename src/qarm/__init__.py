@@ -18,7 +18,6 @@ from .data import (
     TransactionDB,
     exact_support,
     parse_fimi,
-    serialize_fimi,
     support_threshold,
     synth_db,
 )
@@ -35,7 +34,6 @@ from .oracle import QueryCounter, build_layout
 from .qpe import (
     SupportEstimate,
     analytic_phase_distribution,
-    apply_grover_operator,
     decode_support,
     grid_steps_between,
     parallel_amplitude_estimation,
@@ -62,7 +60,6 @@ __all__ = [
     "TransactionDB",
     "amplitude_amplify",
     "analytic_phase_distribution",
-    "apply_grover_operator",
     "apriori",
     "build_layout",
     "cand_gen",
@@ -78,7 +75,6 @@ __all__ = [
     "qarm_full",
     "qarm_mine_k",
     "sampling_estimate",
-    "serialize_fimi",
     "support_threshold",
     "synth_db",
 ]

@@ -16,6 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, groupby
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -128,12 +129,9 @@ def cand_gen(frequents: Sequence[Itemset]) -> list[Itemset]:
     fset = set(frequents)
     if len(fset) != len(frequents):
         raise ValueError("frequents must be distinct")
-    tuples = sorted(x.items for x in frequents)
     out = []
-    for a_pos, a in enumerate(tuples):
-        for b in tuples[a_pos + 1:]:
-            if a[:-1] != b[:-1]:
-                break
+    for _, group in groupby(sorted(x.items for x in frequents), key=lambda t: t[:-1]):
+        for a, b in combinations(group, 2):
             joined = Itemset(a + (b[-1],))
             if all(sub in fset for sub in joined.subsets(k)):
                 out.append(joined)

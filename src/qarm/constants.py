@@ -8,9 +8,6 @@ NORM_TOL = 1e-10
 # and must still count as >= 0.5.
 GRID_TOL = 1e-12
 
-# Default ceiling on the qubits of one dense reference state.
-DEFAULT_QUBIT_CAP = 26
-
-# Most bytes one mining level may allocate, checked before it allocates:
-# the 2^26-amplitude complex128 state that the default qubit cap admitted.
+# Most bytes one mining level may allocate, checked before it allocates
+# its candidates and law; a dense reference state must fit it too.
 LEVEL_BYTES = 1 << 30

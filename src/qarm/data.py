@@ -22,7 +22,6 @@ __all__ = [
     "ExactSupport",
     "TransactionDB",
     "parse_fimi",
-    "serialize_fimi",
     "exact_support",
     "level_supports",
     "support_threshold",
@@ -346,12 +345,6 @@ def _parse_fimi_lines(text: str) -> TransactionDB:
     if len(indptr) == 1:
         raise FimiParseError("no transactions")
     return TransactionDB(np.asarray(indptr), np.asarray(flat, dtype=np.int64), top + 1)
-
-
-def serialize_fimi(db: TransactionDB) -> str:
-    """Inverse of parse_fimi.  Rows with no items become blank lines, which
-    parse_fimi skips; parsed databases never contain such rows."""
-    return "".join(" ".join(map(str, row)) + "\n" for row in db.rows())
 
 
 def level_supports(db: TransactionDB, candidates: Iterable[Itemset]) -> np.ndarray:

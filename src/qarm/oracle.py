@@ -10,7 +10,7 @@ the circuit exactly; it charges the same query counts.
 
 The estimation pipeline runs on est, txn, cand: one candidate register
 indexes the C candidates of a level, and its sign table reads D through
-each candidate's items.  The item-register layout (est, txn,
+each candidate's items.  The item-register layout (txn,
 item0..item{k-1}, anc0..anc{k-1}, kick) carries the circuit-faithful
 oracle that this table is checked against.  Reads of padded rows/columns
 (i >= N or j >= M) return D = 0; padded candidate slots read sign +1.
@@ -119,16 +119,12 @@ def _log2_exact(big_t: int) -> int:
     return big_t.bit_length() - 1
 
 
-def build_layout(db: TransactionDB, k: int, *, big_t: int | None = None,
-                 ancillas: bool = False,
-                 qubit_cap: int | None = None) -> RegisterLayout:
+def build_layout(db: TransactionDB, k: int, *,
+                 ancillas: bool = False) -> RegisterLayout:
     """Item-register layout for the k-item oracle circuit, in canonical order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    regs: list[tuple[str, int]] = []
-    if big_t is not None:
-        regs.append((EST, _log2_exact(big_t)))
-    regs.append((TXN, _bits_for(db.n_transactions)))
+    regs = [(TXN, _bits_for(db.n_transactions))]
     m_bits = _bits_for(db.n_items)
     for l in range(k):
         regs.append((item_register(l), m_bits))
@@ -136,15 +132,14 @@ def build_layout(db: TransactionDB, k: int, *, big_t: int | None = None,
         for l in range(k):
             regs.append((ancilla_register(l), 1))
         regs.append((KICK, 1))
-    return RegisterLayout(regs, qubit_cap=qubit_cap)
+    return RegisterLayout(regs)
 
 
-def candidate_layout(db: TransactionDB, n_candidates: int, big_t: int,
-                     qubit_cap: int | None) -> RegisterLayout:
+def candidate_layout(db: TransactionDB, n_candidates: int, big_t: int) -> RegisterLayout:
     """The estimation pipeline's registers: est, txn, cand."""
     return RegisterLayout([(EST, _log2_exact(big_t)),
                            (TXN, _bits_for(db.n_transactions)),
-                           (CAND, _bits_for(n_candidates))], qubit_cap=qubit_cap)
+                           (CAND, _bits_for(n_candidates))])
 
 
 def padded_bit_matrix(db: TransactionDB, n_dim: int, m_dim: int) -> np.ndarray:
@@ -240,9 +235,9 @@ def generalized_cnot(state: Statevector, control_registers, target_register: str
     return state
 
 
-def prepare_minus(state: Statevector, register: str = KICK) -> Statevector:
-    """Load |-> = (|0> - |1>)/sqrt(2) into a |0> one-qubit register."""
-    return inject_state(state, register, np.array([1.0, -1.0]) / np.sqrt(2.0))
+def prepare_minus(state: Statevector) -> Statevector:
+    """Load |-> = (|0> - |1>)/sqrt(2) into the |0> kickback qubit."""
+    return inject_state(state, KICK, np.array([1.0, -1.0]) / np.sqrt(2.0))
 
 
 def _require_oracle_ancillas(state: Statevector, k: int):
@@ -269,8 +264,7 @@ def _require_oracle_ancillas(state: Statevector, k: int):
 
 def apply_phase_oracle_k(state: Statevector, db: TransactionDB,
                          counter: QueryCounter | None = None,
-                         mode: str = "circuit",
-                         sign_table: np.ndarray | None = None) -> Statevector:
+                         mode: str = "circuit") -> Statevector:
     """Apply O^(k): sign flip on transactions containing all k queried items.
 
     mode "circuit" runs the faithful construction (2k basic oracles around a
@@ -284,9 +278,8 @@ def apply_phase_oracle_k(state: Statevector, db: TransactionDB,
     if k == 0:
         raise ValueError("layout has no item registers")
     if mode == "diagonal":
-        table = sign_table if sign_table is not None else phase_oracle_sign_table(db, layout)
         view = state.view()
-        view *= table
+        view *= phase_oracle_sign_table(db, layout)
         if counter is not None:
             counter.charge_phase_oracle(k)
     elif mode == "circuit":

@@ -39,8 +39,6 @@ from .oracle import (
     _log2_exact,
     candidate_layout,
     candidate_sign_table,
-    item_registers,
-    phase_oracle_sign_table,
 )
 from .qsim import (
     Statevector,
@@ -53,7 +51,6 @@ __all__ = [
     "SupportEstimate",
     "decode_support",
     "grid_steps_between",
-    "apply_grover_operator",
     "parallel_amplitude_estimation",
     "estimation_law",
     "analytic_phase_distribution",
@@ -125,32 +122,16 @@ def analytic_phase_distribution(support, big_t: int) -> np.ndarray:
     return probs
 
 
-def _grover_kernel(block: np.ndarray, sign_table: np.ndarray, txn_axis: int,
-                   n_rows: int, trailing_after_txn: int,
+def _grover_kernel(block: np.ndarray, sign_table: np.ndarray, n_rows: int,
                    k: int, counter: QueryCounter | None):
-    """One Grover application on a view whose trailing axes are the
-    layout's registers from the transaction register onward."""
+    """One G = (2|X_N><X_N| - I) O^(k) on a view whose trailing axes are
+    txn, cand; sign_table is the txn x cand diagonal of O^(k)."""
     block *= sign_table
-    head = (Ellipsis, slice(0, n_rows)) + (slice(None),) * trailing_after_txn
-    overlap = block[head].sum(axis=txn_axis, keepdims=True) * (2.0 / n_rows)
+    overlap = block[..., :n_rows, :].sum(axis=-2, keepdims=True) * (2.0 / n_rows)
     block *= -1.0
-    block[head] += overlap
+    block[..., :n_rows, :] += overlap
     if counter is not None:
         counter.charge_grover(k)
-
-
-def apply_grover_operator(state: Statevector, db: TransactionDB,
-                          counter: QueryCounter | None = None,
-                          sign_table: np.ndarray | None = None) -> Statevector:
-    """Apply G = (2|X_N><X_N| - I) O^(k) to the whole state."""
-    layout = state.layout
-    k = len(item_registers(layout))
-    table = sign_table if sign_table is not None else phase_oracle_sign_table(db, layout)
-    trailing = len(layout.names) - layout.axis(TXN) - 1
-    _grover_kernel(state.view(), table, layout.axis(TXN) - len(layout.names),
-                   db.n_transactions, trailing, k, counter)
-    state.check_norm()
-    return state
 
 
 def _check_candidates(db: TransactionDB, candidates: list[Itemset], k: int):
@@ -170,8 +151,7 @@ def _check_candidates(db: TransactionDB, candidates: list[Itemset], k: int):
 
 def parallel_amplitude_estimation(db: TransactionDB, candidates: list[Itemset],
                                   k: int, big_t: int,
-                                  counter: QueryCounter | None = None,
-                                  qubit_cap: int | None = None) -> Statevector:
+                                  counter: QueryCounter | None = None) -> Statevector:
     """Run steps 1-3: prepare, estimate in parallel, inverse QFT.
 
     Returns |Psi3> on est, txn, cand, where cand value j stands for
@@ -179,7 +159,7 @@ def parallel_amplitude_estimation(db: TransactionDB, candidates: list[Itemset],
     calls) are charged, plus one state preparation.
     """
     _check_candidates(db, candidates, k)
-    layout = candidate_layout(db, len(candidates), big_t, qubit_cap)
+    layout = candidate_layout(db, len(candidates), big_t)
     state = Statevector.zero(layout)
     prepare_uniform(state, EST, big_t)
     prepare_uniform(state, TXN, db.n_transactions)
@@ -188,8 +168,8 @@ def parallel_amplitude_estimation(db: TransactionDB, candidates: list[Itemset],
         counter.state_preparations += 1
     table = candidate_sign_table(db, candidates, layout)
 
-    def step(block: np.ndarray):  # trailing axes: txn, cand
-        _grover_kernel(block, table, -2, db.n_transactions, 1, k, counter)
+    def step(block: np.ndarray):
+        _grover_kernel(block, table, db.n_transactions, k, counter)
 
     for p in range(layout.width(EST)):
         apply_controlled_power(state, (EST, p), step, 1 << p)
@@ -208,14 +188,8 @@ def estimation_law(db: TransactionDB, candidates: list[Itemset], k: int,
     charged the same: one state preparation and T-1 Grover applications.
     """
     _check_candidates(db, candidates, k)
-    _log2_exact(big_t)
-    n_cands = len(candidates)
-    law = np.empty((big_t, n_cands))
-    columns: dict[int, np.ndarray] = {}
-    for j, count in enumerate(level_supports(db, candidates).tolist()):
-        if count not in columns:
-            s = count / db.n_transactions
-            columns[count] = analytic_phase_distribution(s, big_t) / n_cands
-        law[:, j] = columns[count]
+    counts, group = np.unique(level_supports(db, candidates), return_inverse=True)
+    table = np.stack([analytic_phase_distribution(c / db.n_transactions, big_t)
+                      for c in counts.tolist()], axis=1) / len(candidates)
     counter.charge_estimation_pipeline(k, big_t)
-    return law
+    return table.take(group, axis=1)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import DEFAULT_QUBIT_CAP, NORM_TOL
+from .constants import LEVEL_BYTES, NORM_TOL
 
 __all__ = [
     "QubitBudgetError",
@@ -34,7 +34,7 @@ __all__ = [
 
 
 class QubitBudgetError(ValueError):
-    """Layout would need more qubits than the configured cap."""
+    """Layout's state of 16-byte amplitudes would not fit LEVEL_BYTES."""
 
 
 def as_rng(rng) -> np.random.Generator:
@@ -47,8 +47,7 @@ def as_rng(rng) -> np.random.Generator:
 class RegisterLayout:
     """Ordered named registers packed into one basis index."""
 
-    def __init__(self, registers: Sequence[tuple[str, int]],
-                 qubit_cap: int | None = None):
+    def __init__(self, registers: Sequence[tuple[str, int]]):
         names = [name for name, _ in registers]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate register names in {names}")
@@ -57,7 +56,7 @@ class RegisterLayout:
                 raise ValueError(f"register {name!r} must have width >= 1")
         self.registers = tuple((str(n), int(w)) for n, w in registers)
         self.n_qubits = sum(w for _, w in self.registers)
-        cap = DEFAULT_QUBIT_CAP if qubit_cap is None else int(qubit_cap)
+        cap = (LEVEL_BYTES // 16).bit_length() - 1
         if self.n_qubits > cap:
             raise QubitBudgetError(
                 f"layout needs {self.n_qubits} qubits "

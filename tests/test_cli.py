@@ -130,6 +130,31 @@ def test_levels_the_qubit_cap_refused_now_run(capsys):
     assert doc["itemsets"]
 
 
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("the dense engine was reached")
+
+
+@pytest.mark.parametrize("argv", [
+    ["mine-classical", "--min-conf", "1/2"],
+    ["mine-sampling", "--samples", "200"],
+    ["mine-quantum", "-T", "32", "--mode", "ideal-projection"],
+    ["mine-quantum", "-T", "32", "--mode", "grover-known"],
+    ["mine-quantum", "-T", "32", "--mode", "bbht"],
+    ["compare", "-T", "16", "--samples", "200"],
+])
+def test_no_subcommand_reaches_the_dense_engine(capsys, monkeypatch, argv):
+    # the register-level simulator and the dense matrix are the reference
+    # the miners are tested against; no subcommand builds either
+    argv = argv + ["--synthetic", "16", "6", "--min-supp", "1/4", "--seed", "3", "--json"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    monkeypatch.setattr(qarm.RegisterLayout, "__init__", _refuse)
+    monkeypatch.setattr(qarm.Statevector, "__init__", _refuse)
+    monkeypatch.setattr(qarm.TransactionDB, "dense", _refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr() == plain
+
+
 @pytest.mark.parametrize("argv", [
     ["mine-classical"],
     ["mine-sampling", "--samples", "200"],

@@ -27,32 +27,28 @@ from conftest import random_candidates, random_db
 
 
 def test_build_layout_geometry(dtoy):
-    layout = build_layout(dtoy, 2, big_t=8, ancillas=True)
-    assert layout.names == ("est", "txn", "item0", "item1",
-                            "anc0", "anc1", "kick")
-    assert layout.width("est") == 3
+    layout = build_layout(dtoy, 2, ancillas=True)
+    assert layout.names == ("txn", "item0", "item1", "anc0", "anc1", "kick")
     assert layout.width(TXN) == 2   # 4 transactions
     assert layout.width(item_register(0)) == 2  # 3 items round up
     assert layout.width(ancilla_register(1)) == 1
 
     with pytest.raises(ValueError):
         build_layout(dtoy, 0)
-    with pytest.raises(ValueError):
-        build_layout(dtoy, 1, big_t=6)  # not a power of two
 
 
 def test_candidate_layout_geometry(dtoy):
     # the same layout for every k: only the candidate count sets cand
-    layout = candidate_layout(dtoy, 3, 8, None)
+    layout = candidate_layout(dtoy, 3, 8)
     assert layout.names == (EST, TXN, CAND)
     assert layout.width(EST) == 3
     assert layout.width(TXN) == 2   # 4 transactions
     assert layout.width(CAND) == 2  # 3 candidates round up
-    assert candidate_layout(dtoy, 1, 2, None).width(CAND) == 1
+    assert candidate_layout(dtoy, 1, 2).width(CAND) == 1
     with pytest.raises(ValueError):
-        candidate_layout(dtoy, 3, 6, None)  # not a power of two
+        candidate_layout(dtoy, 3, 6)  # not a power of two
     with pytest.raises(QubitBudgetError):
-        candidate_layout(dtoy, 3, 8, 6)
+        candidate_layout(dtoy, 3, 2 ** 24)  # 28 qubits
 
 
 def test_candidate_sign_table_matches_item_layout():
@@ -63,7 +59,7 @@ def test_candidate_sign_table_matches_item_layout():
         for _ in range(6):
             db = random_db(rng, n=int(rng.integers(1, 7)), m=int(rng.integers(3, 6)))
             cands = random_candidates(rng, db, k)
-            layout = candidate_layout(db, len(cands), 8, None)
+            layout = candidate_layout(db, len(cands), 8)
             table = candidate_sign_table(db, cands, layout)
             ref = phase_oracle_sign_table(db, build_layout(db, k))
             assert table.shape == (ref.shape[0], layout.dim(CAND))

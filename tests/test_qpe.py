@@ -11,21 +11,20 @@ from qarm import (
     Itemset,
     QueryCounter,
     QubitBudgetError,
-    Statevector,
     TransactionDB,
     exact_support,
     good_set,
     grid_steps_between,
 )
-from qarm.oracle import CAND, EST, TXN, build_layout, phase_oracle_sign_table
+from qarm.oracle import CAND, EST, TXN, candidate_layout, candidate_sign_table
 from qarm.qpe import (
+    _grover_kernel,
     analytic_phase_distribution,
-    apply_grover_operator,
     decode_support,
     estimation_law,
     parallel_amplitude_estimation,
 )
-from qarm.qsim import joint_probs, prepare_uniform, register_marginal
+from qarm.qsim import joint_probs, register_marginal
 
 from conftest import random_candidates, random_db
 
@@ -100,48 +99,30 @@ def test_estimation_tail_mass_below_threshold():
     assert abs(leak - 0.0363549) < 1e-4
 
 
-def test_grover_operator_matches_dense(dtoy):
+def test_grover_operator_matches_dense():
+    # the pipeline's Grover step on a (txn, cand) block, under a leading
+    # control axis, is (2|X_N><X_N| - I) diag(candidate sign table)
     rng = np.random.default_rng(11)
     for k in (1, 2):
         db = random_db(rng, n=3, m=3)  # padded to 4 rows: row 3 reads 0
-        layout = build_layout(db, k)
-        n_dim = layout.dim(TXN)
-        joint = int(np.prod(layout.dims))
+        cands = random_candidates(rng, db, k)
+        layout = candidate_layout(db, len(cands), 2)
+        n_dim, c_dim = layout.dim(TXN), layout.dim(CAND)
+        table = candidate_sign_table(db, cands, layout)
         u = np.zeros(n_dim)
         u[: db.n_transactions] = 1 / math.sqrt(db.n_transactions)
         reflect = 2 * np.outer(u, u) - np.eye(n_dim)
-        signs = phase_oracle_sign_table(db, layout).reshape(n_dim, -1)
-        dense = np.kron(reflect, np.eye(joint // n_dim)) @ np.diag(
-            (signs * np.ones((n_dim, joint // n_dim))).ravel())
+        dense = np.kron(reflect, np.eye(c_dim)) @ np.diag(table.ravel())
 
-        state = Statevector.zero(layout)
-        amps = rng.standard_normal(joint) + 1j * rng.standard_normal(joint)
-        state.amps[:] = amps / np.linalg.norm(amps)
-        expect = dense @ state.amps
+        shape = (2, n_dim * c_dim)
+        amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expect = amps @ dense.T
+        block = amps.reshape(2, n_dim, c_dim)
         counter = QueryCounter()
-        apply_grover_operator(state, db, counter)
-        assert np.max(np.abs(state.amps - expect)) < 1e-12
+        _grover_kernel(block, table, db.n_transactions, k, counter)
+        assert np.max(np.abs(block.reshape(2, -1) - expect)) < 1e-12
         assert counter.grover_applications == 1
         assert counter.basic_oracle_calls == 2 * k
-
-
-def test_grover_eigenstate_cases(dtoy, toy4):
-    # support 0: |X>|j> is a +1 eigenvector
-    layout = build_layout(toy4, 1)
-    state = Statevector.basis_state(layout, {"item0": 2})
-    prepare_uniform(state, TXN, 4)
-    before = state.amps.copy()
-    apply_grover_operator(state, toy4)
-    assert np.max(np.abs(state.amps - before)) < 1e-12
-
-    # support 1/2 rotates by pi/2 per step: G^2 |X>|j> = -|X>|j>
-    layout = build_layout(dtoy, 1)
-    state = Statevector.basis_state(layout, {"item0": 1})
-    prepare_uniform(state, TXN, 4)
-    before = state.amps.copy()
-    apply_grover_operator(state, dtoy)
-    apply_grover_operator(state, dtoy)
-    assert np.max(np.abs(state.amps + before)) < 1e-12
 
 
 def test_estimation_marginal_single_candidate(dtoy):
@@ -198,8 +179,25 @@ def test_estimation_joint_is_candidate_mixture(seed, k, big_t):
     assert law_counter == dense_counter
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3),
+       big_t=st.sampled_from([2, 8, 64]))
+def test_estimation_law_is_stacked_analytic_columns(seed, k, big_t):
+    # bit for bit, and C-ordered: the level plan's row sums and flat CDFs
+    # read the law in that order
+    rng = np.random.default_rng(seed)
+    db = random_db(rng, n=int(rng.integers(1, 9)), m=int(rng.integers(k, 6)))
+    cands = random_candidates(rng, db, k)
+    law = estimation_law(db, cands, k, big_t, QueryCounter())
+    counts = [exact_support(db, c).numerator for c in cands]
+    expect = np.stack([analytic_phase_distribution(n / db.n_transactions, big_t)
+                       / len(cands) for n in counts], axis=1)
+    assert np.array_equal(law, expect)
+    assert law.flags.c_contiguous
+
+
 @pytest.mark.parametrize("cands, k, big_t, cap", [
-    ([Itemset((0,))], 1, 8, 4),                       # over the qubit cap
+    ([Itemset((0,))], 1, 2 ** 25, 26),                # 28 qubits, over the cap
     ([Itemset((0,))], 1, 6, None),                    # T not a power of two
     ([Itemset((0,))], 1, 1, None),
     ([], 1, 8, None),                                 # no candidates
@@ -209,8 +207,7 @@ def test_estimation_joint_is_candidate_mixture(seed, k, big_t):
     ([Itemset((0, 1)), Itemset((1,))], 2, 8, None),
 ])
 def test_estimation_law_refuses_like_the_pipeline(dtoy, cands, k, big_t, cap):
-    runs = [lambda c: parallel_amplitude_estimation(dtoy, cands, k, big_t, c,
-                                                    qubit_cap=cap)]
+    runs = [lambda c: parallel_amplitude_estimation(dtoy, cands, k, big_t, c)]
     if cap is None:  # the law builds no state, so no qubit cap applies to it
         runs.append(lambda c: estimation_law(dtoy, cands, k, big_t, c))
     errors = []
@@ -222,6 +219,7 @@ def test_estimation_law_refuses_like_the_pipeline(dtoy, cands, k, big_t, cap):
         assert counter == QueryCounter()
     assert len(set(errors)) == 1
     assert (errors[0][0] is QubitBudgetError) == (cap is not None)
+    assert cap is None or f"but the cap is {cap}" in errors[0][1]
 
 
 def test_estimation_pipeline_query_budget(dtoy):

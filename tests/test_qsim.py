@@ -51,9 +51,10 @@ def test_layout_rejects_duplicates_and_budget():
         small_layout(("a", 1), ("a", 2))
     with pytest.raises(ValueError):
         small_layout(("a", 0))
-    with pytest.raises(QubitBudgetError, match="27"):
-        RegisterLayout([("a", 27)], qubit_cap=26)
-    assert RegisterLayout([("a", 27)], qubit_cap=27).dims == (1 << 27,)
+    # the cap is the widest state of 16-byte amplitudes within LEVEL_BYTES
+    with pytest.raises(QubitBudgetError, match="27 qubits .* but the cap is 26"):
+        RegisterLayout([("a", 27)])
+    assert RegisterLayout([("a", 26)]).dims == (1 << 26,)
 
 
 def test_prepare_uniform_cases():
