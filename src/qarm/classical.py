@@ -92,6 +92,11 @@ class AssociationRule:
         )
 
 
+def _clears(count: int, n: int, thr: Fraction) -> bool:
+    """count/n >= thr, in integers."""
+    return count * thr.denominator >= thr.numerator * n
+
+
 def fre_exam(db: TransactionDB, candidates: Sequence[Itemset], min_supp,
              counter: QueryCounter | None = None, *,
              supports: dict[Itemset, ExactSupport] | None = None
@@ -110,7 +115,7 @@ def fre_exam(db: TransactionDB, candidates: Sequence[Itemset], min_supp,
         sup = ExactSupport(count, n_rows)
         if supports is not None:
             supports[x] = sup
-        if count * thr.denominator >= thr.numerator * n_rows:  # count/N >= thr
+        if _clears(count, n_rows, thr):
             out.append((x, sup))
     if counter is not None:
         counter.classical_row_scans += n_rows * sum(x.size for x in candidates)
@@ -164,7 +169,7 @@ def mine_levels(db: TransactionDB,
     kept itemsets.  Stops at the first level with no candidates, and
     raises MemoryError before building a level over LEVEL_BYTES."""
     run = LevelRun(results=[], stats=[])
-    candidates = [Itemset.of(j) for j in db.present_items()]
+    candidates = [Itemset((j,)) for j in db.present_items()]
     k = 1
     while candidates:
         kept, result = examine(candidates, k)
@@ -280,7 +285,7 @@ def sampling_apriori(db: TransactionDB, min_supp, n_samples: int, rng,
     def examine(candidates, _k):
         level = [(x, est) for x, est in sampling_estimate(db, candidates, n_samples,
                                                           rng, counter)
-                 if Fraction(round(est * n_samples), n_samples) >= thr]
+                 if _clears(round(est * n_samples), n_samples, thr)]
         return [x for x, _ in level], level
 
     run = mine_levels(db, examine)

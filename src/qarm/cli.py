@@ -106,11 +106,9 @@ class Report:
                 if "support" in entry:
                     lines.append(f"    {tag}  support={entry['support']}")
                 else:
+                    grid = f" (y={entry['y']}/{entry['T']})" if "y" in entry else ""
                     extra = " (boundary)" if entry.get("boundary_uncertain") else ""
-                    lines.append(
-                        f"    {tag}  estimate={entry['estimate']:.6f} "
-                        f"(y={entry['y']}/{entry['T']}){extra}"
-                    )
+                    lines.append(f"    {tag}  estimate={entry['estimate']:.6f}{grid}{extra}")
         if self.gamma:
             parts = ", ".join(f"{k}={v:.4f}" for k, v in sorted(self.gamma.items())
                               if v is not None)

@@ -137,7 +137,7 @@ class TransactionDB:
         self._indices = indices
         self.n_transactions = int(indptr.size - 1)
         self.n_items = int(n_items)
-        self._column_counts = np.bincount(indices, minlength=n_items).astype(np.int64)
+        self._column_counts = np.bincount(indices, minlength=n_items).astype(np.int64, copy=False)
         self._csc = None  # lazy (column starts, row ids ordered by column)
 
     @classmethod

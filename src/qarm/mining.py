@@ -21,14 +21,13 @@ Tapp, quant-ph/0005055).  Amplification modes:
   Brassard, Hoyer and Tapp, quant-ph/9605034).
 
 What no shot changes is built once per level, in a private plan made
-right after the law: the good mask, p and phi, the amplified law of the
-first two modes, and the CDFs the draws search.  Each measurement is one
-`searchsorted` of one uniform on the CDF that `rng.choice` would build
-from the same weights, so a shot costs O(log(T*C)) and the random
-stream, the draws and the ledger are those of drawing with `rng.choice`
-from a freshly amplified law.  `amplitude_amplify` returns that
-amplified law for one shot and is the reference the tests hold the plan
-to.  A level over `constants.LEVEL_BYTES` is refused before its law.
+right after the law: the good mask, p and phi, and the CDFs the draws
+search.  Each measurement is one `searchsorted` of one uniform on the
+CDF that `rng.choice` builds from w / w.sum(), with w the very weights
+it draws from, so a shot costs O(log(T*C)) and takes the uniforms
+`rng.choice` would take.  `amplitude_amplify` returns the amplified law
+of one shot and is the reference the tests hold the plan to.  A level
+over `constants.LEVEL_BYTES` is refused before its law.
 
 Each Q iteration costs two pipeline traversals, 2(T-1) Grover
 applications; re-preparations cost T-1.  With shots counted as state
@@ -67,8 +66,9 @@ AMPLIFY_MODES = ("ideal-projection", "grover-known", "bbht")
 _P_FLOOR = 1e-15
 # how far from 1 `Generator.choice` lets its p sum
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
-# T x C float arrays a level holds at once (law, amplified, weights, CDF);
-# two more columns hold the T-length arrays and one count's phase law
+# T x C float arrays a level holds at once (law, weights, normalised
+# weights, CDF); two more columns hold the T-length arrays and one
+# count's phase law
 _LAW_COPIES = 4
 
 
@@ -95,9 +95,12 @@ def _rotation(mask: np.ndarray, p: float, phi: float, r: int) -> np.ndarray:
     return np.where(mask, math.sin(angle) ** 2 / p, bad)
 
 
-def _cdf(q: np.ndarray) -> np.ndarray:
-    """The CDF that `Generator.choice(q.size, p=q)` draws from, after the
-    checks choice makes on q: finite, non-negative, summing to 1."""
+def _weights_cdf(weights: np.ndarray) -> np.ndarray:
+    """The CDF `Generator.choice(w.size, p=w / w.sum())` draws from, for
+    the flattened weights w, after the checks choice makes on that p:
+    finite, non-negative, summing to 1."""
+    flat = weights.ravel()
+    q = flat / flat.sum()
     if (not (np.isfinite(q).all() and (q >= 0).all())
             or abs(float(q.sum()) - 1.0) > _CHOICE_ATOL):
         raise ValueError("draw weights must be finite, non-negative and sum to 1")
@@ -106,15 +109,9 @@ def _cdf(q: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _weights_cdf(weights: np.ndarray) -> np.ndarray:
-    """`_cdf` of nonnegative weights, normalised as a Born-rule draw does."""
-    flat = weights.ravel()
-    return _cdf(flat / flat.sum())
-
-
 def _draw(cdf: np.ndarray, rng) -> int:
-    """One flat index from a `_cdf`: the index `rng.choice(n, p=q)` returns,
-    from the same single uniform of the stream."""
+    """One flat index from a `_weights_cdf`: the index `rng.choice(n, p=q)`
+    returns, from the same single uniform of the stream."""
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
@@ -122,14 +119,16 @@ class _LevelPlan:
     """The parts of a level's amplify-and-measure shots that no shot changes.
 
     Built once from the level's (est, cand) law: the good mask, the good
-    weight p and sin^2(phi) = p, the amplified law of ideal-projection or
-    grover-known (with its fixed r), and the CDFs every draw searches.
-    The flat CDF of those two modes is made on the first shot; bbht makes
-    one est CDF per iteration count r (keeping C of them) and one cand CDF
-    per good y it collapses onto (a row of a T x C array), each the first
-    time it is needed.  Every CDF is the one `rng.choice` would build from
-    the same normalised weights, so a shot costs O(log(T*C)) and takes the
-    same uniforms from the stream as one `rng.choice` per measurement.
+    weight p and sin^2(phi) = p, and grover-known's fixed r.  Every
+    measurement draws from `weights(r, y)` through the CDF `rng.choice`
+    would build from them, made the first time it is needed and kept in
+    one dict keyed by (r, y): ideal-projection and grover-known draw (est,
+    cand) at once from law * factor, with the mask or the rotation after
+    r as the factor; bbht draws est from est * rotation(r), then cand from
+    law[y] once est has collapsed onto y.  Rows are at most T; an est CDF
+    is kept only while the dict holds fewer than C.  A shot costs
+    O(log(T*C)) and takes the same uniforms from the stream as one
+    `rng.choice` per measurement.
     """
 
     def __init__(self, law: np.ndarray, min_supp, mode: str, k: int):
@@ -148,27 +147,36 @@ class _LevelPlan:
         # a list, so that each shot's lookup is cheap
         self.mask, self.good, self.est, self.p = mask, mask.tolist(), est, p
         self.phi = math.asin(math.sqrt(min(1.0, p)))
-        self.r = 0
-        self.amplified: np.ndarray | None = None
-        if mode == "ideal-projection":
-            projected = law * mask[:, None]
-            self.amplified = projected / projected.sum()
-        elif mode == "grover-known":
-            self.r = max(0, round(math.pi / (4.0 * self.phi) - 0.5))
-            self.amplified = law * _rotation(mask, p, self.phi, self.r)[:, None]
-        self._flat_cdf: np.ndarray | None = None
-        self._est_cdfs: dict[int, np.ndarray] = {}
-        self._row_cdfs = np.zeros_like(law) if mode == "bbht" else None
+        self.r = max(0, round(math.pi / (4.0 * self.phi) - 0.5)) if mode == "grover-known" else 0
+        self._cdfs: dict[tuple[int | None, int | None], np.ndarray] = {}
+
+    def weights(self, r: int | None = None, y: int | None = None) -> np.ndarray:
+        """What a measurement draws from: law[y] once est has collapsed onto
+        y; otherwise, after r iterations of Q, est * rotation(r) for bbht
+        and law * factor for the other modes."""
+        if y is not None:
+            return self.law[y]
+        if self.mode == "ideal-projection":
+            return self.law * self.mask[:, None]
+        factor = _rotation(self.mask, self.p, self.phi, r)
+        return self.est * factor if self.mode == "bbht" else self.law * factor[:, None]
+
+    def cdf(self, r: int | None = None, y: int | None = None) -> np.ndarray:
+        """`_weights_cdf` of `weights(r, y)`, made the first time it is needed."""
+        cdf = self._cdfs.get((r, y))
+        if cdf is None:
+            cdf = _weights_cdf(self.weights(r, y))
+            if y is not None or len(self._cdfs) < self.law.shape[1]:
+                self._cdfs[r, y] = cdf
+        return cdf
 
     def shot(self, rng, counter: QueryCounter) -> tuple[int, int]:
         """Amplify and measure once: the (y, j) outcome of est and cand."""
         if self.mode == "bbht":
             y = self.bbht_outcome(rng, counter)
-            return y, _draw(self._row_cdf(y), rng)
+            return y, _draw(self.cdf(y=y), rng)
         counter.charge_amplification_iterations(self.k, self.big_t, self.r)
-        if self._flat_cdf is None:
-            self._flat_cdf = _weights_cdf(self.amplified)
-        return divmod(_draw(self._flat_cdf, rng), self.law.shape[1])
+        return divmod(_draw(self.cdf(self.r), rng), self.law.shape[1])
 
     def bbht_outcome(self, rng, counter: QueryCounter) -> int:
         """bbht: grow the iteration window, measure est, retry on a bad
@@ -185,7 +193,7 @@ class _LevelPlan:
             first = False
             r = int(rng.integers(0, int(math.ceil(m))))
             counter.charge_amplification_iterations(k, big_t, r)
-            y = _draw(self._est_cdf(r), rng)
+            y = _draw(self.cdf(r), rng)
             counter.measurements += 1
             if self.good[y]:
                 return y
@@ -193,28 +201,6 @@ class _LevelPlan:
             if spent > budget:
                 raise RuntimeError("amplitude amplification failed to converge")
             m = min(m * 6.0 / 5.0, m_cap)
-
-    def _est_cdf(self, r: int) -> np.ndarray:
-        """CDF of the est marginal after r iterations of Q."""
-        cdf = self._est_cdfs.get(r)
-        if cdf is None:
-            cdf = _weights_cdf(self.est * _rotation(self.mask, self.p, self.phi, r))
-            if len(self._est_cdfs) < self.law.shape[1]:
-                self._est_cdfs[r] = cdf
-        return cdf
-
-    def _row_cdf(self, y: int) -> np.ndarray:
-        """CDF of cand once est has collapsed onto y.  The collapsed law is
-        row y of a zero T x C array; its normaliser is the sum over that
-        whole padded array, which can differ in the last bit from the
-        row's own sum.  Rows not made yet are zero; a made row ends in 1."""
-        if self._row_cdfs[y, -1] == 0.0:
-            n_cand = self.law.shape[1]
-            row = self.law[y] / self.law[y].sum()
-            padded = np.zeros(self.law.size)
-            padded[y * n_cand:(y + 1) * n_cand] = row
-            self._row_cdfs[y] = _cdf(row / padded.sum())
-        return self._row_cdfs[y]
 
 
 def amplitude_amplify(law: np.ndarray, min_supp, mode: str = "ideal-projection",
@@ -245,7 +231,8 @@ def amplitude_amplify(law: np.ndarray, min_supp, mode: str = "ideal-projection",
         collapsed[y] = law[y] / law[y].sum()
         return collapsed
     counter.charge_amplification_iterations(k, plan.big_t, plan.r)
-    return plan.amplified
+    amplified = plan.weights(plan.r)
+    return amplified / amplified.sum() if mode == "ideal-projection" else amplified
 
 
 @dataclass(frozen=True)

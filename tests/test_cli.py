@@ -3,9 +3,12 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -553,3 +556,20 @@ def test_cli_import_does_not_load_concurrent_futures():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                           capture_output=True, text=True)
     assert proc.stdout == "[]\n"
+
+
+def test_readme_command_lines_run_in_text_mode(capsys):
+    # every `qarm ...` line of the README's command block, as a user types
+    # it; the line reading a --dataset file that is not here is left out
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```\n(.*?)```", readme, flags=re.DOTALL)
+             for line in block.splitlines() if line.startswith("qarm ")]
+    assert len(lines) >= 5
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        if "--dataset" in argv and not os.path.exists(argv[argv.index("--dataset") + 1]):
+            continue
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, line
+        assert out.startswith(argv[0]), line

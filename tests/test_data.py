@@ -18,7 +18,7 @@ from qarm import (
     synth_db,
 )
 from qarm.data import level_supports
-from conftest import random_db
+from conftest import random_db, traced_peak
 
 
 def test_parse_two_lines():
@@ -218,6 +218,14 @@ def test_db_validation_rejects_bad_rows():
     # the same items split across rows are fine
     db = TransactionDB(np.array([0, 1, 2]), np.array([1, 1]), 3)
     assert db.row(0) == db.row(1) == (1,)
+
+
+def test_column_counts_are_not_copied():
+    # memory follows the largest id (n_items = 1 + it), so the constructor
+    # keeps bincount's int64 counts instead of copying them
+    n_items = 10 ** 6 + 1
+    peak = traced_peak(lambda: TransactionDB.from_rows([[1, 2], [n_items - 1]]))
+    assert peak < 1.25 * 8 * n_items
 
 
 @settings(max_examples=60)

@@ -339,9 +339,10 @@ def choice_cdf(weights):
        n_cand=st.integers(1, 40), min_supp=st.sampled_from([0.05, 0.25, 0.5]))
 def test_plan_cdfs_equal_choice_cdfs_bit_for_bit(seed, big_t, n_cand, min_supp):
     # a last-bit difference in a CDF moves a draw only when the uniform
-    # lands between the two values, so pin the CDFs themselves: ideal-
-    # projection normalises twice, and a collapsed bbht row is normalised
-    # by the sum over its zero-padded T x C array
+    # lands between the two values, so pin the CDFs themselves: each is
+    # choice's CDF of the very weights its measurement draws from,
+    # normalised once; neither a pre-normalised law nor a collapsed row
+    # padded out to T x C may stand in for them
     gen = np.random.default_rng(seed)
     law = gen.random((big_t, n_cand)) ** 3
     law[:, gen.random(n_cand) < 0.3] = 0.0
@@ -351,23 +352,24 @@ def test_plan_cdfs_equal_choice_cdfs_bit_for_bit(seed, big_t, n_cand, min_supp):
     good = good_set(big_t, min_supp)
     if good_weight(law, good) <= 1e-15:
         return
-    for mode in ("ideal-projection", "grover-known"):
-        plan = qarm.mining._LevelPlan(law, min_supp, mode, 1)
-        plan.shot(np.random.default_rng(0), QueryCounter())
-        want = choice_cdf(parent_amplify(law, good, mode, None, QueryCounter(), 1))
-        assert np.array_equal(plan._flat_cdf, want)
+    plan = qarm.mining._LevelPlan(law, min_supp, "ideal-projection", 1)
+    plan.shot(np.random.default_rng(0), QueryCounter())
+    assert np.array_equal(plan.cdf(plan.r), choice_cdf(law * good[:, None]))
+
+    def rotation(r):
+        angle = (2 * r + 1) * plan.phi
+        return np.where(good, math.sin(angle) ** 2 / plan.p,
+                        math.cos(angle) ** 2 / (1.0 - plan.p) if plan.p < 1.0 else 0.0)
+
+    plan = qarm.mining._LevelPlan(law, min_supp, "grover-known", 1)
+    plan.shot(np.random.default_rng(0), QueryCounter())
+    assert np.array_equal(plan.cdf(plan.r), choice_cdf(law * rotation(plan.r)[:, None]))
     plan = qarm.mining._LevelPlan(law, min_supp, "bbht", 1)
     for r in range(4):
-        angle = (2 * r + 1) * plan.phi
-        factor = np.where(good, math.sin(angle) ** 2 / plan.p,
-                          math.cos(angle) ** 2 / (1.0 - plan.p) if plan.p < 1.0 else 0.0)
-        assert np.array_equal(plan._est_cdf(r), choice_cdf(law.sum(axis=1) * factor))
+        assert np.array_equal(plan.cdf(r), choice_cdf(law.sum(axis=1) * rotation(r)))
     for y in np.flatnonzero(good):
         if law[y].sum() > 0:
-            collapsed = np.zeros_like(law)
-            collapsed[y] = law[y] / law[y].sum()
-            want = choice_cdf(collapsed)[y * n_cand:(y + 1) * n_cand]
-            assert np.array_equal(plan._row_cdf(y), want)
+            assert np.array_equal(plan.cdf(y=y), choice_cdf(law[y]))
 
 
 def test_mine_k1_finds_exact_toy_frequents(toy4):

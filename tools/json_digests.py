@@ -1,0 +1,129 @@
+"""Digest the `--json` runs that a behaviour-preserving change must leave
+byte-identical, one `sha256  argv` line per run, then the run count.
+
+    python3 tools/json_digests.py [TREE] > digests.txt
+
+TREE is a checkout whose `src/qarm` is run (default: this checkout), so
+comparing two trees is one `diff` of two outputs.  The benchmark input
+files are written by this checkout's `perfbench/inputs.py`, which is only
+read, into a temporary directory that is also every run's working
+directory; ops name their file relative to it, so its path appears in no
+output.
+
+Each run is a fresh `python -c` process calling `qarm.cli.main(argv)`,
+one at a time, with PYTHONPATH set to TREE/src and thread pools capped at
+one thread as the benchmark caps them.  The digest is the sha256 of
+stdout, a NUL byte, stderr, a NUL byte and the decimal exit code, so a
+changed message or exit code shows as well as a changed report.
+
+The 156 runs, in this order:
+
+* 6 benchmark ops: `quantum-ideal`, then `quantum-bbht`, at workload
+  seeds 1, 2, 3 each, with the argv of `inputs.op_argv`.
+* 42 quantum runs: `mine-quantum --synthetic N M --seed S --min-supp 1/4
+  -T 32 --mode MODE --json` for (N, M) in 16 6, 12 7, 32 8, S in 3, 5,
+  7, 11, 13 and the three modes, leaving out (32 8, seed 7) in every
+  mode.  The default density 0.25 is not passed.
+* 6 compare runs: `compare --synthetic 16 6 --seed S --min-supp 1/4
+  -T 16 --samples 200 --mode MODE --json` for S in 2, 9 and the three
+  modes.
+* 6 benchmark ops: `fimi-apriori`, then `fimi-sampling`, at workload
+  seeds 1, 2, 3 each.
+* 96 runs on `--synthetic N M --seed S --min-supp 1/4` for (N, M) in
+  16 6, 12 7, 32 8 and S in 3, 5, 7, 11, eight per database and seed:
+  `mine-classical` without and with `--min-conf 1/2`; `mine-sampling
+  --samples 200` at the default density; `mine-sampling` at the default
+  10,000 samples with `--density 0.25` and with `--density 0.5`; and
+  `compare -T 16 --samples 200` in the three modes.
+"""
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MODES = ("ideal-projection", "grover-known", "bbht")
+SHAPES = (("16", "6"), ("12", "7"), ("32", "8"))
+RUN = "import sys; from qarm.cli import main; sys.exit(main(sys.argv[1:]))"
+THREAD_CAPS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+def load_inputs():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", os.path.join(HERE, "perfbench", "inputs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def runs(inputs, work: str) -> list[list[str]]:
+    """Every run's argv, writing the benchmark input files into `work`."""
+
+    def ops(workloads):
+        out = []
+        for workload in workloads:
+            for seed in (1, 2, 3):
+                path, _ = inputs.write_input(workload, seed, work)
+                out.append(inputs.op_argv(workload, os.path.basename(path)))
+        return out
+
+    argvs = ops(("quantum-ideal", "quantum-bbht"))
+    for n, m in SHAPES:
+        for seed in ("3", "5", "7", "11", "13"):
+            if (n, m, seed) == ("32", "8", "7"):
+                continue
+            for mode in MODES:
+                argvs.append(["mine-quantum", "--synthetic", n, m, "--seed", seed,
+                              "--min-supp", "1/4", "-T", "32", "--mode", mode, "--json"])
+    for seed in ("2", "9"):
+        for mode in MODES:
+            argvs.append(["compare", "--synthetic", "16", "6", "--seed", seed,
+                          "--min-supp", "1/4", "-T", "16", "--samples", "200",
+                          "--mode", mode, "--json"])
+    argvs += ops(("fimi-apriori", "fimi-sampling"))
+    for n, m in SHAPES:
+        for seed in ("3", "5", "7", "11"):
+            db = ["--synthetic", n, m, "--seed", seed, "--min-supp", "1/4"]
+            argvs += [
+                ["mine-classical", *db, "--json"],
+                ["mine-classical", *db, "--min-conf", "1/2", "--json"],
+                ["mine-sampling", *db, "--samples", "200", "--json"],
+                ["mine-sampling", *db, "--density", "0.25", "--json"],
+                ["mine-sampling", *db, "--density", "0.5", "--json"],
+            ]
+            argvs += [["compare", *db, "-T", "16", "--samples", "200", "--mode", mode,
+                       "--json"] for mode in MODES]
+    return argvs
+
+
+def digest(tree: str, argv: list[str], work: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env.update({name: "1" for name in THREAD_CAPS})
+    proc = subprocess.run([sys.executable, "-c", RUN, *argv], cwd=work, env=env,
+                          capture_output=True)
+    blob = b"\0".join([proc.stdout, proc.stderr, str(proc.returncode).encode()])
+    return hashlib.sha256(blob).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print("usage: json_digests.py [TREE]", file=sys.stderr)
+        return 2
+    tree = os.path.abspath(argv[0] if argv else HERE)
+    inputs = load_inputs()
+    with tempfile.TemporaryDirectory() as work:
+        argvs = runs(inputs, work)
+        for run in argvs:
+            print(f"{digest(tree, run, work)}  {shlex.join(run)}", flush=True)
+    print(f"{len(argvs)} runs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
