@@ -35,8 +35,9 @@ from .qsim import as_rng
 # most row draws sampling_estimate asks of the Generator in one call
 _DRAW_BUDGET = 1 << 22
 # bytes one level allocates, rounded up from tracemalloc peaks: per
-# candidate (Itemset, support and list slots) and per transaction (marks)
-_CANDIDATE_BYTES, _ROW_BYTES = 512, 4
+# candidate (Itemset, support and list slots) and per transaction (marks,
+# and the sampler's int64 draw counts with its gathers of a column)
+_CANDIDATE_BYTES, _ROW_BYTES = 512, 28
 
 __all__ = [
     "IterationStats",
@@ -131,16 +132,17 @@ def cand_gen(frequents: Sequence[Itemset]) -> list[Itemset]:
     k = frequents[0].size
     if any(x.size != k for x in frequents):
         raise ValueError("frequents must all have the same size")
-    fset = set(frequents)
+    fset = {x.items for x in frequents}
     if len(fset) != len(frequents):
         raise ValueError("frequents must be distinct")
+    # sorted prefix groups, joined in order, come out sorted
     out = []
-    for _, group in groupby(sorted(x.items for x in frequents), key=lambda t: t[:-1]):
+    for _, group in groupby(sorted(fset), key=lambda t: t[:-1]):
         for a, b in combinations(group, 2):
-            joined = Itemset(a + (b[-1],))
-            if all(sub in fset for sub in joined.subsets(k)):
-                out.append(joined)
-    return sorted(out)
+            joined = a + (b[-1],)
+            if all(sub in fset for sub in combinations(joined, k)):
+                out.append(Itemset(joined))
+    return out
 
 
 @dataclass(frozen=True)
@@ -216,57 +218,31 @@ def sampling_estimate(db: TransactionDB, candidates: Sequence[Itemset],
                       n_samples: int, rng=None,
                       counter: QueryCounter | None = None) -> list[tuple[Itemset, float]]:
     """Estimate each support from n_samples uniform row draws (with
-    replacement).  Standard binomial estimator: std sqrt(s(1-s)/n).
+    replacement), one sample shared by every candidate (Toivonen, VLDB
+    1996).  Each estimate is Binomial(n, s)/n, with std sqrt(s(1-s)/n);
+    the estimates of one call share rows, so their errors correlate.
 
-    Each candidate takes its own n_samples draws, in order, in
-    `rng.integers` calls of at most _DRAW_BUDGET rows: a chunk of
-    candidates per call, or one candidate over several calls past the
-    budget.  A helper thread makes call i+1 while this thread counts the
-    hits of call i on `TransactionDB.prefix_walk` marks.  The stream and
-    the Generator's final state are those of one size-n_samples draw per
-    candidate, and a draw's exception is raised here.
+    The sample is drawn in `rng.integers` calls of at most _DRAW_BUDGET
+    rows, the stream of one size-n_samples draw, and kept as a count per
+    row; a candidate's hits are the counts of the rows that hold it, read
+    on `TransactionDB.prefix_walk` marks.  No candidates, no draws.
     """
     check_n_samples(n_samples)
     rng = as_rng(rng)
     candidates = list(candidates)
     db.check_items(candidates)
+    if not candidates:
+        return []
     n_rows = db.n_transactions
-    marks = np.zeros(n_rows, dtype=np.min_scalar_type(
-        max((x.size for x in candidates), default=1)))
     draw_dtype = np.int32 if n_rows <= np.iinfo(np.int32).max else np.int64
-    per_call = max(1, _DRAW_BUDGET // n_samples)
-    width = min(n_samples, _DRAW_BUDGET)
-
-    # imported here, so that `import qarm.cli` does not pay ~7 ms for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    out = []
-    walk = db.prefix_walk(candidates, marks)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        def prefetched():
-            # one (rows, n) call draws what `rows` calls of size n would,
-            # and so do consecutive slices of one row
-            queue = (helper.submit(rng.integers, 0, n_rows, dtype=draw_dtype,
-                                   size=(min(per_call, len(candidates) - lo),
-                                         min(width, n_samples - start)))
-                     for lo in range(0, len(candidates), per_call)
-                     for start in range(0, n_samples, width))
-            pending = next(queue, None)
-            while pending is not None:
-                draws = pending.result()
-                pending = next(queue, None)
-                yield draws
-
-        calls = prefetched()
-        # draws first, so that the walk never passes the last drawn candidate
-        for draws in calls:
-            for row_draws, (x, last) in zip(draws, walk):
-                marks[last] += 1
-                hits = np.count_nonzero(marks.take(row_draws) == x.size)
-                for _ in range(width, n_samples, width):  # per_call is 1 here
-                    hits += np.count_nonzero(marks.take(next(calls)[0]) == x.size)
-                marks[last] -= 1
-                out.append((x, hits / n_samples))
+    drawn = np.zeros(n_rows, dtype=np.int64)
+    for start in range(0, n_samples, _DRAW_BUDGET):
+        size = min(_DRAW_BUDGET, n_samples - start)
+        drawn += np.bincount(rng.integers(0, n_rows, size=size, dtype=draw_dtype),
+                             minlength=n_rows)
+    marks = np.zeros(n_rows, dtype=np.min_scalar_type(max(x.size for x in candidates)))
+    out = [(x, int(drawn[last][marks[last] == x.size - 1].sum()) / n_samples)
+           for x, last in db.prefix_walk(candidates, marks)]
     if counter is not None:
         counter.classical_row_scans += n_samples * sum(x.size for x in candidates)
     return out

@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine-sampling", parents=[data_parent, supp_parent, io_parent],
                        help="row-sampling baseline")
     p.add_argument("--samples", type=int, default=10000,
-                   help="row draws per support estimate (default 10000)")
+                   help="row draws per level, shared by its support estimates (default 10000)")
     p.add_argument("--epsilon", type=float, default=None,
                    help="target error; overrides --samples with ceil(1/eps^2)")
     p.set_defaults(func=cmd_mine_sampling)

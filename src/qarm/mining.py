@@ -66,10 +66,10 @@ AMPLIFY_MODES = ("ideal-projection", "grover-known", "bbht")
 _P_FLOOR = 1e-15
 # how far from 1 `Generator.choice` lets its p sum
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
-# T x C float arrays a level holds at once (law, weights, normalised
-# weights, CDF); two more columns hold the T-length arrays and one
-# count's phase law
-_LAW_COPIES = 4
+# T x C float arrays a level holds at once (law, weights, and the
+# normalised weights that become the CDF in place); two more columns hold
+# the T-length arrays and one count's phase law
+_LAW_COPIES = 3
 
 
 class NoFrequentCandidatesError(RuntimeError):
@@ -104,9 +104,9 @@ def _weights_cdf(weights: np.ndarray) -> np.ndarray:
     if (not (np.isfinite(q).all() and (q >= 0).all())
             or abs(float(q.sum()) - 1.0) > _CHOICE_ATOL):
         raise ValueError("draw weights must be finite, non-negative and sum to 1")
-    cdf = q.cumsum()
-    cdf /= cdf[-1]
-    return cdf
+    np.cumsum(q, out=q)
+    q /= q[-1]
+    return q
 
 
 def _draw(cdf: np.ndarray, rng) -> int:

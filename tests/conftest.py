@@ -30,7 +30,7 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(autouse=True)
 def no_leaked_threads():
-    # sampling draws on a helper thread; every test must leave none alive
+    # qarm starts no thread; a test that leaves one alive shows one crept in
     before = set(threading.enumerate())
     yield
     extra = [t.name for t in threading.enumerate() if t not in before]

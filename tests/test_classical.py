@@ -109,6 +109,32 @@ def test_level_bytes_bound_cand_gen_and_fre_exam(seed, k):
     assert peak <= bound + CALL_BYTES
 
 
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3),
+       n=st.sampled_from([1, 7, 8000]), budget=st.sampled_from([None, 1000]),
+       full=st.booleans())
+def test_level_bytes_bound_sampling_estimate(seed, k, n, budget, full):
+    # the level bound, plus one draw call: int32 row ids and bincount's
+    # intp copy of them
+    rng = np.random.default_rng(seed)
+    if full:  # every candidate gathers, and keeps, whole columns of many rows
+        db = random_db(rng, int(rng.integers(10_000, 30_000)), k + 1, density=1.0)
+    else:
+        db = random_db(rng, int(rng.integers(1, 3000)), int(rng.integers(k + 1, 40 // k + 1)),
+                       density=float(rng.uniform(0.1, 0.9)))
+    level_supports(db, [Itemset((0, 1))])  # the CSC view is the database's
+    candidates = [x for size in range(1, k + 1)
+                  for x in random_candidates(rng, db, size)]
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:  # n = 8000 comes in eight calls
+            mp.setattr(classical, "_DRAW_BUDGET", budget)
+        peak = traced_peak(lambda: sampling_estimate(db, candidates, n, rng))
+        draw_bytes = min(n, classical._DRAW_BUDGET) * (4 + 8)
+    bound = (len(candidates) * classical._CANDIDATE_BYTES
+             + db.n_transactions * classical._ROW_BYTES)
+    assert peak <= bound + draw_bytes + CALL_BYTES
+
+
 @settings(max_examples=60)
 @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_mine_levels_joins_each_level_kept(data, seed):
@@ -206,12 +232,12 @@ def test_sampling_charges_and_validation(toy4):
 
 
 def _reference_sampling(db, candidates, n, rng, counter):
-    # one containment vector and one size-n draw per candidate
+    # one size-n draw shared by every candidate, counted on dense rows
     dense = db.dense()
+    draws = rng.integers(0, db.n_transactions, size=n)
     out = []
     for x in candidates:
         contains = dense[:, list(x.items)].all(axis=1)
-        draws = rng.integers(0, db.n_transactions, size=n)
         counter.classical_row_scans += x.size * n
         out.append((x, int(contains[draws].sum()) / n))
     return out
@@ -225,7 +251,7 @@ def test_sampling_matches_per_candidate_reference(seed, k, n, rows_per_call):
     rng = np.random.default_rng(seed)
     db = random_db(rng, int(rng.integers(1, 24)), int(rng.integers(k, 7)),
                    density=float(rng.uniform(0.2, 0.9)))
-    # every size up to k in one list, so sizes mix within a draw call
+    # every size up to k in one list, so sizes mix on one sample
     candidates = [x for size in range(1, k + 1)
                   for x in random_candidates(rng, db, size)]
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -236,8 +262,7 @@ def test_sampling_matches_per_candidate_reference(seed, k, n, rows_per_call):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TransactionDB, "column_bitset", no_bitsets)
-        if rows_per_call is not None:  # draw calls end inside the list
-            # under one row per call, a candidate's draws come in slices
+        if rows_per_call is not None:  # under 1, the sample comes in slices
             mp.setattr(classical, "_DRAW_BUDGET", max(1, int(rows_per_call * n)))
         got = sampling_estimate(db, candidates, n, got_rng, got_counter)
     assert got == _reference_sampling(db, candidates, n, want_rng, want_counter)
@@ -248,21 +273,22 @@ def test_sampling_matches_per_candidate_reference(seed, k, n, rows_per_call):
 @pytest.mark.parametrize("n_rows", [1, 2, 7, 88_162, 2 ** 31 - 1])
 @pytest.mark.parametrize("n", [1, 7, 8000])
 def test_batched_int32_draws_equal_per_candidate_draws(n_rows, n):
-    # sampling_estimate relies on this: one (rows, n) int32 call yields the
-    # draws of `rows` int64 calls of size n, and leaves the same state
-    batched, single = np.random.default_rng(n_rows), np.random.default_rng(n_rows)
-    block = batched.integers(0, n_rows, size=(5, n), dtype=np.int32)
-    rows = [single.integers(0, n_rows, size=n) for _ in range(5)]
-    assert np.array_equal(block, np.stack(rows))
-    assert batched.bit_generator.state == single.bit_generator.state
+    # sampling_estimate relies on this: int32 calls of sizes a and then b
+    # yield the draws of one call of size a + b, and leave the same state,
+    # odd a included
+    split, whole = np.random.default_rng(n_rows), np.random.default_rng(n_rows)
+    parts = [split.integers(0, n_rows, size=size, dtype=np.int32) for size in (n, 5)]
+    block = whole.integers(0, n_rows, size=n + 5, dtype=np.int32)
+    assert np.array_equal(np.concatenate(parts), block)
+    assert split.bit_generator.state == whole.bit_generator.state
 
 
 def test_failed_draw_is_raised_and_leaves_no_thread(toy4, monkeypatch):
-    monkeypatch.setattr(classical, "_DRAW_BUDGET", 5)  # one candidate per draw
+    monkeypatch.setattr(classical, "_DRAW_BUDGET", 5)  # 8 draws in two calls
     rng = SecondDrawFails(0)
     threads = threading.active_count()
     with pytest.raises(MemoryError, match="second chunk"):
-        sampling_estimate(toy4, [Itemset.of(j) for j in range(3)], 5, rng)
+        sampling_estimate(toy4, [Itemset.of(j) for j in range(3)], 8, rng)
     assert threading.active_count() == threads
     assert rng.draw_calls == 2  # no draw was started past the failed one
 

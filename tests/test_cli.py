@@ -396,14 +396,13 @@ def test_reproduce_appendix_non_ascii_names_the_line(capsys, tmp_path, monkeypat
     assert capsys.readouterr().err == "error: line 2: non-ASCII byte 0xc3\n"
 
 
-# Recorded before the sampling and compare miners moved onto the shared
-# level-wise driver; the driver must reproduce every level and draw.
+# Recorded when each level's candidates moved onto one shared row sample;
+# every later change must reproduce every level and draw.
 GOLDEN_SAMPLING_16x6 = (
-    [(1, 6, 6), (2, 15, 8), (3, 1, 0)],
-    [((0,), 0.57), ((0, 1), 0.395), ((0, 3), 0.3), ((0, 5), 0.275), ((1,), 0.525),
-     ((1, 2), 0.285), ((1, 4), 0.275), ((2,), 0.26), ((2, 3), 0.255), ((3,), 0.525),
-     ((3, 4), 0.305), ((3, 5), 0.3), ((4,), 0.425), ((5,), 0.445)],
-    7800,
+    [(1, 6, 6), (2, 15, 2)],
+    [((0,), 0.57), ((0, 1), 0.355), ((0, 3), 0.29), ((1,), 0.585), ((2,), 0.325),
+     ((3,), 0.49), ((4,), 0.44), ((5,), 0.385)],
+    7200,
 )
 
 
@@ -432,22 +431,21 @@ def test_compare_golden_transcript(capsys):
         "-T", "32", "--samples", "200", "--seed", "2", "--mode", "grover-known"])
     assert code == 0
     assert _levels(doc) == [(1, 6, 6), (2, 15, 4), (3, 1, 1)]
+    # the quantum miner draws from the stream the sampler left, so its
+    # itemsets and ledger were re-recorded with the shared row sample
     assert [(tuple(e["items"]), e["y"]) for e in doc["itemsets"]] == [
-        ((0,), 9), ((1,), 8), ((2,), 6), ((3,), 9), ((4,), 6), ((5,), 12),
-        ((0, 1), 8), ((0, 2), 15), ((0, 3), 7), ((0, 4), 7), ((0, 5), 7),
-        ((1, 3), 6), ((1, 4), 6), ((1, 5), 6), ((2, 3), 6), ((2, 5), 6),
-        ((3, 4), 6), ((3, 5), 7), ((4, 5), 6), ((0, 1, 3), 12), ((0, 1, 4), 6),
-        ((0, 1, 5), 7), ((0, 2, 3), 16), ((0, 2, 5), 6), ((0, 3, 4), 6),
-        ((0, 3, 5), 6), ((0, 4, 5), 9), ((1, 3, 4), 10), ((1, 3, 5), 8),
-        ((1, 4, 5), 8), ((2, 3, 5), 6), ((3, 4, 5), 11), ((0, 1, 3, 4), 10),
-        ((0, 1, 3, 5), 9), ((0, 2, 3, 5), 8), ((0, 3, 4, 5), 11), ((1, 3, 4, 5), 10)]
+        ((0,), 9), ((1,), 8), ((2,), 6), ((3,), 9), ((4,), 6), ((5,), 11),
+        ((0, 1), 7), ((0, 2), 6), ((0, 3), 7), ((0, 5), 7), ((1, 3), 6),
+        ((1, 5), 6), ((2, 3), 6), ((2, 5), 6), ((3, 5), 7), ((0, 1, 3), 11),
+        ((0, 1, 5), 6), ((0, 2, 3), 6), ((0, 2, 5), 6), ((0, 3, 5), 6),
+        ((1, 3, 5), 8), ((2, 3, 5), 7), ((0, 1, 3, 5), 14), ((0, 2, 3, 5), 9)]
     assert {scope: _ledger(c) for scope, c in doc["counters"].items()} == {
         "classical": {"classical_row_scans": 624},
         "sampling": {"classical_row_scans": 5800},
-        "quantum": {"amplification_iterations": 428, "basic_oracle_calls": 205406,
-                    "elementary_gates": 170934, "grover_applications": 34472,
-                    "measurements": 256, "phase_oracle_k_calls": 34472,
-                    "state_preparations": 256},
+        "quantum": {"amplification_iterations": 227, "basic_oracle_calls": 119970,
+                    "elementary_gates": 99045, "grover_applications": 20925,
+                    "measurements": 221, "phase_oracle_k_calls": 20925,
+                    "state_preparations": 221},
     }
     assert doc["agreement"] == {
         "all_supports_two_grid_steps_clear": False,
@@ -505,9 +503,10 @@ def test_compare_computes_each_apriori_support_once(capsys, monkeypatch):
     # the quantum miner's estimation law reads its own supports
     del callers["qarm.qpe"]
     assert sum(callers.values()) == 36
-    # recorded at the commit that computed each support twice
+    # re-recorded when the sampler moved onto one shared row sample: the
+    # quantum miner draws from the stream the sampler leaves
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
-        "4206d92a575fd44734469a8bf4e539fe1ee4895db094320e689cb520d0cd0ae9")
+        "08e7d236621784ed1c35af41fc1575d7ee0318e7bf438f097fc2e91cc624145d")
 
 
 def test_no_miner_builds_a_bitset(capsys, monkeypatch):
@@ -537,10 +536,10 @@ def test_sampling_draws_past_the_budget_in_slices(capsys, monkeypatch):
 
 
 def test_failed_draw_is_a_clean_error(capsys, monkeypatch, clear_db_path):
-    monkeypatch.setattr(qarm.classical, "_DRAW_BUDGET", 7)  # one candidate per draw
+    monkeypatch.setattr(qarm.classical, "_DRAW_BUDGET", 7)  # 10 draws in two calls
     monkeypatch.setattr(np.random, "default_rng", SecondDrawFails)
     code = main(["mine-sampling", "--dataset", clear_db_path, "--min-supp", "1/2",
-                 "--samples", "7", "--json"])
+                 "--samples", "10", "--json"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -549,7 +548,8 @@ def test_failed_draw_is_a_clean_error(capsys, monkeypatch, clear_db_path):
 
 
 def test_cli_import_does_not_load_concurrent_futures():
-    # sampling imports it where it draws, so set-up does not pay for it
+    # qarm runs on one thread; this keeps a thread pool from creeping in
+    # and set-up from paying ~7 ms to import it
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qarm.__file__)))
     probe = ("import sys, qarm.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")

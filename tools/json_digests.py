@@ -35,6 +35,11 @@ The 156 runs, in this order:
   --samples 200` at the default density; `mine-sampling` at the default
   10,000 samples with `--density 0.25` and with `--density 0.5`; and
   `compare -T 16 --samples 200` in the three modes.
+
+The row sampler (`classical.sampling_estimate`) runs in every
+`mine-sampling` and `compare` run: 81 of the 156 (the 6 compare runs, the
+3 `fimi-sampling` ops and 72 of the 96).  A change to its draws changes
+those digests, and only those: the other 75 must keep theirs.
 """
 from __future__ import annotations
 
