@@ -224,8 +224,8 @@ def sampling_estimate(db: TransactionDB, candidates: Sequence[Itemset],
 
     The sample is drawn in `rng.integers` calls of at most _DRAW_BUDGET
     rows, the stream of one size-n_samples draw, and kept as a count per
-    row; a candidate's hits are the counts of the rows that hold it, read
-    on `TransactionDB.prefix_walk` marks.  No candidates, no draws.
+    row; a candidate's hits are the `level_supports` of the database with
+    those counts as row weights.  No candidates, no draws.
     """
     check_n_samples(n_samples)
     rng = as_rng(rng)
@@ -240,9 +240,8 @@ def sampling_estimate(db: TransactionDB, candidates: Sequence[Itemset],
         size = min(_DRAW_BUDGET, n_samples - start)
         drawn += np.bincount(rng.integers(0, n_rows, size=size, dtype=draw_dtype),
                              minlength=n_rows)
-    marks = np.zeros(n_rows, dtype=np.min_scalar_type(max(x.size for x in candidates)))
-    out = [(x, int(drawn[last][marks[last] == x.size - 1].sum()) / n_samples)
-           for x, last in db.prefix_walk(candidates, marks)]
+    out = [(x, hits / n_samples)
+           for x, hits in zip(candidates, level_supports(db, candidates, drawn).tolist())]
     if counter is not None:
         counter.classical_row_scans += n_samples * sum(x.size for x in candidates)
     return out

@@ -296,17 +296,17 @@ def cmd_compare(args) -> tuple[Report, int]:
     check_mining_args(args.grid, args.patience)
     db, source = _load_db(args)
     thr = support_threshold(args.min_supp)
-    rng = np.random.default_rng(args.seed)
 
     classical_counter = QueryCounter()
     classical = apriori(db, thr, classical_counter)
 
+    # each miner draws its own --seed stream, as its own subcommand does
     sampling_counter = QueryCounter()
-    # run for its ledger; its draws also advance the rng the quantum miner shares
-    sampling_apriori(db, thr, args.samples, rng, sampling_counter)
+    sampling_apriori(db, thr, args.samples, np.random.default_rng(args.seed),
+                     sampling_counter)
 
     quantum_counter = QueryCounter()
-    results, _ = qarm_full(db, thr, args.grid, args.mode, rng,
+    results, _ = qarm_full(db, thr, args.grid, args.mode, np.random.default_rng(args.seed),
                            patience=args.patience, counter=quantum_counter)
 
     quantum_found = {mi.itemset for res in results for mi in res.found}

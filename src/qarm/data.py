@@ -4,8 +4,8 @@ A database is N transactions over M items, a binary matrix D with
 D[i, j] = 1 iff transaction i contains item j.  Rows are stored sparsely
 (sorted item ids per transaction, CSR style), with a lazily built CSC view
 (the rows of each item).  Every support, exact or sampled, is counted on
-the CSC view by `TransactionDB.prefix_walk`, in the tid-list manner of
-Eclat (Zaki, IEEE TKDE 2000).
+the CSC view by `level_supports`, in the tid-list manner of Eclat (Zaki,
+IEEE TKDE 2000); a sampled one weights each row by its draws.
 """
 from __future__ import annotations
 
@@ -202,21 +202,6 @@ class TransactionDB:
         if bad is not None:
             raise ValueError(f"item {bad} out of range for {self.n_items} items")
 
-    def prefix_walk(self, candidates: Iterable[Itemset],
-                    marks: np.ndarray) -> Iterator[tuple[Itemset, np.ndarray]]:
-        """Yield (x, rows of x's last item) per candidate, in any order and
-        sizes, while marks[i] counts the items of x's (k-1)-prefix row i
-        holds (marks start at zero); a run sharing a prefix marks it once."""
-        prefix: tuple[int, ...] = ()
-        for x in candidates:
-            if x.items[:-1] != prefix:
-                for j in prefix:
-                    marks[self._rows_with_item(j)] = 0
-                prefix = x.items[:-1]
-                for j in prefix:
-                    marks[self._rows_with_item(j)] += 1
-            yield x, self._rows_with_item(x.items[-1])
-
     def contains_all(self, itemset: Itemset) -> np.ndarray:
         """Boolean vector over transactions: row contains every item of x."""
         self.check_items([itemset])
@@ -347,17 +332,32 @@ def _parse_fimi_lines(text: str) -> TransactionDB:
     return TransactionDB(np.asarray(indptr), np.asarray(flat, dtype=np.int64), top + 1)
 
 
-def level_supports(db: TransactionDB, candidates: Iterable[Itemset]) -> np.ndarray:
+def level_supports(db: TransactionDB, candidates: Iterable[Itemset],
+                   weights: np.ndarray | None = None) -> np.ndarray:
     """Support counts |{i : x subset of row i}| of the candidates, in order,
-    as an int64 array: one gather of the column counts for a level of
-    single items, and `TransactionDB.prefix_walk` for any other list."""
+    as an int64 array, or with weights (length N, int64) the sums of
+    weights[i] over those rows.  Unweighted single items gather the column
+    counts; otherwise marks[i] counts the items of x's (k-1)-prefix row i
+    holds, and a run of candidates sharing a prefix marks it once."""
     candidates = list(candidates)
     db.check_items(candidates)
-    if all(x.size == 1 for x in candidates):
+    if weights is None and all(x.size == 1 for x in candidates):
         return db._column_counts[[x.items[0] for x in candidates]]
-    marks = np.zeros(db.n_transactions, np.min_scalar_type(max(x.size for x in candidates)))
-    return np.array([np.count_nonzero(marks[last] == x.size - 1)
-                     for x, last in db.prefix_walk(candidates, marks)], dtype=np.int64)
+    marks = np.zeros(db.n_transactions,
+                     np.min_scalar_type(max((x.size for x in candidates), default=1)))
+    out = np.empty(len(candidates), dtype=np.int64)
+    prefix: tuple[int, ...] = ()
+    for n, x in enumerate(candidates):
+        if x.items[:-1] != prefix:
+            for j in prefix:
+                marks[db._rows_with_item(j)] = 0
+            prefix = x.items[:-1]
+            for j in prefix:
+                marks[db._rows_with_item(j)] += 1
+        last = db._rows_with_item(x.items[-1])
+        held = marks[last] == x.size - 1
+        out[n] = np.count_nonzero(held) if weights is None else weights[last][held].sum()
+    return out
 
 
 def exact_support(db: TransactionDB, x: Itemset) -> ExactSupport:

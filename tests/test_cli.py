@@ -431,21 +431,22 @@ def test_compare_golden_transcript(capsys):
         "-T", "32", "--samples", "200", "--seed", "2", "--mode", "grover-known"])
     assert code == 0
     assert _levels(doc) == [(1, 6, 6), (2, 15, 4), (3, 1, 1)]
-    # the quantum miner draws from the stream the sampler left, so its
-    # itemsets and ledger were re-recorded with the shared row sample
+    # the quantum miner draws its own --seed stream, so its itemsets and
+    # ledger were re-recorded when it stopped sharing the sampler's
     assert [(tuple(e["items"]), e["y"]) for e in doc["itemsets"]] == [
-        ((0,), 9), ((1,), 8), ((2,), 6), ((3,), 9), ((4,), 6), ((5,), 11),
-        ((0, 1), 7), ((0, 2), 6), ((0, 3), 7), ((0, 5), 7), ((1, 3), 6),
-        ((1, 5), 6), ((2, 3), 6), ((2, 5), 6), ((3, 5), 7), ((0, 1, 3), 11),
-        ((0, 1, 5), 6), ((0, 2, 3), 6), ((0, 2, 5), 6), ((0, 3, 5), 6),
-        ((1, 3, 5), 8), ((2, 3, 5), 7), ((0, 1, 3, 5), 14), ((0, 2, 3, 5), 9)]
+        ((0,), 9), ((1,), 8), ((2,), 6), ((3,), 8), ((4,), 6), ((5,), 8),
+        ((0, 1), 6), ((0, 3), 7), ((0, 4), 6), ((0, 5), 8), ((1, 3), 6),
+        ((1, 4), 6), ((1, 5), 6), ((2, 3), 15), ((2, 4), 8), ((2, 5), 6),
+        ((3, 4), 11), ((3, 5), 7), ((4, 5), 15), ((0, 1, 4), 12), ((0, 1, 5), 6),
+        ((0, 3, 4), 6), ((0, 3, 5), 6), ((0, 4, 5), 8), ((1, 4, 5), 11),
+        ((2, 3, 4), 6), ((2, 3, 5), 6), ((3, 4, 5), 6), ((0, 3, 4, 5), 9)]
     assert {scope: _ledger(c) for scope, c in doc["counters"].items()} == {
         "classical": {"classical_row_scans": 624},
         "sampling": {"classical_row_scans": 5800},
-        "quantum": {"amplification_iterations": 227, "basic_oracle_calls": 119970,
-                    "elementary_gates": 99045, "grover_applications": 20925,
-                    "measurements": 221, "phase_oracle_k_calls": 20925,
-                    "state_preparations": 221},
+        "quantum": {"amplification_iterations": 349, "basic_oracle_calls": 164672,
+                    "elementary_gates": 136121, "grover_applications": 28551,
+                    "measurements": 223, "phase_oracle_k_calls": 28551,
+                    "state_preparations": 223},
     }
     assert doc["agreement"] == {
         "all_supports_two_grid_steps_clear": False,
@@ -454,6 +455,29 @@ def test_compare_golden_transcript(capsys):
         "quantum_equals_classical": False,
     }
     assert doc["status"] == "ok"
+
+
+@pytest.mark.parametrize("mode", ["ideal-projection", "grover-known", "bbht"])
+def test_compare_halves_equal_their_subcommands(capsys, mode):
+    # each miner draws its own --seed stream, so no half of the report
+    # depends on how many draws another half took
+    run = ["--synthetic", "16", "6", "--density", "0.5", "--min-supp", "0.3", "--seed", "2"]
+    quantum = ["-T", "32", "--mode", mode]
+    sampling = ["--samples", "200"]
+
+    def doc(argv):
+        code, out = run_json(capsys, argv + run)
+        assert code == 0
+        return out
+
+    both = doc(["compare"] + quantum + sampling)
+    alone = doc(["mine-quantum"] + quantum)
+    assert both["itemsets"] == alone["itemsets"]
+    assert both["counters"]["quantum"] == alone["counters"]["quantum"]
+    alone = doc(["mine-sampling"] + sampling)
+    assert both["counters"]["sampling"] == alone["counters"]["sampling"]
+    alone = doc(["mine-classical"])
+    assert both["counters"]["classical"] == alone["counters"]["classical"]
 
 
 # at the parent these exited 0 with status "ok": no item occurs, so no
@@ -487,10 +511,11 @@ def test_compare_computes_each_apriori_support_once(capsys, monkeypatch):
     real = qarm.data.level_supports
     callers = Counter()
 
-    def counted(db, candidates):
+    def counted(db, candidates, weights=None):
         candidates = list(candidates)
-        callers[sys._getframe(1).f_globals["__name__"]] += len(candidates)
-        return real(db, candidates)
+        if weights is None:  # the sampler's weighted counts are not supports
+            callers[sys._getframe(1).f_globals["__name__"]] += len(candidates)
+        return real(db, candidates, weights)
 
     for module in list(sys.modules.values()):
         if module.__name__.startswith("qarm") and getattr(module, "level_supports", None) is real:
@@ -503,10 +528,9 @@ def test_compare_computes_each_apriori_support_once(capsys, monkeypatch):
     # the quantum miner's estimation law reads its own supports
     del callers["qarm.qpe"]
     assert sum(callers.values()) == 36
-    # re-recorded when the sampler moved onto one shared row sample: the
-    # quantum miner draws from the stream the sampler leaves
+    # re-recorded when the quantum miner moved onto its own --seed stream
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
-        "08e7d236621784ed1c35af41fc1575d7ee0318e7bf438f097fc2e91cc624145d")
+        "efe7a4f5ae73c4c7c00c3ceb430fa2864bda0780b06482fb39f2126af0ec18b3")
 
 
 def test_no_miner_builds_a_bitset(capsys, monkeypatch):

@@ -229,8 +229,8 @@ def test_column_counts_are_not_copied():
 
 
 @settings(max_examples=60)
-@given(seed=st.integers(0, 2 ** 32 - 1), shuffled=st.booleans())
-def test_level_supports_match_dense(seed, shuffled):
+@given(seed=st.integers(0, 2 ** 32 - 1), shuffled=st.booleans(), weighted=st.booleans())
+def test_level_supports_match_dense(seed, shuffled, weighted):
     rng = np.random.default_rng(seed)
     db = random_db(rng, int(rng.integers(1, 30)), int(rng.integers(1, 8)),
                    density=float(rng.uniform(0.1, 0.9)))
@@ -243,12 +243,14 @@ def test_level_supports_match_dense(seed, shuffled):
         level = cand_gen([x for x in level if rng.random() < 0.7])
     if shuffled:
         candidates = [candidates[i] for i in rng.permutation(len(candidates))]
-    got = level_supports(db, candidates)
+    # row weights as the sampler's draw counts, zeros included
+    w = rng.integers(0, 6, size=db.n_transactions) if weighted else None
+    got = level_supports(db, candidates, w)
     dense = db.dense()
+    held = [dense[:, list(x.items)].all(axis=1) for x in candidates]
     assert got.dtype == np.int64
-    assert got.tolist() == [int(dense[:, list(x.items)].all(axis=1).sum())
-                            for x in candidates]
-    assert level_supports(db, []).tolist() == []
+    assert got.tolist() == [int((h * w).sum() if weighted else h.sum()) for h in held]
+    assert level_supports(db, [], w).tolist() == []
 
 
 def test_level_supports_rejects_items_out_of_range(dtoy):

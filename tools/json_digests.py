@@ -39,7 +39,10 @@ The 156 runs, in this order:
 The row sampler (`classical.sampling_estimate`) runs in every
 `mine-sampling` and `compare` run: 81 of the 156 (the 6 compare runs, the
 3 `fimi-sampling` ops and 72 of the 96).  A change to its draws changes
-those digests, and only those: the other 75 must keep theirs.
+those digests, and only those: the other 75 must keep theirs.  In a
+`compare` run each miner draws its own `--seed` stream, so the sampler's
+draws move only compare's `sampling` ledger, and its quantum half equals
+`mine-quantum` at the same seed.
 """
 from __future__ import annotations
 
