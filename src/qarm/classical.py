@@ -35,8 +35,10 @@ from .qsim import as_rng
 # most row draws sampling_estimate asks of the Generator in one call
 _DRAW_BUDGET = 1 << 22
 # bytes one level allocates, rounded up from tracemalloc peaks: per
-# candidate (Itemset, support and list slots) and per transaction (marks,
-# and the sampler's int64 draw counts with its gathers of a column)
+# candidate (Itemset, support and list slots) and per transaction (the
+# exact walk's marks and its gathers of a column; the sampler's int64 draw
+# counts, and at most N // 8 of a prefix's rows and N // 8 of their items
+# at a time)
 _CANDIDATE_BYTES, _ROW_BYTES = 512, 28
 
 __all__ = [
@@ -93,9 +95,9 @@ class AssociationRule:
         )
 
 
-def _clears(count: int, n: int, thr: Fraction) -> bool:
-    """count/n >= thr, in integers."""
-    return count * thr.denominator >= thr.numerator * n
+def _min_count(thr: Fraction, n: int) -> int:
+    """The least count with count/n >= thr: ceil(thr * n), in integers."""
+    return -(-thr.numerator * n // thr.denominator)
 
 
 def fre_exam(db: TransactionDB, candidates: Sequence[Itemset], min_supp,
@@ -111,12 +113,13 @@ def fre_exam(db: TransactionDB, candidates: Sequence[Itemset], min_supp,
     thr = support_threshold(min_supp)
     candidates = list(candidates)
     n_rows = db.n_transactions
+    min_count = _min_count(thr, n_rows)
     out = []
     for x, count in zip(candidates, level_supports(db, candidates).tolist()):
         sup = ExactSupport(count, n_rows)
         if supports is not None:
             supports[x] = sup
-        if _clears(count, n_rows, thr):
+        if count >= min_count:
             out.append((x, sup))
     if counter is not None:
         counter.classical_row_scans += n_rows * sum(x.size for x in candidates)
@@ -225,7 +228,8 @@ def sampling_estimate(db: TransactionDB, candidates: Sequence[Itemset],
     The sample is drawn in `rng.integers` calls of at most _DRAW_BUDGET
     rows, the stream of one size-n_samples draw, and kept as a count per
     row; a candidate's hits are the `level_supports` of the database with
-    those counts as row weights.  No candidates, no draws.
+    those counts as row weights, which reads only the drawn rows (at most
+    n_samples of N) that hold each prefix.  No candidates, no draws.
     """
     check_n_samples(n_samples)
     rng = as_rng(rng)
@@ -254,13 +258,13 @@ def sampling_apriori(db: TransactionDB, min_supp, n_samples: int, rng,
     hit count over n_samples row draws reaches the threshold exactly.
     Returns every kept (itemset, estimate) pair and the level stats."""
     check_n_samples(n_samples)
-    thr = support_threshold(min_supp)
+    min_count = _min_count(support_threshold(min_supp), n_samples)
     rng = as_rng(rng)
 
     def examine(candidates, _k):
         level = [(x, est) for x, est in sampling_estimate(db, candidates, n_samples,
                                                           rng, counter)
-                 if _clears(round(est * n_samples), n_samples, thr)]
+                 if round(est * n_samples) >= min_count]
         return [x for x, _ in level], level
 
     run = mine_levels(db, examine)

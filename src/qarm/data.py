@@ -3,15 +3,18 @@
 A database is N transactions over M items, a binary matrix D with
 D[i, j] = 1 iff transaction i contains item j.  Rows are stored sparsely
 (sorted item ids per transaction, CSR style), with a lazily built CSC view
-(the rows of each item).  Every support, exact or sampled, is counted on
-the CSC view by `level_supports`, in the tid-list manner of Eclat (Zaki,
-IEEE TKDE 2000); a sampled one weights each row by its draws.
+(the rows of each item).  Every support, exact or sampled, is counted by
+`level_supports`.  An exact one is counted on the CSC view, in the
+tid-list manner of Eclat (Zaki, IEEE TKDE 2000).  A sampled one weights
+each row by its draws and reads only the drawn rows that hold a prefix,
+delivering their CSR items to the candidates' last items as LCM does
+(Uno, Kiyomi and Arimura, FIMI 2004).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -336,12 +339,21 @@ def level_supports(db: TransactionDB, candidates: Iterable[Itemset],
                    weights: np.ndarray | None = None) -> np.ndarray:
     """Support counts |{i : x subset of row i}| of the candidates, in order,
     as an int64 array, or with weights (length N, int64) the sums of
-    weights[i] over those rows.  Unweighted single items gather the column
-    counts; otherwise marks[i] counts the items of x's (k-1)-prefix row i
-    holds, and a run of candidates sharing a prefix marks it once."""
+    weights[i] over those rows.
+
+    Unweighted single items gather the column counts; otherwise marks[i]
+    counts the items of x's (k-1)-prefix row i holds, and a run of
+    candidates sharing a prefix marks it once.  A weighted count reads no
+    candidate's last-item column: for each run sharing a prefix it finds
+    the rows of nonzero weight that hold the prefix and delivers their
+    items to the run's last items, as LCM's occurrence deliver does (Uno,
+    Kiyomi and Arimura, FIMI 2004), so a sampler's count costs its drawn
+    rows, not N."""
     candidates = list(candidates)
     db.check_items(candidates)
-    if weights is None and all(x.size == 1 for x in candidates):
+    if weights is not None:
+        return _delivered_supports(db, candidates, weights)
+    if all(x.size == 1 for x in candidates):
         return db._column_counts[[x.items[0] for x in candidates]]
     marks = np.zeros(db.n_transactions,
                      np.min_scalar_type(max((x.size for x in candidates), default=1)))
@@ -355,9 +367,74 @@ def level_supports(db: TransactionDB, candidates: Iterable[Itemset],
             for j in prefix:
                 marks[db._rows_with_item(j)] += 1
         last = db._rows_with_item(x.items[-1])
-        held = marks[last] == x.size - 1
-        out[n] = np.count_nonzero(held) if weights is None else weights[last][held].sum()
+        out[n] = np.count_nonzero(marks[last] == x.size - 1)
     return out
+
+
+def _delivered_supports(db: TransactionDB, candidates: list[Itemset],
+                        weights: np.ndarray) -> np.ndarray:
+    """level_supports with weights: per run of candidates sharing a prefix,
+    the weights of the rows that hold the prefix, added to the run's last
+    items that those rows hold.  The rows of the prefix item with the
+    shortest column (every row, for single items) are taken N // 8 at a
+    time and searched for in the other prefix columns, so what the count
+    allocates is bounded by N // 8 rows and N // 8 row items."""
+    out = np.empty(len(candidates), dtype=np.int64)
+    step = max(db.n_transactions // 8, 1)
+    start = 0
+    for prefix, run in groupby(candidates, key=lambda x: x.items[:-1]):
+        lasts = np.array([x.items[-1] for x in run], dtype=np.int64)
+        # a duplicated last item counts in its leftmost slot
+        slots = np.sort(lasts)
+        counts = np.zeros(slots.size, dtype=np.int64)
+        head = min(prefix, key=db._column_counts.__getitem__, default=None)
+        rest = tuple(j for j in prefix if j != head)
+        source = None if head is None else db._rows_with_item(head)
+        for lo in range(0, db.n_transactions if source is None else source.size, step):
+            if source is None:
+                rows = np.flatnonzero(weights[lo:lo + step]) + lo
+            else:
+                rows = source[lo:lo + step]
+                rows = _rows_holding(db, rest, rows[weights[rows] != 0])
+            _deliver(db, rows, weights, slots, counts, step)
+        out[start:start + lasts.size] = counts[np.searchsorted(slots, lasts)]
+        start += lasts.size
+    return out
+
+
+def _rows_holding(db: TransactionDB, items: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+    """The rows of increasing `rows` that hold every one of `items`.  Each
+    item's column is at least as long as the one `rows` came from, so it
+    is nonempty whenever `rows` is."""
+    for j in items:
+        col = db._rows_with_item(j)
+        at = np.searchsorted(col, rows)
+        np.minimum(at, col.size - 1, out=at)
+        rows = rows[col[at] == rows]
+    return rows
+
+
+def _deliver(db: TransactionDB, rows: np.ndarray, weights: np.ndarray,
+             slots: np.ndarray, counts: np.ndarray, step: int) -> None:
+    """Add each row's weight to counts[s] for every item of the row equal
+    to slots[s], the leftmost such s, reading at most `step` row items at a
+    time (and at least one row)."""
+    lo = 0
+    while lo < rows.size:
+        part = rows[lo:lo + step]
+        begin = db._indptr[part]
+        length = db._indptr[part + 1] - begin
+        ends = np.cumsum(length)
+        take = max(int(np.searchsorted(ends, step, side="right")), 1)
+        length = length[:take]
+        # the CSR positions of the items of the first `take` rows, in order
+        items = db._indices[np.repeat(begin[:take] - (ends[:take] - length), length)
+                            + np.arange(ends[take - 1])]
+        slot = np.searchsorted(slots, items)
+        np.minimum(slot, slots.size - 1, out=slot)
+        hit = slots[slot] == items
+        np.add.at(counts, slot[hit], np.repeat(weights[part[:take]], length)[hit])
+        lo += take
 
 
 def exact_support(db: TransactionDB, x: Itemset) -> ExactSupport:

@@ -53,6 +53,15 @@ def test_fre_exam_row_scan_charges(dtoy):
     assert counter.basic_oracle_calls == 0
 
 
+@given(thr=st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(bool),
+       n=st.integers(1, 300))
+def test_min_count_is_the_exact_bar(thr, n):
+    # one integer bar per level: count/n >= thr exactly when count reaches it
+    min_count = classical._min_count(thr, n)
+    for count in range(n + 1):
+        assert (count >= min_count) == (count * thr.denominator >= thr.numerator * n)
+
+
 def test_cand_gen_join_and_prune():
     f1 = [Itemset.of(0), Itemset.of(1), Itemset.of(3)]
     assert cand_gen(f1) == [Itemset((0, 1)), Itemset((0, 3)), Itemset((1, 3))]
@@ -268,6 +277,39 @@ def test_sampling_matches_per_candidate_reference(seed, k, n, rows_per_call):
     assert got == _reference_sampling(db, candidates, n, want_rng, want_counter)
     assert got_counter == want_counter
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_sampling_reads_only_prefix_columns(monkeypatch):
+    # a sampled count reads the rows of the candidates' prefix items, never
+    # a last item's whole column; single items read no column at all
+    rng = np.random.default_rng(3)
+    db = random_db(rng, 200, 6, density=0.5)
+    asked = []
+    rows_with_item = TransactionDB._rows_with_item
+
+    def recording(self, j):
+        asked.append(j)
+        return rows_with_item(self, j)
+
+    monkeypatch.setattr(TransactionDB, "_rows_with_item", recording)
+    singles = [Itemset.of(j) for j in range(6)]
+    sampling_estimate(db, singles, 500, rng)
+    assert asked == []
+    level = singles + [Itemset((0, 1)), Itemset((0, 4)), Itemset((1, 5)),
+                       Itemset((0, 1, 3)), Itemset((2, 3, 5))]
+    sampling_estimate(db, level, 500, rng)
+    assert asked and set(asked) <= {j for x in level for j in x.items[:-1]}
+
+
+def test_sampling_memory_does_not_follow_item_ids():
+    # nothing the sampled count allocates is sized by the largest item id
+    db = TransactionDB.from_rows([[1, 2], [10 ** 6]])
+    candidates = [Itemset.of(j) for j in db.present_items()] + [Itemset((1, 2))]
+    sampling_estimate(db, candidates, 8000, 0)  # the CSC view is the database's
+    peak = traced_peak(lambda: sampling_estimate(db, candidates, 8000, 0))
+    bound = (len(candidates) * classical._CANDIDATE_BYTES
+             + db.n_transactions * classical._ROW_BYTES)
+    assert peak <= bound + 8000 * (4 + 8) + CALL_BYTES
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 7, 88_162, 2 ** 31 - 1])

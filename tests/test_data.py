@@ -229,11 +229,15 @@ def test_column_counts_are_not_copied():
 
 
 @settings(max_examples=60)
-@given(seed=st.integers(0, 2 ** 32 - 1), shuffled=st.booleans(), weighted=st.booleans())
-def test_level_supports_match_dense(seed, shuffled, weighted):
+@given(seed=st.integers(0, 2 ** 32 - 1), shuffled=st.booleans(),
+       weights=st.sampled_from([None, "draws", "sampled"]), gap=st.booleans())
+def test_level_supports_match_dense(seed, shuffled, weights, gap):
     rng = np.random.default_rng(seed)
     db = random_db(rng, int(rng.integers(1, 30)), int(rng.integers(1, 8)),
                    density=float(rng.uniform(0.1, 0.9)))
+    if gap:  # item 0 is in no row, and it heads every prefix it is in
+        db = TransactionDB.from_rows([[j + 1 for j in row] for row in db.rows()],
+                                     n_items=db.n_items + 1)
     # each level of every size, in cand_gen order: single items, then the
     # joins of a random share of the previous level
     level = [Itemset.of(j) for j in range(db.n_items)]
@@ -241,15 +245,23 @@ def test_level_supports_match_dense(seed, shuffled, weighted):
     while level:
         candidates += level
         level = cand_gen([x for x in level if rng.random() < 0.7])
+    # one candidate twice, next to itself, in the run of its prefix
+    dup = int(rng.integers(len(candidates)))
+    candidates.insert(dup, candidates[dup])
     if shuffled:
         candidates = [candidates[i] for i in rng.permutation(len(candidates))]
-    # row weights as the sampler's draw counts, zeros included
-    w = rng.integers(0, 6, size=db.n_transactions) if weighted else None
+    n = db.n_transactions
+    if weights == "draws":  # row weights as draw counts, zeros included
+        w = rng.integers(0, 6, size=n)
+    elif weights == "sampled":  # as the sampler's: a few draws, most rows zero
+        w = np.bincount(rng.integers(0, n, size=int(rng.integers(0, n // 4 + 2))), minlength=n)
+    else:
+        w = None
     got = level_supports(db, candidates, w)
     dense = db.dense()
     held = [dense[:, list(x.items)].all(axis=1) for x in candidates]
     assert got.dtype == np.int64
-    assert got.tolist() == [int((h * w).sum() if weighted else h.sum()) for h in held]
+    assert got.tolist() == [int(h.sum() if w is None else (h * w).sum()) for h in held]
     assert level_supports(db, [], w).tolist() == []
 
 
