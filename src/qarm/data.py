@@ -39,8 +39,12 @@ _DENSE_CELL_LIMIT = 1 << 26
 _PARSE_BLOCK = 1 << 20
 # the only bytes the fast path reads; any other byte takes the line parser
 _FAST_BYTES = b"0123456789 \t\n"
-# longer digit runs could overflow int64 and take the line parser
+# numpy's reader saturates an id past int64 (99999999999999999999 reads as
+# 2**63 - 1) instead of failing, so longer digit runs take the line parser,
+# which reads them exactly and refuses them by name
 _FAST_MAX_DIGITS = 18
+# maps every digit to "0", so a digit run shows as a run of zeros
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"0" * 9)
 # n_items = 1 + largest id must fit int64
 _MAX_ITEM_ID = np.iinfo(np.int64).max - 1
 
@@ -122,20 +126,14 @@ class TransactionDB:
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         if indptr.ndim != 1 or indptr.size < 2 or indptr[0] != 0:
             raise ValueError("indptr must be 1-d, start at 0, with >= 1 row")
-        if np.any(np.diff(indptr) < 0) or indptr[-1] != indices.size:
+        if np.any(indptr[1:] < indptr[:-1]) or indptr[-1] != indices.size:
             raise ValueError("indptr must be nondecreasing and end at nnz")
         if n_items < 1:
             raise ValueError("n_items must be >= 1")
         if indices.size and (indices.min() < 0 or indices.max() >= n_items):
             raise ValueError("item index out of range")
-        # rows must be strictly increasing: every within-row adjacent diff > 0
-        if indices.size > 1:
-            d = np.diff(indices)
-            row_start = np.zeros(indices.size - 1, dtype=bool)
-            starts = indptr[1:-1]
-            row_start[starts[(starts > 0) & (starts < indices.size)] - 1] = True
-            if np.any((d <= 0) & ~row_start):
-                raise ValueError("row items must be sorted and distinct")
+        if _unsorted_rows(indptr, indices):
+            raise ValueError("row items must be sorted and distinct")
         self._indptr = indptr
         self._indices = indices
         self.n_transactions = int(indptr.size - 1)
@@ -232,13 +230,27 @@ class TransactionDB:
                 f"n_items={self.n_items}, nnz={self._indices.size})")
 
 
+def _unsorted_rows(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether some row of a valid CSR (indptr, indices) is not strictly
+    increasing.  bad[i] marks indices[i] <= indices[i - 1]; a row start i
+    is unmarked, as that pair spans two rows.  Only bool temporaries."""
+    bad = np.zeros(indices.size + 1, dtype=bool)
+    np.less_equal(indices[1:], indices[:-1], out=bad[1:-1])
+    bad[indptr] = False
+    return bool(bad.any())
+
+
 def parse_fimi(text: str) -> TransactionDB:
     """Parse FIMI format: one transaction per line, space-separated item ids.
 
     Blank lines are skipped.  Duplicate ids inside a line collapse to one.
     n_items = 1 + max id seen, which must fit int64.  Text of digits,
-    spaces, tabs and newlines is read in vectorised blocks; any other text
-    is read line by line, which is also what names the line of an error.
+    spaces, tabs and newlines is read by numpy's text reader a block of
+    whole lines at a time, so besides the database's arrays and one copy
+    of its ids, made when the blocks are joined, what it allocates is
+    bounded by _PARSE_BLOCK, not by the text.  Any other text, or an id of
+    more than _FAST_MAX_DIGITS digits, is read line by line, which is also
+    what names the line of an error.
     """
     db = _parse_fimi_blocks(text)
     return db if db is not None else _parse_fimi_lines(text)
@@ -247,58 +259,48 @@ def parse_fimi(text: str) -> TransactionDB:
 def _parse_fimi_blocks(text: str) -> TransactionDB | None:
     """Vectorised parse of text made only of digits, spaces, tabs and
     newlines, with no id over _FAST_MAX_DIGITS digits; None for any other
-    text, which the line parser then reads and reports on."""
+    text, which the line parser then reads and reports on.
+
+    Each block of whole lines is read by np.fromstring with every newline
+    made a -1 token, so a line's ids lie between two -1s and a blank line
+    is an empty gap; a block with an unsorted row is lexsorted and deduped."""
     if not text.isascii():
         return None
-    data = text.encode("ascii")
-    if data.translate(None, _FAST_BYTES):
-        return None
-    raw = np.frombuffer(data, dtype=np.uint8)
     values: list[np.ndarray] = []
     counts: list[np.ndarray] = []
     lo = 0
-    while lo < raw.size:
-        hi = min(lo + _PARSE_BLOCK, raw.size)
-        if hi < raw.size:
-            cut = data.rfind(b"\n", lo, hi)
+    while lo < len(text):
+        hi = min(lo + _PARSE_BLOCK, len(text))
+        if hi < len(text):
+            cut = text.rfind("\n", lo, hi)
             if cut < 0:  # a line longer than a block is read whole
-                cut = data.find(b"\n", hi)
-            hi = cut + 1 if cut >= 0 else raw.size
-        block = raw[lo:hi]
+                cut = text.find("\n", hi)
+            hi = cut + 1 if cut >= 0 else len(text)
+        block = text[lo:hi].encode("ascii")
         lo = hi
-        digit = np.zeros(block.size + 2, dtype=bool)
-        np.greater_equal(block, ord("0"), out=digit[1:-1])
-        starts = np.flatnonzero(digit[1:] > digit[:-1])
-        if not starts.size:
-            continue
-        ends = np.flatnonzero(digit[1:] < digit[:-1])
-        lengths = ends - starts
-        longest = int(lengths.max())
-        if longest > _FAST_MAX_DIGITS:
+        if (block.translate(None, _FAST_BYTES)
+                or b"0" * (_FAST_MAX_DIGITS + 1) in block.translate(_DIGITS_TO_ZERO)):
             return None
-        # digit runs to values, one decimal place at a time from the right
-        vals = (block[ends - 1] - ord("0")).astype(np.int64)
-        for place in range(1, longest):
-            longer = np.flatnonzero(lengths > place)
-            vals[longer] += (block[ends[longer] - 1 - place] - ord("0")).astype(
-                np.int64) * 10 ** place
-        # a token's line is the count of newlines before it; rows are the
-        # lines that hold a token, so blank lines drop out
-        line = np.searchsorted(np.flatnonzero(block == ord("\n")), starts)
-        new_row = np.empty(line.size, dtype=bool)
-        new_row[0] = True
-        np.not_equal(line[1:], line[:-1], out=new_row[1:])
-        row = np.cumsum(new_row) - 1
+        tokens = np.fromstring(block.replace(b"\n", b" -1 ") + b" -1", dtype=np.int64, sep=" ")
+        stop = tokens < 0
+        lengths = np.diff(np.flatnonzero(stop), prepend=-1) - 1
+        lengths = lengths[lengths > 0]  # blank lines drop out
+        vals = tokens[~stop]
+        if not vals.size:
+            continue
+        ptr = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=ptr[1:])
         # FIMI files usually list each row's ids sorted and distinct
-        if np.any((vals[1:] <= vals[:-1]) & ~new_row[1:]):
+        if _unsorted_rows(ptr, vals):
+            row = np.repeat(np.arange(lengths.size), lengths)
             order = np.lexsort((vals, row))
             vals, row = vals[order], row[order]
             keep = np.ones(vals.size, dtype=bool)
             keep[1:] = (vals[1:] != vals[:-1]) | (row[1:] != row[:-1])
-            vals, row = vals[keep], row[keep]
+            vals, lengths = vals[keep], np.bincount(row[keep])
         values.append(vals)
-        counts.append(np.bincount(row))
-    if not counts:
+        counts.append(lengths)
+    if not values:
         raise FimiParseError("no transactions")
     indices = np.concatenate(values)
     indptr = np.zeros(sum(c.size for c in counts) + 1, dtype=np.int64)
@@ -308,31 +310,24 @@ def _parse_fimi_blocks(text: str) -> TransactionDB | None:
 
 def _parse_fimi_lines(text: str) -> TransactionDB:
     """Line-by-line parse of any text, with the line number of any error."""
-    indptr = [0]
-    flat: list[int] = []
-    top = -1
+    rows: list[set[int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
         ids = set()
-        for tok in tokens:
+        for tok in line.split():
             try:
                 ids.add(int(tok))
             except ValueError:
                 raise FimiParseError(f"line {lineno}: non-integer token {tok!r}") from None
-        ids = sorted(ids)
-        if ids[0] < 0:
-            raise FimiParseError(f"line {lineno}: negative item id {ids[0]}")
-        if ids[-1] > _MAX_ITEM_ID:
-            raise FimiParseError(f"line {lineno}: item id {ids[-1]} too large")
-        flat.extend(ids)
-        indptr.append(len(flat))
-        if ids[-1] > top:
-            top = ids[-1]
-    if len(indptr) == 1:
+        if not ids:
+            continue
+        if min(ids) < 0:
+            raise FimiParseError(f"line {lineno}: negative item id {min(ids)}")
+        if max(ids) > _MAX_ITEM_ID:
+            raise FimiParseError(f"line {lineno}: item id {max(ids)} too large")
+        rows.append(ids)
+    if not rows:
         raise FimiParseError("no transactions")
-    return TransactionDB(np.asarray(indptr), np.asarray(flat, dtype=np.int64), top + 1)
+    return TransactionDB.from_rows(rows)
 
 
 def level_supports(db: TransactionDB, candidates: Iterable[Itemset],

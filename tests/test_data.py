@@ -18,7 +18,7 @@ from qarm import (
     synth_db,
 )
 from qarm.data import level_supports
-from conftest import random_db, traced_peak
+from conftest import CALL_BYTES, random_db, traced_peak
 
 
 def test_parse_two_lines():
@@ -155,10 +155,75 @@ def test_parse_errors_name_the_first_bad_line(before, tail, bad, where):
     assert str(err.value) == message
 
 
-def test_long_ids_take_the_line_parser():
-    text = "1 " + "0" * 18 + "7\n"
-    assert data._parse_fimi_blocks(text) is None
-    assert parse_fimi(text).row(0) == (1, 7)
+class _Handed(TransactionDB):
+    """The rows and n_items a parser hands TransactionDB, kept without the
+    column counts, which are sized by the largest id and cannot be
+    allocated for ids near 2**63."""
+
+    def __init__(self, indptr, indices, n_items):
+        self._indptr, self._indices = np.asarray(indptr), np.asarray(indices)
+        self.n_transactions, self.n_items = len(self._indptr) - 1, n_items
+
+
+# numpy's reader saturates an id past int64 instead of failing, so every id
+# of more than 18 digits must reach the line parser, which reads it exactly
+@pytest.mark.parametrize("text, fast, expected", [
+    ("1 " + "9" * 18 + "\n", True, [(1, 10 ** 18 - 1)]),
+    ("1 " + "0" * 18 + "7\n", False, [(1, 7)]),
+    ("1 " + "9" * 20 + "\n", False, "line 1: item id 99999999999999999999 too large"),
+    (f"1\n5 {2 ** 63 - 1}\n", False, f"line 2: item id {2 ** 63 - 1} too large"),
+    (f"1\n5 {2 ** 63 - 2}\n", False, [(1,), (5, 2 ** 63 - 2)]),
+    # under a 4-byte block the long id is only in the fifth block
+    ("3 4\n" * 4 + "5 " + "0" * 18 + "6\n", False, [(3, 4)] * 4 + [(5, 6)]),
+], ids=["18-digits", "padded-19-digits", "20-digits", "2**63-1", "2**63-2", "later-block"])
+@pytest.mark.parametrize("block", [4, 1 << 20])
+def test_long_ids_take_the_line_parser(monkeypatch, text, fast, expected, block):
+    monkeypatch.setattr(data, "_PARSE_BLOCK", block)
+    monkeypatch.setattr(data, "TransactionDB", _Handed)
+    assert (data._parse_fimi_blocks(text) is not None) == fast
+    got = _outcome(parse_fimi, text)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert list(got.rows()) == expected
+        assert got.n_items == 1 + max(map(max, expected))
+
+
+# bytes parse_fimi allocates, rounded up from tracemalloc peaks: per item
+# (the blocks' int64 ids, their joined copy and the constructor's bool
+# order mask), per row (the blocks' int64 row lengths, their joined copy,
+# indptr and a bool mask), per byte of a block (its str slice and bytes,
+# the token text and the block's int64 tokens, ids and sort: 23.2 at
+# one-digit unsorted ids, 6 to 9 at four digits), and np.fromstring's first
+# buffer of 4096 int64 tokens.  One byte per text byte covers the arrays
+# and list slots each block leaves (about 320 bytes a block; every block
+# here is over half a block long).  The largest id adds 8 bytes of column
+# count per item id.
+_PARSE_ITEM_BYTES, _PARSE_ROW_BYTES, _PARSE_BLOCK_BYTES = 17, 25, 24
+_READER_BYTES = 4096 * 8
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), block=st.sampled_from([1 << 10, 1 << 12]),
+       digits=st.integers(1, 4), canon=st.booleans())
+def test_parse_bytes_bound(seed, block, digits, canon):
+    # a text of many blocks and short lines: up to 11 ids below 10**digits
+    # a line, unsorted and repeated unless canon, with blank lines and tabs
+    rng = np.random.default_rng(seed)
+    lines = []
+    for length in rng.integers(0, 12, int(rng.integers(1000, 6000))).tolist():
+        ids = rng.integers(0, 10 ** digits, length)
+        sep = str(rng.choice([" ", "\t", " \t "]))
+        lines.append(sep.join(map(str, (np.unique(ids) if canon else ids).tolist())))
+    text = "\n".join(lines) + "\n"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_PARSE_BLOCK", block)
+        db = parse_fimi(text)
+        peak = traced_peak(lambda: parse_fimi(text))
+    bound = (len(text) + _PARSE_ITEM_BYTES * db._indices.size
+             + _PARSE_ROW_BYTES * db.n_transactions + 8 * db.n_items
+             + _PARSE_BLOCK_BYTES * block + _READER_BYTES)
+    assert peak <= bound + CALL_BYTES
 
 
 def test_exact_support_dtoy(dtoy):

@@ -16,7 +16,7 @@ one thread as the benchmark caps them.  The digest is the sha256 of
 stdout, a NUL byte, stderr, a NUL byte and the decimal exit code, so a
 changed message or exit code shows as well as a changed report.
 
-The 156 runs, in this order:
+The 161 runs, in this order:
 
 * 6 benchmark ops: `quantum-ideal`, then `quantum-bbht`, at workload
   seeds 1, 2, 3 each, with the argv of `inputs.op_argv`.
@@ -35,11 +35,17 @@ The 156 runs, in this order:
   --samples 200` at the default density; `mine-sampling` at the default
   10,000 samples with `--density 0.25` and with `--density 0.5`; and
   `compare -T 16 --samples 200` in the three modes.
+* 5 parse runs: `mine-classical --dataset FILE --min-supp 1/4 --json` on
+  the small FIMI files of `FIMI_FILES`, one for each way a text is read:
+  unsorted and repeated ids with tabs and blank lines (the block parser's
+  sort), CRLF line ends (the CLI reads them as newlines), a zero-padded
+  19-digit id (the line parser), and a 20-digit id and a letter (exit 2
+  naming the line).
 
 The row sampler (`classical.sampling_estimate`) runs in every
-`mine-sampling` and `compare` run: 81 of the 156 (the 6 compare runs, the
+`mine-sampling` and `compare` run: 81 of the 161 (the 6 compare runs, the
 3 `fimi-sampling` ops and 72 of the 96).  A change to its draws changes
-those digests, and only those: the other 75 must keep theirs.  In a
+those digests, and only those: the other 80 must keep theirs.  In a
 `compare` run each miner draws its own `--seed` stream, so the sampler's
 draws move only compare's `sampling` ledger, and its quantum half equals
 `mine-quantum` at the same seed.
@@ -58,6 +64,14 @@ HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODES = ("ideal-projection", "grover-known", "bbht")
 SHAPES = (("16", "6"), ("12", "7"), ("32", "8"))
 RUN = "import sys; from qarm.cli import main; sys.exit(main(sys.argv[1:]))"
+# name and text of each FIMI file the parse runs read
+FIMI_FILES = (
+    ("unsorted.dat", "3 1 1\t2\n\n   \t\n2 2 5\n1\t3 \n5 3 1\n3\t1\n"),
+    ("crlf.dat", "1 2\r\n2 3\r\n1 2 3\r\n1 3\r\n"),
+    ("padded.dat", "1 0000000000000000002\n2 3\n1 2 3\n"),
+    ("long-id.dat", "1 2\n2 99999999999999999999\n"),
+    ("letter.dat", "1 2\n2 3\nx 1\n"),
+)
 THREAD_CAPS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 
@@ -71,7 +85,7 @@ def load_inputs():
 
 
 def runs(inputs, work: str) -> list[list[str]]:
-    """Every run's argv, writing the benchmark input files into `work`."""
+    """Every run's argv, writing the benchmark and parse input files into `work`."""
 
     def ops(workloads):
         out = []
@@ -107,6 +121,10 @@ def runs(inputs, work: str) -> list[list[str]]:
             ]
             argvs += [["compare", *db, "-T", "16", "--samples", "200", "--mode", mode,
                        "--json"] for mode in MODES]
+    for name, text in FIMI_FILES:
+        with open(os.path.join(work, name), "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+        argvs.append(["mine-classical", "--dataset", name, "--min-supp", "1/4", "--json"])
     return argvs
 
 
