@@ -35,11 +35,12 @@ from .qsim import as_rng
 # most row draws sampling_estimate asks of the Generator in one call
 _DRAW_BUDGET = 1 << 22
 # bytes one level allocates, rounded up from tracemalloc peaks: per
-# candidate (Itemset, support and list slots) and per transaction (the
-# exact walk's marks and its gathers of a column; the sampler's int64 draw
-# counts, and at most N // 8 of a prefix's rows and N // 8 of their items
-# at a time)
-_CANDIDATE_BYTES, _ROW_BYTES = 512, 28
+# candidate (its Itemset tuple, support or estimate, dict and list slots:
+# 155-167 B at 20,000 to 80,000 pairs, 200-215 B in qarm_mine_k beyond its
+# law) and per transaction (the exact walk's marks and column gathers; the
+# sampler's int64 draw counts, and at most N // 8 of a prefix's rows and
+# N // 8 of their items at a time)
+_CANDIDATE_BYTES, _ROW_BYTES = 256, 28
 
 __all__ = [
     "IterationStats",
@@ -85,7 +86,7 @@ class AssociationRule:
     confidence: Fraction
 
     def __post_init__(self):
-        if set(self.antecedent.items) & set(self.consequent.items):
+        if set(self.antecedent) & set(self.consequent):
             raise ValueError("antecedent and consequent must be disjoint")
 
     def __str__(self) -> str:
@@ -122,7 +123,7 @@ def fre_exam(db: TransactionDB, candidates: Sequence[Itemset], min_supp,
         if count >= min_count:
             out.append((x, sup))
     if counter is not None:
-        counter.classical_row_scans += n_rows * sum(x.size for x in candidates)
+        counter.classical_row_scans += n_rows * sum(map(len, candidates))
     return out
 
 
@@ -132,10 +133,10 @@ def cand_gen(frequents: Sequence[Itemset]) -> list[Itemset]:
     frequents = list(frequents)
     if not frequents:
         return []
-    k = frequents[0].size
-    if any(x.size != k for x in frequents):
+    k = len(frequents[0])
+    if any(len(x) != k for x in frequents):
         raise ValueError("frequents must all have the same size")
-    fset = {x.items for x in frequents}
+    fset = set(frequents)
     if len(fset) != len(frequents):
         raise ValueError("frequents must be distinct")
     # sorted prefix groups, joined in order, come out sorted
@@ -182,7 +183,7 @@ def mine_levels(db: TransactionDB,
         run.stats.append(IterationStats(k, len(candidates), len(kept)))
         k += 1
         # the pairs cand_gen joins, and its copies of the kept itemsets
-        joins = sum(g * (g - 1) // 2 for g in Counter(x.items[:-1] for x in kept).values())
+        joins = sum(g * (g - 1) // 2 for g in Counter(x[:-1] for x in kept).values())
         _check_level_bytes(db, k, joins, "", len(kept) * _CANDIDATE_BYTES)
         candidates = cand_gen(kept)
     return run
@@ -247,7 +248,7 @@ def sampling_estimate(db: TransactionDB, candidates: Sequence[Itemset],
     out = [(x, hits / n_samples)
            for x, hits in zip(candidates, level_supports(db, candidates, drawn).tolist())]
     if counter is not None:
-        counter.classical_row_scans += n_samples * sum(x.size for x in candidates)
+        counter.classical_row_scans += n_samples * sum(map(len, candidates))
     return out
 
 
@@ -284,10 +285,10 @@ def generate_rules(supports: Mapping[Itemset, ExactSupport | Fraction],
 
     rules = []
     for x in sorted(supports):
-        if x.size < 2:
+        if len(x) < 2:
             continue
         sup_x = frac(supports[x])
-        for size in range(1, x.size):
+        for size in range(1, len(x)):
             for ant in x.subsets(size):
                 if ant not in supports:
                     raise ValueError(f"missing subset support for {ant}")
@@ -296,7 +297,7 @@ def generate_rules(supports: Mapping[Itemset, ExactSupport | Fraction],
                     raise ValueError(f"zero-support antecedent {ant}")
                 conf = sup_x / sup_a
                 if conf >= thr:
-                    cons = Itemset.of(set(x.items) - set(ant.items))
+                    cons = Itemset.of(set(x) - set(ant))
                     rules.append(AssociationRule(ant, cons, sup_x, conf))
     return rules
 

@@ -189,7 +189,7 @@ def _quantum_itemsets(results: list[MiningResult]) -> list[dict]:
     for level, res in enumerate(results, start=1):
         for mi in res.found:
             out.append({
-                "items": list(mi.itemset.items),
+                "items": list(mi.itemset),
                 "k": level,
                 "estimate": mi.estimate.value,
                 "y": mi.estimate.y,
@@ -212,7 +212,7 @@ def cmd_mine_classical(args) -> tuple[Report, int]:
         iterations=_stats_rows(result.stats),
         itemsets=[
             {
-                "items": list(x.items),
+                "items": list(x),
                 "support": f"{sup.numerator}/{sup.denominator}",
                 "support_float": float(sup),
             }
@@ -226,8 +226,8 @@ def cmd_mine_classical(args) -> tuple[Report, int]:
         config["min_conf"] = str(conf)
         report.rules = [
             {
-                "antecedent": list(rule.antecedent.items),
-                "consequent": list(rule.consequent.items),
+                "antecedent": list(rule.antecedent),
+                "consequent": list(rule.consequent),
                 "support": str(rule.support),
                 "confidence": str(rule.confidence),
             }
@@ -264,7 +264,7 @@ def cmd_mine_sampling(args) -> tuple[Report, int]:
                     n_samples=n_samples),
         iterations=_stats_rows(stats),
         itemsets=[
-            {"items": list(x.items), "estimate": est}
+            {"items": list(x), "estimate": est}
             for x, est in sorted(kept)
         ],
         counters={"sampling": counter.as_dict()},

@@ -53,49 +53,48 @@ class FimiParseError(ValueError):
     """Raised when FIMI text cannot be parsed into a database."""
 
 
-@dataclass(frozen=True, order=True)
-class Itemset:
-    """A nonempty set of item indices, stored strictly increasing."""
+class Itemset(tuple):
+    """A nonempty set of item indices: the tuple of them, strictly
+    increasing, and equal, hashed and ordered as that tuple."""
 
-    items: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.items:
+    def __new__(cls, items):
+        self = tuple.__new__(cls, items)
+        if not self:
             raise ValueError("itemset must be nonempty")
-        if self.items[0] < 0:
-            raise ValueError(f"item indices must be non-negative: {self.items}")
-        if any(b <= a for a, b in zip(self.items, self.items[1:])):
-            raise ValueError(f"items must be strictly increasing: {self.items}")
+        if self[0] < 0:
+            raise ValueError(f"item indices must be non-negative: {tuple(self)}")
+        if any(b <= a for a, b in zip(self, self[1:])):
+            raise ValueError(f"items must be strictly increasing: {tuple(self)}")
+        return self
 
     @classmethod
     def of(cls, *items) -> "Itemset":
         """Build from loose ints or a single iterable; sorts and dedupes."""
         if len(items) == 1 and not isinstance(items[0], (int, np.integer)):
             items = tuple(items[0])
-        return cls(tuple(sorted({int(i) for i in items})))
+        return cls(sorted({int(i) for i in items}))
+
+    @property
+    def items(self) -> "Itemset":
+        return self
 
     @property
     def size(self) -> int:
-        return len(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.items)
-
-    def __contains__(self, item: int) -> bool:
-        return item in self.items
+        return len(self)
 
     def subsets(self, size: int) -> Iterator["Itemset"]:
-        for combo in combinations(self.items, size):
-            yield Itemset(combo)
+        return map(Itemset, combinations(self, size))
 
     def __str__(self) -> str:
-        return "{" + ",".join(map(str, self.items)) + "}"
+        return "{" + ",".join(map(str, self)) + "}"
+
+    def __repr__(self) -> str:
+        return f"Itemset({tuple.__repr__(self)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactSupport:
     """Support as an exact fraction numerator/denominator of N."""
 
@@ -198,8 +197,8 @@ class TransactionDB:
 
     def check_items(self, candidates: Iterable[Itemset]) -> None:
         """Refuse candidates with items past n_items, naming the first."""
-        bad = next((j for x in candidates if x.items[-1] >= self.n_items
-                    for j in x.items if j >= self.n_items), None)
+        bad = next((j for x in candidates if x[-1] >= self.n_items
+                    for j in x if j >= self.n_items), None)
         if bad is not None:
             raise ValueError(f"item {bad} out of range for {self.n_items} items")
 
@@ -207,9 +206,9 @@ class TransactionDB:
         """Boolean vector over transactions: row contains every item of x."""
         self.check_items([itemset])
         held = np.zeros(self.n_transactions, dtype=np.int64)
-        for j in itemset.items:
+        for j in itemset:
             held[self._rows_with_item(j)] += 1
-        return held == itemset.size
+        return held == len(itemset)
 
     def column_bitset(self, j: int) -> int:
         """Python int with bit i set iff transaction i contains item j."""
@@ -348,21 +347,20 @@ def level_supports(db: TransactionDB, candidates: Iterable[Itemset],
     db.check_items(candidates)
     if weights is not None:
         return _delivered_supports(db, candidates, weights)
-    if all(x.size == 1 for x in candidates):
-        return db._column_counts[[x.items[0] for x in candidates]]
-    marks = np.zeros(db.n_transactions,
-                     np.min_scalar_type(max((x.size for x in candidates), default=1)))
+    if all(len(x) == 1 for x in candidates):
+        return db._column_counts[[x[0] for x in candidates]]
+    marks = np.zeros(db.n_transactions, np.min_scalar_type(max(map(len, candidates), default=1)))
     out = np.empty(len(candidates), dtype=np.int64)
     prefix: tuple[int, ...] = ()
     for n, x in enumerate(candidates):
-        if x.items[:-1] != prefix:
+        if x[:-1] != prefix:
             for j in prefix:
                 marks[db._rows_with_item(j)] = 0
-            prefix = x.items[:-1]
+            prefix = x[:-1]
             for j in prefix:
                 marks[db._rows_with_item(j)] += 1
-        last = db._rows_with_item(x.items[-1])
-        out[n] = np.count_nonzero(marks[last] == x.size - 1)
+        last = db._rows_with_item(x[-1])
+        out[n] = np.count_nonzero(marks[last] == len(x) - 1)
     return out
 
 
@@ -377,8 +375,8 @@ def _delivered_supports(db: TransactionDB, candidates: list[Itemset],
     out = np.empty(len(candidates), dtype=np.int64)
     step = max(db.n_transactions // 8, 1)
     start = 0
-    for prefix, run in groupby(candidates, key=lambda x: x.items[:-1]):
-        lasts = np.array([x.items[-1] for x in run], dtype=np.int64)
+    for prefix, run in groupby(candidates, key=lambda x: x[:-1]):
+        lasts = np.array([x[-1] for x in run], dtype=np.int64)
         # a duplicated last item counts in its leftmost slot
         slots = np.sort(lasts)
         counts = np.zeros(slots.size, dtype=np.int64)
@@ -476,9 +474,9 @@ def synth_db(n: int, m: int, support_targets: Mapping, seed: int,
     counts: dict[int, int] = {}
     for key, val in support_targets.items():
         x = key if isinstance(key, Itemset) else Itemset.of(key)
-        if x.size != 1:
+        if len(x) != 1:
             raise ValueError(f"target {x} is not a single item")
-        j = x.items[0]
+        j = x[0]
         if j >= m:
             raise ValueError(f"target item {j} out of range for m={m}")
         frac = _as_exact_fraction(val)

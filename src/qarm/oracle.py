@@ -176,7 +176,7 @@ def candidate_sign_table(db: TransactionDB, candidates: list[Itemset],
                          layout: RegisterLayout) -> np.ndarray:
     """Diagonal of O^(k) on the txn x cand axes of a candidate layout:
     -1 where row i contains every item of candidate c, +1 elsewhere."""
-    cols = np.array([cand.items for cand in candidates])
+    cols = np.array(candidates)
     contained = db.dense()[:, cols].all(axis=2)
     table = np.ones((layout.dim(TXN), layout.dim(CAND)))
     table[: db.n_transactions, : len(candidates)][contained] = -1.0

@@ -142,7 +142,7 @@ def _check_candidates(db: TransactionDB, candidates: list[Itemset], k: int):
     db.check_items(candidates)
     seen = set()
     for cand in candidates:
-        if cand.size != k:
+        if len(cand) != k:
             raise ValueError(f"candidate {cand} is not a {k}-itemset")
         if cand in seen:
             raise ValueError(f"duplicate candidate {cand}")

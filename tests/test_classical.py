@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qarm import classical
+from qarm import classical, mining
 from qarm import (
     AssociationRule,
     Itemset,
     IterationStats,
+    NoFrequentCandidatesError,
     QueryCounter,
     TransactionDB,
     apriori,
@@ -23,6 +24,7 @@ from qarm import (
     fre_exam,
     gamma_metric,
     generate_rules,
+    qarm_mine_k,
     sampling_estimate,
 )
 from qarm.classical import (
@@ -142,6 +144,36 @@ def test_level_bytes_bound_sampling_estimate(seed, k, n, budget, full):
     bound = (len(candidates) * classical._CANDIDATE_BYTES
              + db.n_transactions * classical._ROW_BYTES)
     assert peak <= bound + draw_bytes + CALL_BYTES
+
+
+@pytest.mark.parametrize("path", ["fre_exam", "sampling_estimate", "qarm_mine_k"])
+def test_candidate_bytes_hold_at_a_large_level(path):
+    # the properties above join at most 780 pairs, too few for the
+    # per-candidate figure to outweigh the per-row and per-call terms; one
+    # level of 19,900 pairs resolves it
+    rng = np.random.default_rng(19)
+    db = random_db(rng, 2000, 200, density=0.05)
+    level_supports(db, [Itemset((0, 1))])  # the CSC view is the database's
+    kept = [Itemset.of(j) for j in range(db.n_items)]
+    n_candidates = len(kept) * (len(kept) - 1) // 2 + len(kept)  # cand_gen's joins and copies
+    other = 0
+    if path == "fre_exam":
+        peak = traced_peak(lambda: fre_exam(db, cand_gen(kept), "1/4", supports={}))
+    elif path == "sampling_estimate":
+        peak = traced_peak(lambda: sampling_estimate(db, cand_gen(kept), 8000, rng))
+        other = 8000 * (4 + 8)  # one draw call, as in the property above
+    else:
+        def mine():
+            try:
+                qarm_mine_k(db, cand_gen(kept), 2, 8, "1/4", rng=rng)
+            except NoFrequentCandidatesError:
+                pass
+
+        peak = traced_peak(mine)
+        other = (n_candidates + 2) * mining._LAW_COPIES * 8 * 8  # the law, at T = 8
+    bound = (n_candidates * classical._CANDIDATE_BYTES
+             + db.n_transactions * classical._ROW_BYTES + other)
+    assert peak <= bound + CALL_BYTES
 
 
 @settings(max_examples=60)

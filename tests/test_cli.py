@@ -166,7 +166,8 @@ def test_no_subcommand_reaches_the_dense_engine(capsys, monkeypatch, argv):
 ])
 def test_level_over_budget_is_refused_before_it_is_built(capsys, monkeypatch, argv):
     # 12 items of support about 1/2 all pass level 1 (12 candidates at
-    # T = 2 need 7,296 bytes); joining them makes 66 pairs, over 2^14
+    # T = 2 need 12*256 + 64*28 + 14*3*8*2 = 5,536 bytes); joining them
+    # makes 66 pairs, over 2^14 (66*256 + 12*256 + 64*28 = 21,760 bytes)
     monkeypatch.setattr(qarm.classical, "LEVEL_BYTES", 1 << 14)
 
     def cand_gen(_frequents):

@@ -1,5 +1,8 @@
 """Database parsing, exact supports, thresholds, and synthesis."""
 
+import copy
+import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -271,6 +274,35 @@ def test_itemset_subsets_and_union():
     x = Itemset.of([0, 2, 5])
     assert set(x.subsets(2)) == {Itemset.of([0, 2]), Itemset.of([0, 5]),
                                  Itemset.of([2, 5])}
+
+
+_ITEM_TUPLES = st.lists(st.integers(0, 12), min_size=1, max_size=4,
+                        unique=True).map(lambda items: tuple(sorted(items)))
+
+
+@given(a=_ITEM_TUPLES, b=_ITEM_TUPLES, pool=st.lists(_ITEM_TUPLES, max_size=8),
+       loose=st.lists(st.integers(0, 12), min_size=1, max_size=6))
+def test_itemset_is_its_tuple(a, b, pool, loose):
+    x, y = Itemset(a), Itemset(b)
+    assert x == a and x.items == a and x.size == len(a) and hash(x) == hash(a)
+    assert (x == y) == (a == b) and (x < y) == (a < b) and (x <= y) == (a <= b)
+    # mixed sizes sort as their tuples do
+    assert [tuple(z) for z in sorted(map(Itemset, pool))] == sorted(pool)
+    assert Itemset.of(loose) == Itemset.of(*loose) == tuple(sorted(set(loose)))
+    copies = [copy.deepcopy(x)] + [pickle.loads(pickle.dumps(x, protocol))
+                                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert all(type(c) is Itemset and c == x for c in copies)
+    assert repr(x) == f"Itemset({a!r})" and str(x) == "{" + ",".join(map(str, a)) + "}"
+    with pytest.raises(ValueError, match="^itemset must be nonempty$"):
+        Itemset(())
+    negative = (-1,) + a
+    with pytest.raises(ValueError,
+                       match=re.escape(f"item indices must be non-negative: {negative}")):
+        Itemset(negative)
+    repeated = a + (a[-1],)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"items must be strictly increasing: {repeated}")):
+        Itemset(repeated)
 
 
 def test_db_validation_rejects_bad_rows():

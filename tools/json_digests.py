@@ -16,7 +16,7 @@ one thread as the benchmark caps them.  The digest is the sha256 of
 stdout, a NUL byte, stderr, a NUL byte and the decimal exit code, so a
 changed message or exit code shows as well as a changed report.
 
-The 161 runs, in this order:
+The 173 runs, in this order:
 
 * 6 benchmark ops: `quantum-ideal`, then `quantum-bbht`, at workload
   seeds 1, 2, 3 each, with the argv of `inputs.op_argv`.
@@ -29,9 +29,11 @@ The 161 runs, in this order:
   modes.
 * 6 benchmark ops: `fimi-apriori`, then `fimi-sampling`, at workload
   seeds 1, 2, 3 each.
-* 96 runs on `--synthetic N M --seed S --min-supp 1/4` for (N, M) in
-  16 6, 12 7, 32 8 and S in 3, 5, 7, 11, eight per database and seed:
-  `mine-classical` without and with `--min-conf 1/2`; `mine-sampling
+* 108 runs on `--synthetic N M --seed S --min-supp 1/4` for (N, M) in
+  16 6, 12 7, 32 8 and S in 3, 5, 7, 11, nine per database and seed:
+  `mine-classical` without and with `--min-conf 1/2`, and with it at
+  `--density 0.6`, whose 3-itemsets give rules with 2-item antecedents
+  (six 3-itemsets and 18 such rules for 16 6 at seed 3); `mine-sampling
   --samples 200` at the default density; `mine-sampling` at the default
   10,000 samples with `--density 0.25` and with `--density 0.5`; and
   `compare -T 16 --samples 200` in the three modes.
@@ -43,9 +45,9 @@ The 161 runs, in this order:
   naming the line).
 
 The row sampler (`classical.sampling_estimate`) runs in every
-`mine-sampling` and `compare` run: 81 of the 161 (the 6 compare runs, the
-3 `fimi-sampling` ops and 72 of the 96).  A change to its draws changes
-those digests, and only those: the other 80 must keep theirs.  In a
+`mine-sampling` and `compare` run: 81 of the 173 (the 6 compare runs, the
+3 `fimi-sampling` ops and 72 of the 108).  A change to its draws changes
+those digests, and only those: the other 92 must keep theirs.  In a
 `compare` run each miner draws its own `--seed` stream, so the sampler's
 draws move only compare's `sampling` ledger, and its quantum half equals
 `mine-quantum` at the same seed.
@@ -115,6 +117,7 @@ def runs(inputs, work: str) -> list[list[str]]:
             argvs += [
                 ["mine-classical", *db, "--json"],
                 ["mine-classical", *db, "--min-conf", "1/2", "--json"],
+                ["mine-classical", *db, "--density", "0.6", "--min-conf", "1/2", "--json"],
                 ["mine-sampling", *db, "--samples", "200", "--json"],
                 ["mine-sampling", *db, "--density", "0.25", "--json"],
                 ["mine-sampling", *db, "--density", "0.5", "--json"],
