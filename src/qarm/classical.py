@@ -13,10 +13,8 @@ boundary errors.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -26,6 +24,11 @@ from .data import (
     ExactSupport,
     Itemset,
     TransactionDB,
+    _lex_sorted,
+    _prefix_runs,
+    _present,
+    _row_keys,
+    as_level,
     level_supports,
     support_threshold,
 )
@@ -35,12 +38,16 @@ from .qsim import as_rng
 # most row draws sampling_estimate asks of the Generator in one call
 _DRAW_BUDGET = 1 << 22
 # bytes one level allocates, rounded up from tracemalloc peaks: per
-# candidate (its Itemset tuple, support or estimate, dict and list slots:
-# 155-167 B at 20,000 to 80,000 pairs, 200-215 B in qarm_mine_k beyond its
-# law) and per transaction (the exact walk's marks and column gathers; the
-# sampler's int64 draw counts, and at most N // 8 of a prefix's rows and
-# N // 8 of their items at a time)
-_CANDIDATE_BYTES, _ROW_BYTES = 256, 28
+# candidate (its int32 row, count or estimate, and cand_gen's join and
+# prune temporaries), per itemset a level keeps or the quantum miner finds
+# (its Itemset and support, estimate or MinedItemset, with their list or
+# dict slots), and per transaction (the exact count's reused bool column
+# and its packed copy; the sampler's int64 draw counts, and at most N // 8
+# of a prefix's rows and N // 8 of their items at a time)
+_CANDIDATE_BYTES, _KEPT_BYTES, _ROW_BYTES = 64, 384, 28
+# the bit matrix of an exact count's items and one chunk's gathered words
+# and popcounts, as a multiple of the matrix
+_BIT_MATRIX_COPIES = 3
 
 __all__ = [
     "IterationStats",
@@ -101,52 +108,70 @@ def _min_count(thr: Fraction, n: int) -> int:
     return -(-thr.numerator * n // thr.denominator)
 
 
-def fre_exam(db: TransactionDB, candidates: Sequence[Itemset], min_supp,
-             counter: QueryCounter | None = None, *,
-             supports: dict[Itemset, ExactSupport] | None = None
-             ) -> list[tuple[Itemset, ExactSupport]]:
+def fre_exam(db: TransactionDB, candidates, min_supp,
+             counter: QueryCounter | None = None
+             ) -> tuple[list[tuple[Itemset, ExactSupport]], np.ndarray]:
     """Keep the candidates whose exact support reaches the threshold.
 
+    candidates is a level, an array or a list (see `as_level`).  Returns
+    the kept candidates with their supports, in order, and every
+    candidate's count as an int64 array; raises MemoryError before making
+    the kept itemsets if the level would pass LEVEL_BYTES with them.
     Charges k*N row operations per k-candidate to the classical ledger.
-    Every candidate's support, kept or not, is also stored in `supports`
-    when it is given.
     """
     thr = support_threshold(min_supp)
-    candidates = list(candidates)
+    level = as_level(candidates)
     n_rows = db.n_transactions
-    min_count = _min_count(thr, n_rows)
-    out = []
-    for x, count in zip(candidates, level_supports(db, candidates).tolist()):
-        sup = ExactSupport(count, n_rows)
-        if supports is not None:
-            supports[x] = sup
-        if count >= min_count:
-            out.append((x, sup))
+    counts = level_supports(db, level)
+    keep = np.flatnonzero(counts >= _min_count(thr, n_rows))
+    _check_level_bytes(db, level.shape[1], len(level), "", len(keep) * _KEPT_BYTES)
+    kept = [(Itemset(x), ExactSupport(count, n_rows))
+            for x, count in zip(level[keep].tolist(), counts[keep].tolist())]
     if counter is not None:
-        counter.classical_row_scans += n_rows * sum(map(len, candidates))
-    return out
+        counter.classical_row_scans += n_rows * level.size
+    return kept, counts
 
 
-def cand_gen(frequents: Sequence[Itemset]) -> list[Itemset]:
+def cand_gen(frequents) -> np.ndarray:
     """Join frequent k-itemsets sharing a (k-1)-prefix, then prune any
-    candidate with an infrequent k-subset."""
-    frequents = list(frequents)
-    if not frequents:
-        return []
-    k = len(frequents[0])
-    if any(len(x) != k for x in frequents):
-        raise ValueError("frequents must all have the same size")
-    fset = set(frequents)
-    if len(fset) != len(frequents):
+    candidate with an infrequent k-subset.
+
+    frequents is a level of distinct itemsets in any order, an array or a
+    list (see `as_level`); the candidates are a C x (k+1) level in
+    lexicographic order.  In the sorted level each row joins every later
+    row of its prefix group.  A join's k-subsets without its last or
+    next-to-last item are those two rows; each other one is looked up by
+    `searchsorted` on the level's packed row keys (`_row_keys`).
+    """
+    level = as_level(frequents)
+    n, k = level.shape
+    if not n:
+        return np.empty((0, k + 1), dtype=level.dtype)
+    ordered = _lex_sorted(level)
+    if ordered is not level and (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise ValueError("frequents must be distinct")
-    # sorted prefix groups, joined in order, come out sorted
-    out = []
-    for _, group in groupby(sorted(fset), key=lambda t: t[:-1]):
-        for a, b in combinations(group, 2):
-            joined = a + (b[-1],)
-            if all(sub in fset for sub in combinations(joined, k)):
-                out.append(Itemset(joined))
-    return out
+    level = ordered
+    bounds = _prefix_runs(level) if k > 1 else np.array([0, n])
+    sizes = bounds[1:] - bounds[:-1]
+    if len(sizes) == n:  # no two rows share a prefix
+        return np.empty((0, k + 1), dtype=level.dtype)
+    # row a joins the rows after it in its group: b = a + 1 .. group end - 1
+    after = (bounds[1:] - 1).repeat(sizes) - np.arange(n)
+    a = np.arange(n).repeat(after)
+    b = np.arange(a.size)
+    b -= (after.cumsum() - after).repeat(after)
+    b += a + 1
+    joined = np.empty((a.size, k + 1), dtype=level.dtype)
+    joined[:, :k] = level[a]
+    joined[:, k] = level[b, k - 1]
+    del a, b
+    if k > 1 and len(joined):
+        keys = _row_keys(level)
+        for i in range(k - 1):
+            sub = _row_keys(joined[:, [c for c in range(k + 1) if c != i]])
+            at = np.minimum(keys.searchsorted(sub), keys.size - 1)
+            joined = joined[keys[at] == sub]
+    return joined
 
 
 @dataclass(frozen=True)
@@ -166,25 +191,47 @@ def _check_level_bytes(db: TransactionDB, k: int, n_candidates: int, grid: str,
                           f"{n_bytes} bytes, over the {LEVEL_BYTES}-byte level budget")
 
 
+def _bit_matrix_bytes(db: TransactionDB, level: np.ndarray) -> int:
+    """What an exact count of k-itemsets, k >= 2, over a level's items
+    holds besides its candidates: the bit matrix and one chunk's gathered
+    rows and popcounts."""
+    n_items = len(level) if level.shape[1] == 1 or not len(level) else \
+        int(np.count_nonzero(_present(level)))
+    return n_items * -(-db.n_transactions // 64) * 8 * _BIT_MATRIX_COPIES
+
+
+def _join_count(level: np.ndarray) -> int:
+    """How many pairs `cand_gen` joins from a level: g(g-1)/2 over its
+    prefix groups of g rows."""
+    if level.shape[1] < 2:
+        return len(level) * (len(level) - 1) // 2
+    bounds = _prefix_runs(_lex_sorted(level))
+    sizes = bounds[1:] - bounds[:-1]
+    return int((sizes * (sizes - 1) // 2).sum())
+
+
 def mine_levels(db: TransactionDB,
-                examine: Callable[[list[Itemset], int], tuple[list[Itemset], object]]
+                examine: Callable[[np.ndarray, int], tuple[object, object]]
                 ) -> LevelRun:
     """Run the level policy: level 1 is the items present in db,
-    examine(candidates, k) returns the itemsets the level keeps and a
-    result of the caller's choosing, and level k+1 is `cand_gen` of the
-    kept itemsets.  Stops at the first level with no candidates, and
-    raises MemoryError before building a level over LEVEL_BYTES."""
+    examine(candidates, k) gets each level as a C x k int32 array in
+    lexicographic order and returns the itemsets the level keeps (rows of
+    it, or a list of itemsets, see `as_level`) and a result of the
+    caller's choosing, and level k+1 is `cand_gen` of the kept itemsets.
+    Stops at the first level with no candidates, and raises MemoryError
+    before building a level over LEVEL_BYTES: its joins, the copies of
+    the kept itemsets, and the bit matrix of their items."""
     run = LevelRun(results=[], stats=[])
-    candidates = [Itemset((j,)) for j in db.present_items()]
+    candidates = db.item_level()
     k = 1
-    while candidates:
+    while len(candidates):
         kept, result = examine(candidates, k)
+        kept = as_level(kept)
         run.results.append(result)
         run.stats.append(IterationStats(k, len(candidates), len(kept)))
         k += 1
-        # the pairs cand_gen joins, and its copies of the kept itemsets
-        joins = sum(g * (g - 1) // 2 for g in Counter(x[:-1] for x in kept).values())
-        _check_level_bytes(db, k, joins, "", len(kept) * _CANDIDATE_BYTES)
+        _check_level_bytes(db, k, _join_count(kept), "",
+                           len(kept) * _CANDIDATE_BYTES + _bit_matrix_bytes(db, kept))
         candidates = cand_gen(kept)
     return run
 
@@ -193,23 +240,24 @@ def mine_levels(db: TransactionDB,
 class AprioriResult:
     frequents: dict[Itemset, ExactSupport]
     stats: list[IterationStats]
-    # every candidate of every level, frequent or not, in level order
-    supports: dict[Itemset, ExactSupport]
+    # every candidate's support count, one int64 array per level
+    counts: list[np.ndarray]
 
 
 def apriori(db: TransactionDB, min_supp,
             counter: QueryCounter | None = None) -> AprioriResult:
     """Level-wise exact mining; level 1 candidates are the items that occur."""
     thr = support_threshold(min_supp)
-    supports: dict[Itemset, ExactSupport] = {}
+    min_count = _min_count(thr, db.n_transactions)
 
     def examine(candidates, _k):
-        level = fre_exam(db, candidates, thr, counter, supports=supports)
-        return [x for x, _ in level], level
+        level, counts = fre_exam(db, candidates, thr, counter)
+        return candidates[counts >= min_count], (level, counts)
 
     run = mine_levels(db, examine)
-    frequents = {x: sup for level in run.results for x, sup in level}
-    return AprioriResult(frequents=frequents, stats=run.stats, supports=supports)
+    frequents = {x: sup for level, _ in run.results for x, sup in level}
+    return AprioriResult(frequents=frequents, stats=run.stats,
+                         counts=[counts for _, counts in run.results])
 
 
 def check_n_samples(n_samples: int) -> None:
@@ -218,13 +266,14 @@ def check_n_samples(n_samples: int) -> None:
         raise ValueError("n_samples must be >= 1")
 
 
-def sampling_estimate(db: TransactionDB, candidates: Sequence[Itemset],
-                      n_samples: int, rng=None,
-                      counter: QueryCounter | None = None) -> list[tuple[Itemset, float]]:
-    """Estimate each support from n_samples uniform row draws (with
-    replacement), one sample shared by every candidate (Toivonen, VLDB
-    1996).  Each estimate is Binomial(n, s)/n, with std sqrt(s(1-s)/n);
-    the estimates of one call share rows, so their errors correlate.
+def sampling_estimate(db: TransactionDB, candidates, n_samples: int, rng=None,
+                      counter: QueryCounter | None = None) -> np.ndarray:
+    """Estimate each support of a level (an array or a list, see
+    `as_level`) from n_samples uniform row draws (with replacement), one
+    sample shared by every candidate (Toivonen, VLDB 1996), as a float64
+    array in candidate order.  Each estimate is Binomial(n, s)/n, with std
+    sqrt(s(1-s)/n); the estimates of one call share rows, so their errors
+    correlate.
 
     The sample is drawn in `rng.integers` calls of at most _DRAW_BUDGET
     rows, the stream of one size-n_samples draw, and kept as a count per
@@ -234,10 +283,10 @@ def sampling_estimate(db: TransactionDB, candidates: Sequence[Itemset],
     """
     check_n_samples(n_samples)
     rng = as_rng(rng)
-    candidates = list(candidates)
-    db.check_items(candidates)
-    if not candidates:
-        return []
+    level = as_level(candidates)
+    db.check_items(level)
+    if not len(level):
+        return np.zeros(0)
     n_rows = db.n_transactions
     draw_dtype = np.int32 if n_rows <= np.iinfo(np.int32).max else np.int64
     drawn = np.zeros(n_rows, dtype=np.int64)
@@ -245,11 +294,10 @@ def sampling_estimate(db: TransactionDB, candidates: Sequence[Itemset],
         size = min(_DRAW_BUDGET, n_samples - start)
         drawn += np.bincount(rng.integers(0, n_rows, size=size, dtype=draw_dtype),
                              minlength=n_rows)
-    out = [(x, hits / n_samples)
-           for x, hits in zip(candidates, level_supports(db, candidates, drawn).tolist())]
+    estimates = level_supports(db, level, drawn) / n_samples
     if counter is not None:
-        counter.classical_row_scans += n_samples * sum(map(len, candidates))
-    return out
+        counter.classical_row_scans += n_samples * level.size
+    return estimates
 
 
 def sampling_apriori(db: TransactionDB, min_supp, n_samples: int, rng,
@@ -262,11 +310,13 @@ def sampling_apriori(db: TransactionDB, min_supp, n_samples: int, rng,
     min_count = _min_count(support_threshold(min_supp), n_samples)
     rng = as_rng(rng)
 
-    def examine(candidates, _k):
-        level = [(x, est) for x, est in sampling_estimate(db, candidates, n_samples,
-                                                          rng, counter)
-                 if round(est * n_samples) >= min_count]
-        return [x for x, _ in level], level
+    def examine(candidates, k):
+        estimates = sampling_estimate(db, candidates, n_samples, rng, counter)
+        keep = np.flatnonzero(np.round(estimates * n_samples) >= min_count)
+        _check_level_bytes(db, k, len(candidates), "", len(keep) * _KEPT_BYTES)
+        kept = candidates[keep]
+        return kept, [(Itemset(x), est)
+                      for x, est in zip(kept.tolist(), estimates[keep].tolist())]
 
     run = mine_levels(db, examine)
     return [pair for level in run.results for pair in level], run.stats

@@ -311,8 +311,10 @@ def cmd_compare(args) -> tuple[Report, int]:
 
     quantum_found = {mi.itemset for res in results for mi in res.found}
     classical_found = set(classical.frequents)
-    min_steps = min((grid_steps_between(sup.value, thr, args.grid)
-                     for sup in classical.supports.values()), default=math.inf)
+    n_rows = db.n_transactions
+    min_steps = min((grid_steps_between(count / n_rows, thr, args.grid)
+                     for counts in classical.counts for count in np.unique(counts).tolist()),
+                    default=math.inf)
     clear = bool(min_steps >= 2.0) if min_steps is not math.inf else True
     agree = quantum_found == classical_found
     agreement = {

@@ -3,18 +3,20 @@
 A database is N transactions over M items, a binary matrix D with
 D[i, j] = 1 iff transaction i contains item j.  Rows are stored sparsely
 (sorted item ids per transaction, CSR style), with a lazily built CSC view
-(the rows of each item).  Every support, exact or sampled, is counted by
-`level_supports`.  An exact one is counted on the CSC view, in the
-tid-list manner of Eclat (Zaki, IEEE TKDE 2000).  A sampled one weights
-each row by its draws and reads only the drawn rows that hold a prefix,
-delivering their CSR items to the candidates' last items as LCM does
-(Uno, Kiyomi and Arimura, FIMI 2004).
+(the rows of each item).  A level of k-itemsets is a C x k int32 array,
+one itemset per row (`as_level`).  Every support, exact or sampled, is
+counted by `level_supports`.  An exact one is counted on a bit matrix of
+the level's items, one packed column per item as MAFIA's vertical
+bitmaps are (Burdick, Calimlim and Gehrke, ICDE 2001).  A sampled one
+weights each row by its draws and reads only the drawn rows that hold a
+prefix, delivering their CSR items to the candidates' last items as LCM
+does (Uno, Kiyomi and Arimura, FIMI 2004).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -24,6 +26,7 @@ __all__ = [
     "Itemset",
     "ExactSupport",
     "TransactionDB",
+    "as_level",
     "parse_fimi",
     "exact_support",
     "level_supports",
@@ -117,6 +120,40 @@ class ExactSupport:
         return self.numerator / self.denominator
 
 
+def as_level(candidates, k: int | None = None) -> np.ndarray:
+    """A level as a C x k int32 array, one itemset per row, in the order
+    given.  An int32 array is taken as a level as it is: its rows are
+    non-negative and strictly increasing, as `TransactionDB.item_level`
+    and `cand_gen` make them.  Any other integer array, and a list of
+    same-size itemsets, is checked row by row, as an `Itemset` is, and
+    converted once.  With k, every row must hold k items.  An empty list
+    is the 0 x k level (0 x 0 without k).  An id past int32 keeps int64,
+    for `TransactionDB.check_items` to refuse by name."""
+    if isinstance(candidates, np.ndarray):
+        if candidates.ndim != 2 or candidates.dtype.kind not in "iu":
+            raise ValueError("a level must be a 2-d integer array")
+        level = candidates
+        wrong = next(iter(level), None) if k is not None and level.shape[1] != k else None
+    else:
+        rows = list(candidates)
+        size = k if k is not None else len(rows[0]) if rows else 0
+        wrong = next((x for x in rows if len(x) != size), None)
+        if wrong is None:
+            level = np.array(rows, dtype=np.int64).reshape(len(rows), size)
+    if wrong is not None:
+        if k is None:
+            raise ValueError("the itemsets of a level must all have the same size")
+        raise ValueError(f"candidate {Itemset(np.asarray(wrong).tolist())} is not a {k}-itemset")
+    if level.dtype == np.int32:
+        return level if level.flags.c_contiguous else np.ascontiguousarray(level)
+    if len(level) and not (level.shape[1] and level[:, 0].min() >= 0
+                           and (level[:, 1:] > level[:, :-1]).all()):
+        bad = (level[:, :1] < 0).any(axis=1) | (level[:, 1:] <= level[:, :-1]).any(axis=1)
+        Itemset(level[bad.argmax()].tolist())  # raises the itemset's own error
+    wide = level.size and level.max() > np.iinfo(np.int32).max
+    return np.ascontiguousarray(level, dtype=np.int64 if wide else np.int32)
+
+
 class TransactionDB:
     """Immutable transaction database over items 0..n_items-1."""
 
@@ -179,7 +216,12 @@ class TransactionDB:
 
     def present_items(self) -> list[int]:
         """Items occurring in at least one transaction."""
-        return [int(j) for j in np.nonzero(self._column_counts)[0]]
+        return self.item_level()[:, 0].tolist()
+
+    def item_level(self) -> np.ndarray:
+        """Level 1: the items occurring in at least one transaction, as a
+        C x 1 level (see `as_level`)."""
+        return as_level(np.flatnonzero(self._column_counts)[:, None])
 
     def _rows_with_item(self, j: int) -> np.ndarray:
         """Increasing row ids of the transactions that contain item j."""
@@ -195,16 +237,17 @@ class TransactionDB:
         starts, rows = self._csc
         return rows[starts[j]:starts[j + 1]]
 
-    def check_items(self, candidates: Iterable[Itemset]) -> None:
-        """Refuse candidates with items past n_items, naming the first."""
-        bad = next((j for x in candidates if x[-1] >= self.n_items
-                    for j in x if j >= self.n_items), None)
-        if bad is not None:
+    def check_items(self, level: np.ndarray) -> None:
+        """Refuse a level (see `as_level`) with items outside 0..n_items-1,
+        naming the first in row order."""
+        if level.size and (level.min() < 0 or level.max() >= self.n_items):
+            flat = level.ravel()
+            bad = flat[(flat < 0) | (flat >= self.n_items)][0]
             raise ValueError(f"item {bad} out of range for {self.n_items} items")
 
     def contains_all(self, itemset: Itemset) -> np.ndarray:
         """Boolean vector over transactions: row contains every item of x."""
-        self.check_items([itemset])
+        self.check_items(as_level([itemset]))
         held = np.zeros(self.n_transactions, dtype=np.int64)
         for j in itemset:
             held[self._rows_with_item(j)] += 1
@@ -329,42 +372,108 @@ def _parse_fimi_lines(text: str) -> TransactionDB:
     return TransactionDB.from_rows(rows)
 
 
-def level_supports(db: TransactionDB, candidates: Iterable[Itemset],
+def level_supports(db: TransactionDB, candidates,
                    weights: np.ndarray | None = None) -> np.ndarray:
-    """Support counts |{i : x subset of row i}| of the candidates, in order,
-    as an int64 array, or with weights (length N, int64) the sums of
-    weights[i] over those rows.
+    """Support counts |{i : x subset of row i}| of a level's candidates
+    (an array or a list, see `as_level`), in order, as an int64 array, or
+    with weights (length N, int64) the sums of weights[i] over those rows.
 
-    Unweighted single items gather the column counts; otherwise marks[i]
-    counts the items of x's (k-1)-prefix row i holds, and a run of
-    candidates sharing a prefix marks it once.  A weighted count reads no
+    Unweighted single items gather the column counts.  Unweighted
+    k-itemsets, k >= 2, are counted on a bit matrix of the level's items:
+    one row of ceil(N/64) uint64 words per item, bit i set iff row i holds
+    the item, as MAFIA's vertical bitmaps are (Burdick, Calimlim and
+    Gehrke, ICDE 2001); a candidate's count is the popcount of the AND of
+    its items' rows.  A weighted count reads no
     candidate's last-item column: for each run sharing a prefix it finds
     the rows of nonzero weight that hold the prefix and delivers their
     items to the run's last items, as LCM's occurrence deliver does (Uno,
     Kiyomi and Arimura, FIMI 2004), so a sampler's count costs its drawn
     rows, not N."""
-    candidates = list(candidates)
-    db.check_items(candidates)
+    level = as_level(candidates)
+    db.check_items(level)
+    if not len(level):
+        return np.zeros(0, dtype=np.int64)
     if weights is not None:
-        return _delivered_supports(db, candidates, weights)
-    if all(len(x) == 1 for x in candidates):
-        return db._column_counts[[x[0] for x in candidates]]
-    marks = np.zeros(db.n_transactions, np.min_scalar_type(max(map(len, candidates), default=1)))
-    out = np.empty(len(candidates), dtype=np.int64)
-    prefix: tuple[int, ...] = ()
-    for n, x in enumerate(candidates):
-        if x[:-1] != prefix:
-            for j in prefix:
-                marks[db._rows_with_item(j)] = 0
-            prefix = x[:-1]
-            for j in prefix:
-                marks[db._rows_with_item(j)] += 1
-        last = db._rows_with_item(x[-1])
-        out[n] = np.count_nonzero(marks[last] == len(x) - 1)
+        return _delivered_supports(db, level, weights)
+    if level.shape[1] == 1:
+        return db._column_counts[level[:, 0]]
+    return _bit_supports(db, level)
+
+
+def _prefix_runs(level: np.ndarray) -> np.ndarray:
+    """The bounds of the runs of consecutive rows of a level that share a
+    (k-1)-prefix: each run's first row, then C."""
+    bounds = np.zeros(len(level) + 1, dtype=bool)
+    bounds[0] = bounds[-1] = True
+    (level[1:, :-1] != level[:-1, :-1]).any(axis=1, out=bounds[1:-1])
+    return bounds.nonzero()[0]
+
+
+def _row_keys(level: np.ndarray) -> np.ndarray:
+    """Each row of a level as one fixed-size bytes key that orders as the
+    row does: its items big-endian, which for non-negative ids compare
+    byte by byte as the numbers do.  (numpy's bytes comparison ignores
+    trailing zero bytes, which keeps that order, since zero is the least
+    byte.)"""
+    rows = np.ascontiguousarray(level, dtype=level.dtype.newbyteorder(">"))
+    return rows.view(f"S{rows.itemsize * rows.shape[1]}").ravel()
+
+
+def _lex_sorted(level: np.ndarray) -> np.ndarray:
+    """A level's rows in lexicographic order: the level itself when its
+    rows already strictly increase, as those of every level `mine_levels`
+    builds do, so no sort runs."""
+    if len(level) < 2:
+        return level
+    keys = _row_keys(level)
+    if (keys[1:] > keys[:-1]).all():
+        return level
+    return level[np.argsort(keys, kind="stable")]
+
+
+def _present(level: np.ndarray) -> np.ndarray:
+    """A bool mask over ids 0..max of a nonempty level: True at the items
+    it holds."""
+    present = np.zeros(int(level.max()) + 1, dtype=bool)
+    present[level.ravel()] = True
+    return present
+
+
+def _bit_columns(db: TransactionDB, items: np.ndarray) -> np.ndarray:
+    """One row of ceil(N/64) uint64 words per item, bit i of an item's row
+    set iff transaction i holds it.  Items are filled a block at a time
+    from the CSC view through a bool block of at most the matrix's bytes
+    (4 KiB at least), packed at once."""
+    words = -(-db.n_transactions // 64)
+    bits = np.zeros((items.size, words), dtype=np.uint64)
+    step = max(1, max(bits.nbytes, 1 << 12) // (words * 64))
+    for lo in range(0, items.size, step):
+        block = np.zeros((min(step, items.size - lo), words * 64), dtype=bool)
+        for d, j in enumerate(items[lo:lo + step].tolist()):
+            block[d, db._rows_with_item(j)] = True
+        bits[lo:lo + len(block)] = np.packbits(block, axis=1, bitorder="little").view(np.uint64)
+    return bits
+
+
+def _bit_supports(db: TransactionDB, level: np.ndarray) -> np.ndarray:
+    """Unweighted level_supports of k-itemsets, k >= 2, on the bit matrix
+    of the level's items.  Candidates are taken as many at a time as the
+    level has items, so the gathered rows never outgrow the matrix."""
+    present = _present(level)
+    items = present.nonzero()[0]
+    ranks = (present.cumsum(dtype=np.int32) - 1)[level]  # each item's row in the matrix
+    bits = _bit_columns(db, items)
+    out = np.empty(len(level), dtype=np.int64)
+    for lo in range(0, len(level), items.size):
+        part = ranks[lo:lo + items.size]
+        words = bits[part[:, 0]]
+        for column in part.T[1:]:
+            words &= bits[column]
+        out[lo:lo + len(part)] = np.bitwise_count(words).sum(axis=1)
     return out
 
 
-def _delivered_supports(db: TransactionDB, candidates: list[Itemset],
+def _delivered_supports(db: TransactionDB, level: np.ndarray,
                         weights: np.ndarray) -> np.ndarray:
     """level_supports with weights: per run of candidates sharing a prefix,
     the weights of the rows that hold the prefix, added to the run's last
@@ -372,26 +481,26 @@ def _delivered_supports(db: TransactionDB, candidates: list[Itemset],
     shortest column (every row, for single items) are taken N // 8 at a
     time and searched for in the other prefix columns, so what the count
     allocates is bounded by N // 8 rows and N // 8 row items."""
-    out = np.empty(len(candidates), dtype=np.int64)
+    out = np.empty(len(level), dtype=np.int64)
     step = max(db.n_transactions // 8, 1)
-    start = 0
-    for prefix, run in groupby(candidates, key=lambda x: x[:-1]):
-        lasts = np.array([x[-1] for x in run], dtype=np.int64)
+    bounds = _prefix_runs(level)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        prefix = level[lo, :-1].tolist()
+        lasts = level[lo:hi, -1].astype(np.int64)
         # a duplicated last item counts in its leftmost slot
         slots = np.sort(lasts)
         counts = np.zeros(slots.size, dtype=np.int64)
         head = min(prefix, key=db._column_counts.__getitem__, default=None)
         rest = tuple(j for j in prefix if j != head)
         source = None if head is None else db._rows_with_item(head)
-        for lo in range(0, db.n_transactions if source is None else source.size, step):
+        for start in range(0, db.n_transactions if source is None else source.size, step):
             if source is None:
-                rows = np.flatnonzero(weights[lo:lo + step]) + lo
+                rows = np.flatnonzero(weights[start:start + step]) + start
             else:
-                rows = source[lo:lo + step]
+                rows = source[start:start + step]
                 rows = _rows_holding(db, rest, rows[weights[rows] != 0])
             _deliver(db, rows, weights, slots, counts, step)
-        out[start:start + lasts.size] = counts[np.searchsorted(slots, lasts)]
-        start += lasts.size
+        out[lo:hi] = counts[np.searchsorted(slots, lasts)]
     return out
 
 

@@ -41,9 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import IterationStats, _check_level_bytes, mine_levels
+from .classical import (
+    _KEPT_BYTES,
+    IterationStats,
+    _bit_matrix_bytes,
+    _check_level_bytes,
+    mine_levels,
+)
 from .constants import GRID_TOL, NORM_TOL
-from .data import Itemset, TransactionDB, support_threshold
+from .data import Itemset, TransactionDB, as_level, support_threshold
 from .oracle import QueryCounter, _log2_exact
 from .qpe import SupportEstimate, decode_support, estimation_law
 from .qsim import as_rng
@@ -265,12 +271,13 @@ def check_mining_args(big_t: int, patience: int) -> None:
         raise ValueError("patience must be >= 1")
 
 
-def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int,
+def qarm_mine_k(db: TransactionDB, candidates, k: int, big_t: int,
                 min_supp, mode: str = "ideal-projection", rng=None,
                 patience: int = 25, counter: QueryCounter | None = None
                 ) -> MiningResult:
-    """Mine one level: repeat estimate-amplify-measure until `patience`
-    consecutive shots add no new itemset.
+    """Mine one level, an array or a list of k-itemsets (see `as_level`):
+    repeat estimate-amplify-measure until `patience` consecutive shots
+    add no new itemset.
 
     Raises NoFrequentCandidatesError when no candidate's support reaches
     the threshold (good-subspace weight zero), and MemoryError before the
@@ -285,15 +292,20 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
     if counter is None:
         counter = QueryCounter()
     start = counter.snapshot()
-    _check_level_bytes(db, k, len(candidates), f" at T={big_t}",
-                       (len(candidates) + 2) * _LAW_COPIES * 8 * big_t)
-    law = estimation_law(db, candidates, k, big_t, counter)
+    level = as_level(candidates, k)
+    bits = _bit_matrix_bytes(db, level) if k > 1 else 0
+    # the law, and every candidate found in the worst case
+    _check_level_bytes(db, k, len(level), f" at T={big_t}",
+                       (len(level) + 2) * _LAW_COPIES * 8 * big_t
+                       + len(level) * _KEPT_BYTES + bits)
+    law = estimation_law(db, level, k, big_t, counter)
     total = float(law.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"(est, cand) law of |Psi3> sums to {total!r}")
     plan = _LevelPlan(law, min_supp, mode, k)
 
-    found: dict[Itemset, MinedItemset] = {}
+    # by candidate row; an Itemset is made only for what is found
+    found: dict[int, MinedItemset] = {}
     misses = 0
     first = True
     while misses < patience:
@@ -302,13 +314,12 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
         first = False
         y, j = plan.shot(rng, counter)
         counter.measurements += 1
-        if j >= len(candidates):
+        if j >= len(level):
             raise AssertionError("measured an index beyond the candidates")
-        itemset = candidates[j]
-        if plan.good[y] and itemset not in found:
+        if plan.good[y] and j not in found:
             estimate = decode_support(y, big_t)
-            found[itemset] = MinedItemset(
-                itemset=itemset,
+            found[j] = MinedItemset(
+                itemset=Itemset(level[j].tolist()),
                 estimate=estimate,
                 boundary_uncertain=abs(estimate.value - thr) < _grid_step_at(estimate),
             )
@@ -325,7 +336,7 @@ def qarm_mine_k(db: TransactionDB, candidates: list[Itemset], k: int, big_t: int
         )
     if delta.basic_oracle_calls != 2 * k * delta.phase_oracle_k_calls:
         raise AssertionError("basic calls must be 2k per phase-oracle call")
-    ordered = tuple(found[key] for key in sorted(found))
+    ordered = tuple(sorted(found.values(), key=lambda mi: mi.itemset))
     return MiningResult(found=ordered, shots_used=delta.state_preparations)
 
 
@@ -347,7 +358,9 @@ def qarm_full(db: TransactionDB, min_supp, big_t: int,
                               patience=patience, counter=counter)
         except NoFrequentCandidatesError:
             res = MiningResult(found=(), shots_used=0)
-        return res.itemsets(), res
+        # the found itemsets, sorted, as rows of the level's dtype
+        kept = np.array(res.itemsets(), dtype=candidates.dtype).reshape(-1, k)
+        return kept, res
 
     run = mine_levels(db, examine)
     return run.results, run.stats

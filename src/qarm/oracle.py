@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .constants import NORM_TOL
-from .data import Itemset, TransactionDB
+from .data import TransactionDB
 from .qsim import RegisterLayout, Statevector, inject_state
 
 __all__ = [
@@ -172,7 +172,7 @@ def phase_oracle_sign_table(db: TransactionDB, layout: RegisterLayout) -> np.nda
     return np.where(contained, -1.0, 1.0)
 
 
-def candidate_sign_table(db: TransactionDB, candidates: list[Itemset],
+def candidate_sign_table(db: TransactionDB, candidates,
                          layout: RegisterLayout) -> np.ndarray:
     """Diagonal of O^(k) on the txn x cand axes of a candidate layout:
     -1 where row i contains every item of candidate c, +1 elsewhere."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Itemset, TransactionDB, level_supports
+from .data import Itemset, TransactionDB, _lex_sorted, _row_keys, as_level, level_supports
 from .oracle import (
     CAND,
     EST,
@@ -134,22 +134,24 @@ def _grover_kernel(block: np.ndarray, sign_table: np.ndarray, n_rows: int,
         counter.charge_grover(k)
 
 
-def _check_candidates(db: TransactionDB, candidates: list[Itemset], k: int):
-    """Reject an empty list and duplicate, wrong-size or out-of-range
-    candidates."""
-    if not candidates:
+def _check_candidates(db: TransactionDB, candidates, k: int) -> np.ndarray:
+    """The level of k-itemsets (see `as_level`) candidates is; refuses an
+    empty one and duplicate, wrong-size or out-of-range candidates."""
+    if not len(candidates):
         raise ValueError("need at least one candidate")
-    db.check_items(candidates)
-    seen = set()
-    for cand in candidates:
-        if len(cand) != k:
-            raise ValueError(f"candidate {cand} is not a {k}-itemset")
-        if cand in seen:
-            raise ValueError(f"duplicate candidate {cand}")
-        seen.add(cand)
+    level = as_level(candidates, k)
+    db.check_items(level)
+    if _lex_sorted(level) is not level:  # rows out of order, maybe repeated
+        order = np.argsort(_row_keys(level), kind="stable")
+        again = np.flatnonzero((level[order[1:]] == level[order[:-1]]).all(axis=1))
+        if again.size:
+            # the first row in level order equal to an earlier one
+            first = min(order[again + 1].tolist())
+            raise ValueError(f"duplicate candidate {Itemset(level[first].tolist())}")
+    return level
 
 
-def parallel_amplitude_estimation(db: TransactionDB, candidates: list[Itemset],
+def parallel_amplitude_estimation(db: TransactionDB, candidates,
                                   k: int, big_t: int,
                                   counter: QueryCounter | None = None) -> Statevector:
     """Run steps 1-3: prepare, estimate in parallel, inverse QFT.
@@ -158,7 +160,7 @@ def parallel_amplitude_estimation(db: TransactionDB, candidates: list[Itemset],
     candidates[j]; exactly T-1 Grover applications (2k(T-1) basic-oracle
     calls) are charged, plus one state preparation.
     """
-    _check_candidates(db, candidates, k)
+    candidates = _check_candidates(db, candidates, k)
     layout = candidate_layout(db, len(candidates), big_t)
     state = Statevector.zero(layout)
     prepare_uniform(state, EST, big_t)
@@ -177,7 +179,7 @@ def parallel_amplitude_estimation(db: TransactionDB, candidates: list[Itemset],
     return state
 
 
-def estimation_law(db: TransactionDB, candidates: list[Itemset], k: int,
+def estimation_law(db: TransactionDB, candidates, k: int,
                    big_t: int, counter: QueryCounter) -> np.ndarray:
     """The (est, cand) law of |Psi3>, built in closed form.
 
@@ -187,7 +189,7 @@ def estimation_law(db: TransactionDB, candidates: list[Itemset], k: int,
     parallel_amplitude_estimation, bar its qubit cap, and the ledger is
     charged the same: one state preparation and T-1 Grover applications.
     """
-    _check_candidates(db, candidates, k)
+    candidates = _check_candidates(db, candidates, k)
     counts, group = np.unique(level_supports(db, candidates), return_inverse=True)
     table = np.stack([analytic_phase_distribution(c / db.n_transactions, big_t)
                       for c in counts.tolist()], axis=1) / len(candidates)

@@ -72,6 +72,14 @@ def random_candidates(rng: np.random.Generator, db: TransactionDB,
 CALL_BYTES = 8 << 10
 
 
+def bit_matrix_bytes(db: TransactionDB, n_items: int) -> int:
+    """The level bound's term for an exact count over n_items items: the
+    bit matrix, one ceil(N/64)-word row per item, times the share the
+    count's temporaries add."""
+    from qarm import classical
+    return n_items * -(-db.n_transactions // 64) * 8 * classical._BIT_MATRIX_COPIES
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that Python and NumPy allocate while fn() runs."""
     tracemalloc.start()

@@ -3,6 +3,7 @@ and the query-advantage metric."""
 
 import itertools
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from qarm import classical, mining
 from qarm import (
     AssociationRule,
+    ExactSupport,
     Itemset,
     IterationStats,
     NoFrequentCandidatesError,
@@ -35,24 +37,42 @@ from qarm.classical import (
 )
 from qarm.data import level_supports
 
-from conftest import CALL_BYTES, SecondDrawFails, random_candidates, random_db, traced_peak
+from conftest import (
+    CALL_BYTES,
+    SecondDrawFails,
+    bit_matrix_bytes,
+    random_candidates,
+    random_db,
+    traced_peak,
+)
 
 
 def test_fre_exam_examples(dtoy):
     cands = [Itemset.of(0), Itemset.of(1), Itemset.of(2)]
-    kept = fre_exam(dtoy, cands, 0.5)
+    kept, counts = fre_exam(dtoy, cands, 0.5)
     assert [(x.items, s.numerator) for x, s in kept] == [((0,), 3), ((1,), 2)]
+    assert all(type(x) is Itemset for x, _ in kept)
+    # every candidate's count, kept or not
+    assert counts.dtype == np.int64 and counts.tolist() == [3, 2, 1]
 
     # the boundary is inclusive, and just above it excludes exactly
-    assert [x for x, _ in fre_exam(dtoy, cands, 0.75)] == [Itemset.of(0)]
-    assert [x for x, _ in fre_exam(dtoy, cands, "0.751")] == []
+    assert [x for x, _ in fre_exam(dtoy, cands, 0.75)[0]] == [Itemset.of(0)]
+    assert [x for x, _ in fre_exam(dtoy, cands, "0.751")[0]] == []
+    # a level array reads as the list of its rows
+    level = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int32)
+    kept, counts = fre_exam(dtoy, level, 0.5)
+    assert kept == [(Itemset((0, 1)), ExactSupport(2, 4))]
+    assert counts.tolist() == [2, 1, 1]
 
 
 def test_fre_exam_row_scan_charges(dtoy):
     counter = QueryCounter()
-    fre_exam(dtoy, [Itemset.of(0), Itemset((0, 1))], 0.5, counter)
+    fre_exam(dtoy, [Itemset.of(0)], 0.5, counter)
+    fre_exam(dtoy, [Itemset((0, 1))], 0.5, counter)
     assert counter.classical_row_scans == 1 * 4 + 2 * 4
     assert counter.basic_oracle_calls == 0
+    with pytest.raises(ValueError, match="same size"):
+        fre_exam(dtoy, [Itemset.of(0), Itemset((0, 1))], 0.5, counter)
 
 
 @given(thr=st.fractions(min_value=0, max_value=1, max_denominator=1000).filter(bool),
@@ -64,21 +84,69 @@ def test_min_count_is_the_exact_bar(thr, n):
         assert (count >= min_count) == (count * thr.denominator >= thr.numerator * n)
 
 
+def rows(level):
+    """A level array as the list of its rows, each a tuple (so it equals
+    the Itemset of the same items)."""
+    return [tuple(row) for row in level.tolist()]
+
+
+def reference_cand_gen(frequents):
+    """cand_gen on itemsets: join in sorted prefix groups, prune on a set."""
+    frequents = list(frequents)
+    if not frequents:
+        return []
+    k = len(frequents[0])
+    if any(len(x) != k for x in frequents):
+        raise ValueError("frequents must all have the same size")
+    fset = set(frequents)
+    if len(fset) != len(frequents):
+        raise ValueError("frequents must be distinct")
+    out = []
+    for _, group in itertools.groupby(sorted(fset), key=lambda t: t[:-1]):
+        for a, b in itertools.combinations(group, 2):
+            joined = a + (b[-1],)
+            if all(sub in fset for sub in itertools.combinations(joined, k)):
+                out.append(Itemset(joined))
+    return out
+
+
 def test_cand_gen_join_and_prune():
     f1 = [Itemset.of(0), Itemset.of(1), Itemset.of(3)]
-    assert cand_gen(f1) == [Itemset((0, 1)), Itemset((0, 3)), Itemset((1, 3))]
+    got = cand_gen(f1)
+    assert got.dtype == np.int32 and got.shape == (3, 2)
+    assert rows(got) == [Itemset((0, 1)), Itemset((0, 3)), Itemset((1, 3))]
 
     f2 = [Itemset((0, 1)), Itemset((0, 2)), Itemset((1, 2))]
-    assert cand_gen(f2) == [Itemset((0, 1, 2))]
+    assert rows(cand_gen(f2)) == [Itemset((0, 1, 2))]
+    assert rows(cand_gen(np.array(f2))) == [Itemset((0, 1, 2))]
 
     # {1, 2} infrequent: the join {0, 1, 2} is pruned
-    assert cand_gen([Itemset((0, 1)), Itemset((0, 2))]) == []
+    assert cand_gen([Itemset((0, 1)), Itemset((0, 2))]).shape == (0, 3)
 
-    assert cand_gen([]) == []
+    assert cand_gen([]).shape == (0, 1)
     with pytest.raises(ValueError):
         cand_gen([Itemset.of(0), Itemset((0, 1))])
     with pytest.raises(ValueError):
         cand_gen([Itemset.of(0), Itemset.of(0)])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        cand_gen(np.array([[1, 1]]))
+
+
+@given(data=st.data(), k=st.integers(1, 4), n_items=st.integers(1, 8))
+def test_cand_gen_equals_the_tuple_reference(data, k, n_items):
+    # the array join and packed-key prune against sets of tuples, on the
+    # itemsets in any order, as a list and as an array
+    pool = list(itertools.combinations(range(n_items), k))
+    frequents = data.draw(st.permutations(
+        [Itemset(c) for c in pool if data.draw(st.booleans())]))
+    want = reference_cand_gen(frequents)
+    assert rows(cand_gen(frequents)) == want
+    if frequents:
+        level = np.array(frequents, dtype=np.int32)
+        assert rows(cand_gen(level)) == want
+        assert cand_gen(level).shape == (len(want), k + 1)
+    else:
+        assert cand_gen(np.empty((0, k), dtype=np.int32)).shape == (0, k + 1)
 
 
 @given(data=st.data(), k=st.integers(1, 3), n_items=st.integers(1, 7))
@@ -86,10 +154,10 @@ def test_cand_gen_is_sound_and_complete(data, k, n_items):
     pool = list(itertools.combinations(range(n_items), k))
     frequents = [Itemset(c) for c in pool if data.draw(st.booleans())]
     if not frequents:
-        assert cand_gen(frequents) == []
+        assert rows(cand_gen(frequents)) == []
         return
     fset = set(frequents)
-    got = cand_gen(data.draw(st.permutations(frequents)))
+    got = [Itemset(x) for x in rows(cand_gen(data.draw(st.permutations(frequents))))]
     assert got == sorted(set(got))
     # sound: every output is a (k+1)-set whose k-subsets are all frequent
     for x in got:
@@ -104,7 +172,8 @@ def test_cand_gen_is_sound_and_complete(data, k, n_items):
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3))
 def test_level_bytes_bound_cand_gen_and_fre_exam(seed, k):
-    # what mine_levels counts for level k+1 before cand_gen builds it
+    # what mine_levels counts for level k+1 before cand_gen builds it, and
+    # what fre_exam counts for the itemsets it keeps
     rng = np.random.default_rng(seed)
     # up to 780 joins, enough for the per-candidate figure to show
     db = random_db(rng, int(rng.integers(1, 3000)), int(rng.integers(k + 1, 40 // k + 1)),
@@ -113,10 +182,12 @@ def test_level_bytes_bound_cand_gen_and_fre_exam(seed, k):
     kept = random_candidates(rng, db, k)
     groups = Counter(x.items[:-1] for x in kept).values()
     joins = sum(g * (g - 1) // 2 for g in groups)
-    supports = {}
-    peak = traced_peak(lambda: fre_exam(db, cand_gen(kept), "1/4", supports=supports))
+    n_frequent = len(fre_exam(db, cand_gen(kept), "1/4")[0])
+    peak = traced_peak(lambda: fre_exam(db, cand_gen(kept), "1/4"))
     bound = ((joins + len(kept)) * classical._CANDIDATE_BYTES
-             + db.n_transactions * classical._ROW_BYTES)
+             + n_frequent * classical._KEPT_BYTES
+             + db.n_transactions * classical._ROW_BYTES
+             + bit_matrix_bytes(db, len({j for x in kept for j in x})))
     assert peak <= bound + CALL_BYTES
 
 
@@ -128,14 +199,13 @@ def test_level_bytes_bound_sampling_estimate(seed, k, n, budget, full):
     # the level bound, plus one draw call: int32 row ids and bincount's
     # intp copy of them
     rng = np.random.default_rng(seed)
-    if full:  # every candidate gathers, and keeps, whole columns of many rows
+    if full:  # every prefix is held by many rows, all of them drawn
         db = random_db(rng, int(rng.integers(10_000, 30_000)), k + 1, density=1.0)
     else:
         db = random_db(rng, int(rng.integers(1, 3000)), int(rng.integers(k + 1, 40 // k + 1)),
                        density=float(rng.uniform(0.1, 0.9)))
     level_supports(db, [Itemset((0, 1))])  # the CSC view is the database's
-    candidates = [x for size in range(1, k + 1)
-                  for x in random_candidates(rng, db, size)]
+    candidates = random_candidates(rng, db, k)
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:  # n = 8000 comes in eight calls
             mp.setattr(classical, "_DRAW_BUDGET", budget)
@@ -146,19 +216,17 @@ def test_level_bytes_bound_sampling_estimate(seed, k, n, budget, full):
     assert peak <= bound + draw_bytes + CALL_BYTES
 
 
-@pytest.mark.parametrize("path", ["fre_exam", "sampling_estimate", "qarm_mine_k"])
-def test_candidate_bytes_hold_at_a_large_level(path):
-    # the properties above join at most 780 pairs, too few for the
-    # per-candidate figure to outweigh the per-row and per-call terms; one
-    # level of 19,900 pairs resolves it
+def _large_level_peak_and_bound(path, density):
+    """Traced peak and level bound of one 19,900-pair level on a path."""
     rng = np.random.default_rng(19)
-    db = random_db(rng, 2000, 200, density=0.05)
+    db = random_db(rng, 2000, 200, density=density)
     level_supports(db, [Itemset((0, 1))])  # the CSC view is the database's
     kept = [Itemset.of(j) for j in range(db.n_items)]
     n_candidates = len(kept) * (len(kept) - 1) // 2 + len(kept)  # cand_gen's joins and copies
-    other = 0
+    other = bit_matrix_bytes(db, db.n_items)
     if path == "fre_exam":
-        peak = traced_peak(lambda: fre_exam(db, cand_gen(kept), "1/4", supports={}))
+        peak = traced_peak(lambda: fre_exam(db, cand_gen(kept), "1/4"))
+        other += len(fre_exam(db, cand_gen(kept), "1/4")[0]) * classical._KEPT_BYTES
     elif path == "sampling_estimate":
         peak = traced_peak(lambda: sampling_estimate(db, cand_gen(kept), 8000, rng))
         other = 8000 * (4 + 8)  # one draw call, as in the property above
@@ -170,10 +238,51 @@ def test_candidate_bytes_hold_at_a_large_level(path):
                 pass
 
         peak = traced_peak(mine)
-        other = (n_candidates + 2) * mining._LAW_COPIES * 8 * 8  # the law, at T = 8
+        # the law at T = 8, and every pair found
+        other += ((n_candidates + 2) * mining._LAW_COPIES * 8 * 8
+                  + n_candidates * classical._KEPT_BYTES)
     bound = (n_candidates * classical._CANDIDATE_BYTES
              + db.n_transactions * classical._ROW_BYTES + other)
+    return peak, bound
+
+
+@pytest.mark.parametrize("path", ["fre_exam", "sampling_estimate", "qarm_mine_k"])
+def test_candidate_bytes_hold_at_a_large_level(path):
+    # the properties above join at most 780 pairs, too few for the
+    # per-candidate figure to outweigh the per-row and per-call terms; one
+    # level of 19,900 pairs resolves it.  No pair reaches 1/4 at density
+    # 0.05, but the quantum miner may find any
+    peak, bound = _large_level_peak_and_bound(path, 0.05)
     assert peak <= bound + CALL_BYTES
+
+
+@pytest.mark.parametrize("path", ["fre_exam", "sampling_estimate", "qarm_mine_k"])
+def test_kept_bytes_hold_at_a_large_level(path):
+    # at density 0.6 nearly every pair reaches 1/4, so nearly every
+    # candidate is kept (or found) and costs its objects
+    peak, bound = _large_level_peak_and_bound(path, 0.6)
+    assert peak <= bound + CALL_BYTES
+
+
+def test_apriori_holds_no_object_for_an_infrequent_candidate():
+    # 400 items in 2,000 rows at density 0.05: every item (about 100 rows)
+    # reaches 1/80 (25 rows) and none of the 79,800 pairs (about 5) does
+    rng = np.random.default_rng(19)
+    db = random_db(rng, 2000, 400, density=0.05)
+    level_supports(db, [Itemset((0, 1))])  # the CSC view is the database's
+    tracemalloc.start()
+    try:
+        result = apriori(db, "1/80")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [(s.k, s.m_candidates, s.m_frequent) for s in result.stats] == [
+        (1, 400, 400), (2, 79_800, 0)]
+    assert [c.tolist() for c in result.counts] == [
+        level_supports(db, level).tolist()
+        for level in (db.item_level(), cand_gen(db.item_level()))]
+    # each level's int64 counts and the frequent items' objects
+    assert held <= 8 * (400 + 79_800) + 400 * classical._KEPT_BYTES + CALL_BYTES
 
 
 @settings(max_examples=60)
@@ -186,24 +295,27 @@ def test_mine_levels_joins_each_level_kept(data, seed):
 
     def examine(candidates, k):
         seen.append(k)
-        kept = [x for x in candidates if data.draw(st.booleans())]
+        assert candidates.dtype == np.int32 and candidates.shape[1] == k
+        kept = candidates[[data.draw(st.booleans()) for _ in range(len(candidates))]]
         candidates_seen.append(candidates)
         kept_seen.append(kept)
-        return kept, (k, len(candidates))
+        # the kept rows, or the same itemsets as a list
+        return (kept if data.draw(st.booleans()) else [Itemset(x) for x in rows(kept)],
+                (k, len(candidates)))
 
     run = mine_levels(db, examine)
     levels = len(candidates_seen)
     assert seen == list(range(1, levels + 1))
     assert len(kept_seen) == len(run.results) == len(run.stats) == levels
     if db.present_items():
-        assert candidates_seen[0] == [Itemset.of(j) for j in db.present_items()]
+        assert rows(candidates_seen[0]) == [Itemset.of(j) for j in db.present_items()]
     else:
         assert levels == 0
     for i in range(1, levels):
-        assert candidates_seen[i] == cand_gen(kept_seen[i - 1])
+        assert np.array_equal(candidates_seen[i], cand_gen(kept_seen[i - 1]))
     if levels:
-        assert cand_gen(kept_seen[-1]) == []
-    assert all(c for c in candidates_seen)
+        assert len(cand_gen(kept_seen[-1])) == 0
+    assert all(len(c) for c in candidates_seen)
     assert [(s.k, s.m_candidates, s.m_frequent) for s in run.stats] == [
         (i + 1, len(candidates_seen[i]), len(kept_seen[i])) for i in range(levels)]
     assert run.results == [(i + 1, len(c)) for i, c in enumerate(candidates_seen)]
@@ -247,17 +359,15 @@ def test_apriori_stats_and_levels(dtoy):
 
 def test_sampling_degenerate_supports(toy4):
     rng = np.random.default_rng(0)
-    got = dict(sampling_estimate(toy4, [Itemset.of(1), Itemset.of(2)],
-                                 200, rng))
-    assert got[Itemset.of(1)] == 1.0
-    assert got[Itemset.of(2)] == 0.0
+    got = sampling_estimate(toy4, [Itemset.of(1), Itemset.of(2)], 200, rng)
+    assert got.dtype == np.float64 and got.tolist() == [1.0, 0.0]
 
 
 def test_sampling_unbiased(toy4):
     rng = np.random.default_rng(512)
     trials, m = 600, 50
-    estimates = [dict(sampling_estimate(toy4, [Itemset.of(0)], m, rng))
-                 [Itemset.of(0)] for _ in range(trials)]
+    estimates = [sampling_estimate(toy4, [Itemset.of(0)], m, rng)[0]
+                 for _ in range(trials)]
     # item 0 has support 1/2; the mean must land within 3 standard errors
     tol = 3 * np.sqrt(0.25 / m) / np.sqrt(trials)
     assert abs(np.mean(estimates) - 0.5) < tol
@@ -265,11 +375,14 @@ def test_sampling_unbiased(toy4):
 
 def test_sampling_charges_and_validation(toy4):
     counter = QueryCounter()
-    sampling_estimate(toy4, [Itemset.of(0), Itemset((0, 1))], 30,
-                      np.random.default_rng(1), counter)
+    rng = np.random.default_rng(1)
+    sampling_estimate(toy4, [Itemset.of(0)], 30, rng, counter)
+    sampling_estimate(toy4, [Itemset((0, 1))], 30, rng, counter)
     assert counter.classical_row_scans == 1 * 30 + 2 * 30
     with pytest.raises(ValueError):
         sampling_estimate(toy4, [Itemset.of(0)], 0)
+    with pytest.raises(ValueError, match="same size"):
+        sampling_estimate(toy4, [Itemset.of(0), Itemset((0, 1))], 30, rng, counter)
 
 
 def _reference_sampling(db, candidates, n, rng, counter):
@@ -280,7 +393,7 @@ def _reference_sampling(db, candidates, n, rng, counter):
     for x in candidates:
         contains = dense[:, list(x.items)].all(axis=1)
         counter.classical_row_scans += x.size * n
-        out.append((x, int(contains[draws].sum()) / n))
+        out.append(int(contains[draws].sum()) / n)
     return out
 
 
@@ -292,9 +405,8 @@ def test_sampling_matches_per_candidate_reference(seed, k, n, rows_per_call):
     rng = np.random.default_rng(seed)
     db = random_db(rng, int(rng.integers(1, 24)), int(rng.integers(k, 7)),
                    density=float(rng.uniform(0.2, 0.9)))
-    # every size up to k in one list, so sizes mix on one sample
-    candidates = [x for size in range(1, k + 1)
-                  for x in random_candidates(rng, db, size)]
+    # one call per size up to k, each on its own sample from one stream
+    levels = [random_candidates(rng, db, size) for size in range(1, k + 1)]
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got_counter, want_counter = QueryCounter(), QueryCounter()
 
@@ -305,8 +417,10 @@ def test_sampling_matches_per_candidate_reference(seed, k, n, rows_per_call):
         mp.setattr(TransactionDB, "column_bitset", no_bitsets)
         if rows_per_call is not None:  # under 1, the sample comes in slices
             mp.setattr(classical, "_DRAW_BUDGET", max(1, int(rows_per_call * n)))
-        got = sampling_estimate(db, candidates, n, got_rng, got_counter)
-    assert got == _reference_sampling(db, candidates, n, want_rng, want_counter)
+        got = [sampling_estimate(db, level, n, got_rng, got_counter).tolist()
+               for level in levels]
+    assert got == [_reference_sampling(db, level, n, want_rng, want_counter)
+                   for level in levels]
     assert got_counter == want_counter
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -327,21 +441,22 @@ def test_sampling_reads_only_prefix_columns(monkeypatch):
     singles = [Itemset.of(j) for j in range(6)]
     sampling_estimate(db, singles, 500, rng)
     assert asked == []
-    level = singles + [Itemset((0, 1)), Itemset((0, 4)), Itemset((1, 5)),
-                       Itemset((0, 1, 3)), Itemset((2, 3, 5))]
-    sampling_estimate(db, level, 500, rng)
-    assert asked and set(asked) <= {j for x in level for j in x.items[:-1]}
+    levels = [[Itemset((0, 1)), Itemset((0, 4)), Itemset((1, 5))],
+              [Itemset((0, 1, 3)), Itemset((2, 3, 5))]]
+    for level in levels:
+        sampling_estimate(db, level, 500, rng)
+    assert asked and set(asked) <= {j for level in levels for x in level for j in x[:-1]}
 
 
 def test_sampling_memory_does_not_follow_item_ids():
     # nothing the sampled count allocates is sized by the largest item id
     db = TransactionDB.from_rows([[1, 2], [10 ** 6]])
-    candidates = [Itemset.of(j) for j in db.present_items()] + [Itemset((1, 2))]
-    sampling_estimate(db, candidates, 8000, 0)  # the CSC view is the database's
-    peak = traced_peak(lambda: sampling_estimate(db, candidates, 8000, 0))
-    bound = (len(candidates) * classical._CANDIDATE_BYTES
-             + db.n_transactions * classical._ROW_BYTES)
-    assert peak <= bound + 8000 * (4 + 8) + CALL_BYTES
+    for candidates in ([Itemset.of(j) for j in db.present_items()], [Itemset((1, 2))]):
+        sampling_estimate(db, candidates, 8000, 0)  # the CSC view is the database's
+        peak = traced_peak(lambda: sampling_estimate(db, candidates, 8000, 0))
+        bound = (len(candidates) * classical._CANDIDATE_BYTES
+                 + db.n_transactions * classical._ROW_BYTES)
+        assert peak <= bound + 8000 * (4 + 8) + CALL_BYTES
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 7, 88_162, 2 ** 31 - 1])
@@ -375,7 +490,7 @@ def test_sampling_apriori_checks_samples_before_any_level():
 
 def test_sampling_rejects_items_out_of_range(toy4):
     with pytest.raises(ValueError, match="item 3 out of range"):
-        sampling_estimate(toy4, [Itemset.of(0), Itemset((1, 3, 4))], 5)
+        sampling_estimate(toy4, [Itemset((0, 1)), Itemset((1, 3))], 5)
 
 
 def test_generate_rules_confidence_boundary():

@@ -165,16 +165,17 @@ def test_no_subcommand_reaches_the_dense_engine(capsys, monkeypatch, argv):
     ["mine-quantum", "-T", "2", "--mode", "bbht"],
 ])
 def test_level_over_budget_is_refused_before_it_is_built(capsys, monkeypatch, argv):
-    # 12 items of support about 1/2 all pass level 1 (12 candidates at
-    # T = 2 need 12*256 + 64*28 + 14*3*8*2 = 5,536 bytes); joining them
-    # makes 66 pairs, over 2^14 (66*256 + 12*256 + 64*28 = 21,760 bytes)
-    monkeypatch.setattr(qarm.classical, "LEVEL_BYTES", 1 << 14)
+    # 48 items of support about 1/2 pass level 1, where every one kept or
+    # found is priced: 48 candidates at T = 2 need 48*(64 + 384) + 64*28 +
+    # 50*3*8*2 = 25,696 bytes.  Joining 32 or more of them makes at least
+    # 496 pairs, over 2^15 (496*64 + 32*64 + 64*28 + 32*8*3 = 36,352 bytes)
+    monkeypatch.setattr(qarm.classical, "LEVEL_BYTES", 1 << 15)
 
     def cand_gen(_frequents):
         raise AssertionError("the level was built")
 
     monkeypatch.setattr(qarm.classical, "cand_gen", cand_gen)
-    code = main(argv + ["--synthetic", "64", "12", "--density", "0.5",
+    code = main(argv + ["--synthetic", "64", "48", "--density", "0.5",
                         "--min-supp", "1/4", "--json"])
     assert code == 2
     captured = capsys.readouterr()

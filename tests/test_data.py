@@ -325,46 +325,60 @@ def test_column_counts_are_not_copied():
     assert peak < 1.25 * 8 * n_items
 
 
-@settings(max_examples=60)
-@given(seed=st.integers(0, 2 ** 32 - 1), shuffled=st.booleans(),
-       weights=st.sampled_from([None, "draws", "sampled"]), gap=st.booleans())
-def test_level_supports_match_dense(seed, shuffled, weights, gap):
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.sampled_from([None, 63, 64, 65, 127, 129]),
+       shuffled=st.booleans(), weights=st.sampled_from([None, "draws", "sampled"]),
+       gap=st.booleans())
+def test_level_supports_match_dense(seed, n_rows, shuffled, weights, gap):
+    # row counts on both sides of a 64-bit word's edge, or a few rows
     rng = np.random.default_rng(seed)
-    db = random_db(rng, int(rng.integers(1, 30)), int(rng.integers(1, 8)),
-                   density=float(rng.uniform(0.1, 0.9)))
-    if gap:  # item 0 is in no row, and it heads every prefix it is in
+    n = int(rng.integers(1, 30)) if n_rows is None else n_rows
+    db = random_db(rng, n, int(rng.integers(1, 8)), density=float(rng.uniform(0.1, 0.9)))
+    if gap:  # no row holds item 0, which heads every prefix it is in, nor the last item
         db = TransactionDB.from_rows([[j + 1 for j in row] for row in db.rows()],
-                                     n_items=db.n_items + 1)
-    # each level of every size, in cand_gen order: single items, then the
-    # joins of a random share of the previous level
+                                     n_items=db.n_items + 2)
+    # each level, in cand_gen order: single items, then the joins of a
+    # random share of the previous level
+    levels = []
     level = [Itemset.of(j) for j in range(db.n_items)]
-    candidates = []
     while level:
-        candidates += level
-        level = cand_gen([x for x in level if rng.random() < 0.7])
-    # one candidate twice, next to itself, in the run of its prefix
-    dup = int(rng.integers(len(candidates)))
-    candidates.insert(dup, candidates[dup])
-    if shuffled:
-        candidates = [candidates[i] for i in rng.permutation(len(candidates))]
-    n = db.n_transactions
+        levels.append(level)
+        kept = [x for x in level if rng.random() < 0.7]
+        level = [Itemset(x) for x in cand_gen(kept).tolist()]
     if weights == "draws":  # row weights as draw counts, zeros included
         w = rng.integers(0, 6, size=n)
     elif weights == "sampled":  # as the sampler's: a few draws, most rows zero
         w = np.bincount(rng.integers(0, n, size=int(rng.integers(0, n // 4 + 2))), minlength=n)
     else:
         w = None
-    got = level_supports(db, candidates, w)
     dense = db.dense()
-    held = [dense[:, list(x.items)].all(axis=1) for x in candidates]
-    assert got.dtype == np.int64
-    assert got.tolist() == [int(h.sum() if w is None else (h * w).sum()) for h in held]
+    for level in levels:  # one call per size
+        # one candidate twice, next to itself, in the run of its prefix
+        dup = int(rng.integers(len(level)))
+        candidates = level[:dup + 1] + level[dup:]
+        if shuffled:
+            candidates = [candidates[i] for i in rng.permutation(len(candidates))]
+        got = level_supports(db, candidates, w)
+        held = [dense[:, list(x.items)].all(axis=1) for x in candidates]
+        assert got.dtype == np.int64
+        assert got.tolist() == [int(h.sum() if w is None else (h * w).sum()) for h in held]
+        # the same level as an int32 array
+        array = np.array(candidates, dtype=np.int32)
+        assert np.array_equal(level_supports(db, array, w), got)
     assert level_supports(db, [], w).tolist() == []
 
 
 def test_level_supports_rejects_items_out_of_range(dtoy):
-    with pytest.raises(ValueError, match="item 3 out of range"):
-        level_supports(dtoy, [Itemset.of(0), Itemset((1, 3, 4))])
+    with pytest.raises(ValueError, match="item 3 out of range for 3 items"):
+        level_supports(dtoy, [Itemset((0, 1)), Itemset((1, 3)), Itemset((4, 5))])
+    with pytest.raises(ValueError, match="item 3 out of range for 3 items"):
+        level_supports(dtoy, np.array([[0, 1], [1, 3]]))
+    with pytest.raises(ValueError, match="same size"):
+        level_supports(dtoy, [Itemset.of(0), Itemset((1, 2))])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        level_supports(dtoy, np.array([[0, 1], [2, 1]]))
+    with pytest.raises(ValueError, match="non-negative"):
+        level_supports(dtoy, np.array([[-1, 1]]))
 
 
 def test_bitset_support_matches_dense(dtoy):

@@ -27,7 +27,7 @@ from qarm.data import level_supports
 from qarm.qpe import estimation_law, parallel_amplitude_estimation
 from qarm.qsim import joint_probs, measure, reflect_about_state, register_marginal
 
-from conftest import CALL_BYTES, random_candidates, random_db, traced_peak
+from conftest import CALL_BYTES, bit_matrix_bytes, random_candidates, random_db, traced_peak
 
 ITEMS = lambda *js: [Itemset.of(j) for j in js]
 
@@ -524,7 +524,8 @@ def test_qarm_full_checks_arguments_before_any_level(big_t, patience, message):
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 2),
        log_t=st.integers(1, 11), mode=st.sampled_from(AMPLIFY_MODES))
 def test_level_bytes_bound_qarm_mine_k(seed, k, log_t, mode):
-    # what qarm_mine_k counts before it builds the level's law
+    # what qarm_mine_k counts before it builds the level's law: the law,
+    # and every candidate found
     rng = np.random.default_rng(seed)
     db = random_db(rng, int(rng.integers(1, 3000)), int(rng.integers(k + 1, 16)),
                    density=float(rng.uniform(0.1, 0.9)))
@@ -538,7 +539,9 @@ def test_level_bytes_bound_qarm_mine_k(seed, k, log_t, mode):
             pass
 
     peak = traced_peak(mine)
-    bound = (len(cands) * qarm.classical._CANDIDATE_BYTES
+    items = len({j for x in cands for j in x}) if k > 1 else 0  # the bit matrix's rows
+    bound = (len(cands) * (qarm.classical._CANDIDATE_BYTES + qarm.classical._KEPT_BYTES)
              + db.n_transactions * qarm.classical._ROW_BYTES
-             + (len(cands) + 2) * qarm.mining._LAW_COPIES * 8 * big_t)
+             + (len(cands) + 2) * qarm.mining._LAW_COPIES * 8 * big_t
+             + bit_matrix_bytes(db, items))
     assert peak <= bound + CALL_BYTES

@@ -16,7 +16,7 @@ one thread as the benchmark caps them.  The digest is the sha256 of
 stdout, a NUL byte, stderr, a NUL byte and the decimal exit code, so a
 changed message or exit code shows as well as a changed report.
 
-The 173 runs, in this order:
+The 183 runs, in this order:
 
 * 6 benchmark ops: `quantum-ideal`, then `quantum-bbht`, at workload
   seeds 1, 2, 3 each, with the argv of `inputs.op_argv`.
@@ -43,11 +43,17 @@ The 173 runs, in this order:
   sort), CRLF line ends (the CLI reads them as newlines), a zero-padded
   19-digit id (the line parser), and a 20-digit id and a letter (exit 2
   naming the line).
+* 10 runs on `--synthetic 130 9 --seed S --density 0.6 --min-supp 1/4`
+  for S in 3, 5, five per seed: `mine-classical` without and with
+  `--min-conf 1/2`, and `compare -T 16 --samples 200` in the three
+  modes.  130 rows are not a multiple of 64, so the last word of a
+  packed column is partly padding, and the levels reach k = 4.
 
 The row sampler (`classical.sampling_estimate`) runs in every
-`mine-sampling` and `compare` run: 81 of the 173 (the 6 compare runs, the
-3 `fimi-sampling` ops and 72 of the 108).  A change to its draws changes
-those digests, and only those: the other 92 must keep theirs.  In a
+`mine-sampling` and `compare` run: 87 of the 183 (the 12 compare runs
+outside the 108, the 3 `fimi-sampling` ops and 72 of the 108).  A change
+to its draws changes those digests, and only those: the other 96 must
+keep theirs.  In a
 `compare` run each miner draws its own `--seed` stream, so the sampler's
 draws move only compare's `sampling` ledger, and its quantum half equals
 `mine-quantum` at the same seed.
@@ -128,6 +134,13 @@ def runs(inputs, work: str) -> list[list[str]]:
         with open(os.path.join(work, name), "w", encoding="ascii", newline="") as fh:
             fh.write(text)
         argvs.append(["mine-classical", "--dataset", name, "--min-supp", "1/4", "--json"])
+    for seed in ("3", "5"):
+        db = ["--synthetic", "130", "9", "--seed", seed, "--density", "0.6",
+              "--min-supp", "1/4"]
+        argvs += [["mine-classical", *db, "--json"],
+                  ["mine-classical", *db, "--min-conf", "1/2", "--json"]]
+        argvs += [["compare", *db, "-T", "16", "--samples", "200", "--mode", mode,
+                   "--json"] for mode in MODES]
     return argvs
 
 
