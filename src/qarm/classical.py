@@ -42,11 +42,12 @@ _DRAW_BUDGET = 1 << 22
 # prune temporaries), per itemset a level keeps or the quantum miner finds
 # (its Itemset and support, estimate or MinedItemset, with their list or
 # dict slots), and per transaction (the exact count's reused bool column
-# and its packed copy; the sampler's int64 draw counts, and at most N // 8
-# of a prefix's rows and N // 8 of their items at a time)
+# and its packed copy; the sampler's int64 draw counts, their bit planes,
+# and at most N // 8 of the drawn rows and N // 8 of their items at a time)
 _CANDIDATE_BYTES, _KEPT_BYTES, _ROW_BYTES = 64, 384, 28
-# the bit matrix of an exact count's items and one chunk's gathered words
-# and popcounts, as a multiple of the matrix
+# the bit matrix of a count's items and one chunk's gathered words and
+# popcounts, as a multiple of the matrix over every row (a sampled count's
+# matrix spans only the drawn rows, and it also holds one masked chunk)
 _BIT_MATRIX_COPIES = 3
 
 __all__ = [
@@ -279,7 +280,8 @@ def sampling_estimate(db: TransactionDB, candidates, n_samples: int, rng=None,
     rows, the stream of one size-n_samples draw, and kept as a count per
     row; a candidate's hits are the `level_supports` of the database with
     those counts as row weights, which reads only the drawn rows (at most
-    n_samples of N) that hold each prefix.  No candidates, no draws.
+    n_samples of N) and counts k-itemsets on a bit matrix over them, as
+    an exact count is made over every row.  No candidates, no draws.
     """
     check_n_samples(n_samples)
     rng = as_rng(rng)

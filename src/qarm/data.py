@@ -5,12 +5,12 @@ D[i, j] = 1 iff transaction i contains item j.  Rows are stored sparsely
 (sorted item ids per transaction, CSR style), with a lazily built CSC view
 (the rows of each item).  A level of k-itemsets is a C x k int32 array,
 one itemset per row (`as_level`).  Every support, exact or sampled, is
-counted by `level_supports`.  An exact one is counted on a bit matrix of
-the level's items, one packed column per item as MAFIA's vertical
-bitmaps are (Burdick, Calimlim and Gehrke, ICDE 2001).  A sampled one
-weights each row by its draws and reads only the drawn rows that hold a
-prefix, delivering their CSR items to the candidates' last items as LCM
-does (Uno, Kiyomi and Arimura, FIMI 2004).
+counted by `level_supports`, k-itemsets (k >= 2) on a bit matrix of the
+level's items, one packed row per item as MAFIA's vertical bitmaps are
+(Burdick, Calimlim and Gehrke, ICDE 2001).  An exact count fills it from
+the CSC view over every row.  A sampled one weights each row by its
+draws and fills it from the CSR slices of the drawn rows alone, then
+weighs each AND by one bit plane per binary digit of the draw counts.
 """
 from __future__ import annotations
 
@@ -78,14 +78,6 @@ class Itemset(tuple):
         if len(items) == 1 and not isinstance(items[0], (int, np.integer)):
             items = tuple(items[0])
         return cls(sorted({int(i) for i in items}))
-
-    @property
-    def items(self) -> "Itemset":
-        return self
-
-    @property
-    def size(self) -> int:
-        return len(self)
 
     def subsets(self, size: int) -> Iterator["Itemset"]:
         return map(Itemset, combinations(self, size))
@@ -377,27 +369,28 @@ def level_supports(db: TransactionDB, candidates,
     """Support counts |{i : x subset of row i}| of a level's candidates
     (an array or a list, see `as_level`), in order, as an int64 array, or
     with weights (length N, int64) the sums of weights[i] over those rows.
+    Weights are draw counts: a negative one is refused with ValueError.
 
     Unweighted single items gather the column counts.  Unweighted
     k-itemsets, k >= 2, are counted on a bit matrix of the level's items:
     one row of ceil(N/64) uint64 words per item, bit i set iff row i holds
     the item, as MAFIA's vertical bitmaps are (Burdick, Calimlim and
     Gehrke, ICDE 2001); a candidate's count is the popcount of the AND of
-    its items' rows.  A weighted count reads no
-    candidate's last-item column: for each run sharing a prefix it finds
-    the rows of nonzero weight that hold the prefix and delivers their
-    items to the run's last items, as LCM's occurrence deliver does (Uno,
-    Kiyomi and Arimura, FIMI 2004), so a sampler's count costs its drawn
-    rows, not N."""
+    its items' rows.  A weighted count reads only the rows of nonzero
+    weight, as a sample is mined in memory (Toivonen, VLDB 1996), so a
+    sampler's count costs its drawn rows, not N (`_weighted_supports`)."""
     level = as_level(candidates)
     db.check_items(level)
+    if weights is not None and weights.size and weights.min() < 0:
+        raise ValueError("weights are draw counts and must be non-negative")
     if not len(level):
         return np.zeros(0, dtype=np.int64)
     if weights is not None:
-        return _delivered_supports(db, level, weights)
+        return _weighted_supports(db, level, weights)
     if level.shape[1] == 1:
         return db._column_counts[level[:, 0]]
-    return _bit_supports(db, level)
+    items, ranks = _item_ranks(level)
+    return _and_counts(_bit_columns(db, items), ranks)
 
 
 def _prefix_runs(level: np.ndarray) -> np.ndarray:
@@ -439,6 +432,13 @@ def _present(level: np.ndarray) -> np.ndarray:
     return present
 
 
+def _item_ranks(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A nonempty level's distinct items, increasing, and each entry's
+    rank among them (int32): its item's row in a bit matrix of them."""
+    present = _present(level)
+    return present.nonzero()[0], (present.cumsum(dtype=np.int32) - 1)[level]
+
+
 def _bit_columns(db: TransactionDB, items: np.ndarray) -> np.ndarray:
     """One row of ceil(N/64) uint64 words per item, bit i of an item's row
     set iff transaction i holds it.  Items are filled a block at a time
@@ -455,88 +455,84 @@ def _bit_columns(db: TransactionDB, items: np.ndarray) -> np.ndarray:
     return bits
 
 
-def _bit_supports(db: TransactionDB, level: np.ndarray) -> np.ndarray:
-    """Unweighted level_supports of k-itemsets, k >= 2, on the bit matrix
-    of the level's items.  Candidates are taken as many at a time as the
-    level has items, so the gathered rows never outgrow the matrix."""
-    present = _present(level)
-    items = present.nonzero()[0]
-    ranks = (present.cumsum(dtype=np.int32) - 1)[level]  # each item's row in the matrix
-    bits = _bit_columns(db, items)
-    out = np.empty(len(level), dtype=np.int64)
-    for lo in range(0, len(level), items.size):
-        part = ranks[lo:lo + items.size]
+def _and_counts(bits: np.ndarray, ranks: np.ndarray, planes=(None,)) -> np.ndarray:
+    """Each candidate's count on a bit matrix, its items' rows given by
+    ranks (C x k): the sum over b of 2**b times the popcount of the AND of
+    those rows with planes[b], a bit row of the rows whose weight has bit
+    b set (None: every row, weight 1).  Candidates are taken as many at a
+    time as the matrix has rows, so the gathered rows never outgrow it."""
+    out = np.zeros(len(ranks), dtype=np.int64)
+    for lo in range(0, len(ranks), len(bits)):
+        part = ranks[lo:lo + len(bits)]
         words = bits[part[:, 0]]
         for column in part.T[1:]:
             words &= bits[column]
-        out[lo:lo + len(part)] = np.bitwise_count(words).sum(axis=1)
+        for b, plane in enumerate(planes):
+            held = words if plane is None else words & plane
+            out[lo:lo + len(part)] += np.bitwise_count(held).sum(axis=1, dtype=np.int64) << b
     return out
 
 
-def _delivered_supports(db: TransactionDB, level: np.ndarray,
-                        weights: np.ndarray) -> np.ndarray:
-    """level_supports with weights: per run of candidates sharing a prefix,
-    the weights of the rows that hold the prefix, added to the run's last
-    items that those rows hold.  The rows of the prefix item with the
-    shortest column (every row, for single items) are taken N // 8 at a
-    time and searched for in the other prefix columns, so what the count
-    allocates is bounded by N // 8 rows and N // 8 row items."""
-    out = np.empty(len(level), dtype=np.int64)
-    step = max(db.n_transactions // 8, 1)
-    bounds = _prefix_runs(level)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        prefix = level[lo, :-1].tolist()
-        lasts = level[lo:hi, -1].astype(np.int64)
-        # a duplicated last item counts in its leftmost slot
-        slots = np.sort(lasts)
-        counts = np.zeros(slots.size, dtype=np.int64)
-        head = min(prefix, key=db._column_counts.__getitem__, default=None)
-        rest = tuple(j for j in prefix if j != head)
-        source = None if head is None else db._rows_with_item(head)
-        for start in range(0, db.n_transactions if source is None else source.size, step):
-            if source is None:
-                rows = np.flatnonzero(weights[start:start + step]) + start
-            else:
-                rows = source[start:start + step]
-                rows = _rows_holding(db, rest, rows[weights[rows] != 0])
-            _deliver(db, rows, weights, slots, counts, step)
-        out[lo:hi] = counts[np.searchsorted(slots, lasts)]
-    return out
-
-
-def _rows_holding(db: TransactionDB, items: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
-    """The rows of increasing `rows` that hold every one of `items`.  Each
-    item's column is at least as long as the one `rows` came from, so it
-    is nonempty whenever `rows` is."""
-    for j in items:
-        col = db._rows_with_item(j)
-        at = np.searchsorted(col, rows)
-        np.minimum(at, col.size - 1, out=at)
-        rows = rows[col[at] == rows]
-    return rows
-
-
-def _deliver(db: TransactionDB, rows: np.ndarray, weights: np.ndarray,
-             slots: np.ndarray, counts: np.ndarray, step: int) -> None:
-    """Add each row's weight to counts[s] for every item of the row equal
-    to slots[s], the leftmost such s, reading at most `step` row items at a
-    time (and at least one row)."""
+def _row_pieces(db: TransactionDB, rows: np.ndarray, step: int):
+    """The items of increasing `rows`, from their CSR slices, in pieces of
+    at most `step` items (and at least one row): yields each item's row as
+    an index into `rows`, and the items, row after row."""
+    begin = db._indptr[rows]
+    length = db._indptr[rows + 1] - begin
+    ends = np.cumsum(length)
+    shift = begin - ends + length  # a row's CSR start less the items before it
     lo = 0
     while lo < rows.size:
-        part = rows[lo:lo + step]
-        begin = db._indptr[part]
-        length = db._indptr[part + 1] - begin
-        ends = np.cumsum(length)
-        take = max(int(np.searchsorted(ends, step, side="right")), 1)
-        length = length[:take]
-        # the CSR positions of the items of the first `take` rows, in order
-        items = db._indices[np.repeat(begin[:take] - (ends[:take] - length), length)
-                            + np.arange(ends[take - 1])]
-        slot = np.searchsorted(slots, items)
-        np.minimum(slot, slots.size - 1, out=slot)
-        hit = slots[slot] == items
-        np.add.at(counts, slot[hit], np.repeat(weights[part[:take]], length)[hit])
-        lo += take
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, base + step, side="right")), lo + 1)
+        owner = np.repeat(np.arange(lo, hi), length[lo:hi])
+        yield owner, db._indices[shift[owner] + np.arange(base, int(ends[hi - 1]))]
+        lo = hi
+
+
+def _set_bits(bits: np.ndarray, rows, cols: np.ndarray) -> None:
+    """Set bit cols[i] of row rows[i] (or row `rows`) of a uint64 matrix."""
+    flat = rows * bits.shape[1] + (cols >> 6)
+    np.bitwise_or.at(bits.reshape(-1), flat, np.left_shift(1, cols & 63).astype(np.uint64))
+
+
+def _weighted_supports(db: TransactionDB, level: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
+    """level_supports with weights, over the rows of nonzero weight only,
+    read from their CSR slices N // 8 rows and N // 8 row items at a time.
+    Single items add each row's weight at their items' ranks among the
+    level's.  k-itemsets, k >= 2, set their items' bits in a bit matrix
+    over those rows, column p for the p-th, and are counted on it with
+    one plane per bit of the weights (`_and_counts`)."""
+    single = level.shape[1] == 1
+    if single:  # ranks from the level's own items: nothing sized by an item id
+        items = np.sort(level[:, 0])  # a repeated item counts at its leftmost
+        sums = np.zeros(items.size, dtype=np.int64)
+    else:
+        items, ranks = _item_ranks(level)
+        words = -(-int(np.count_nonzero(weights)) // 64)
+        bits = np.zeros((items.size, words), dtype=np.uint64)
+        planes = np.zeros((int(weights.max()).bit_length(), words), dtype=np.uint64)
+    step = max(db.n_transactions // 8, 1)
+    pos = 0  # the column of the first row of this step
+    for start in range(0, db.n_transactions, step):
+        rows = np.flatnonzero(weights[start:start + step]) + start
+        w = weights[rows]
+        if not single:
+            for b in range(len(planes)):
+                _set_bits(planes, b, pos + np.flatnonzero((w >> b) & 1))
+        for owner, row_items in _row_pieces(db, rows, step):
+            at = np.searchsorted(items, row_items)
+            np.minimum(at, items.size - 1, out=at)
+            hit = items[at] == row_items
+            if single:
+                np.add.at(sums, at[hit], w[owner[hit]])
+            else:
+                _set_bits(bits, at[hit], pos + owner[hit])
+        pos += rows.size
+    if single:
+        return sums[np.searchsorted(items, level[:, 0])]
+    return _and_counts(bits, ranks, planes)
 
 
 def exact_support(db: TransactionDB, x: Itemset) -> ExactSupport:

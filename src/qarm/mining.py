@@ -241,7 +241,7 @@ def amplitude_amplify(law: np.ndarray, min_supp, mode: str = "ideal-projection",
     return amplified / amplified.sum() if mode == "ideal-projection" else amplified
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinedItemset:
     itemset: Itemset
     estimate: SupportEstimate

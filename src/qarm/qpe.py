@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SupportEstimate:
     """Decoded measurement: grid point y* of T and its sin^2 value."""
 

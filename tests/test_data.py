@@ -257,8 +257,8 @@ def test_support_monotone_and_singleton_column_sums():
 
 
 def test_itemset_canonicalization():
-    assert Itemset.of([3, 1, 1, 2]).items == (1, 2, 3)
-    assert Itemset.of(5).items == (5,)
+    assert Itemset.of([3, 1, 1, 2]) == (1, 2, 3)
+    assert Itemset.of(5) == (5,)
     assert len(Itemset.of([4, 0])) == 2
     with pytest.raises(ValueError):
         Itemset(())
@@ -284,7 +284,7 @@ _ITEM_TUPLES = st.lists(st.integers(0, 12), min_size=1, max_size=4,
        loose=st.lists(st.integers(0, 12), min_size=1, max_size=6))
 def test_itemset_is_its_tuple(a, b, pool, loose):
     x, y = Itemset(a), Itemset(b)
-    assert x == a and x.items == a and x.size == len(a) and hash(x) == hash(a)
+    assert x == a and hash(x) == hash(a)
     assert (x == y) == (a == b) and (x < y) == (a < b) and (x <= y) == (a <= b)
     # mixed sizes sort as their tuples do
     assert [tuple(z) for z in sorted(map(Itemset, pool))] == sorted(pool)
@@ -327,7 +327,7 @@ def test_column_counts_are_not_copied():
 
 @settings(max_examples=80)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.sampled_from([None, 63, 64, 65, 127, 129]),
-       shuffled=st.booleans(), weights=st.sampled_from([None, "draws", "sampled"]),
+       shuffled=st.booleans(), weights=st.sampled_from([None, "draws", "sampled", "heavy"]),
        gap=st.booleans())
 def test_level_supports_match_dense(seed, n_rows, shuffled, weights, gap):
     # row counts on both sides of a 64-bit word's edge, or a few rows
@@ -349,6 +349,9 @@ def test_level_supports_match_dense(seed, n_rows, shuffled, weights, gap):
         w = rng.integers(0, 6, size=n)
     elif weights == "sampled":  # as the sampler's: a few draws, most rows zero
         w = np.bincount(rng.integers(0, n, size=int(rng.integers(0, n // 4 + 2))), minlength=n)
+    elif weights == "heavy":  # counts up to 2**40: 41 planes, sums past 2**32
+        w = rng.integers(0, 2 ** 40, size=n)
+        w[rng.integers(n)] = 2 ** 40
     else:
         w = None
     dense = db.dense()
@@ -359,13 +362,20 @@ def test_level_supports_match_dense(seed, n_rows, shuffled, weights, gap):
         if shuffled:
             candidates = [candidates[i] for i in rng.permutation(len(candidates))]
         got = level_supports(db, candidates, w)
-        held = [dense[:, list(x.items)].all(axis=1) for x in candidates]
+        held = [dense[:, list(x)].all(axis=1) for x in candidates]
         assert got.dtype == np.int64
         assert got.tolist() == [int(h.sum() if w is None else (h * w).sum()) for h in held]
         # the same level as an int32 array
         array = np.array(candidates, dtype=np.int32)
         assert np.array_equal(level_supports(db, array, w), got)
     assert level_supports(db, [], w).tolist() == []
+
+
+def test_level_supports_refuses_a_negative_weight(dtoy):
+    weights = np.array([2, 0, -1, 1])
+    for candidates in ([Itemset.of(0)], [Itemset((0, 1))], []):
+        with pytest.raises(ValueError, match="non-negative"):
+            level_supports(dtoy, candidates, weights)
 
 
 def test_level_supports_rejects_items_out_of_range(dtoy):

@@ -64,7 +64,7 @@ def test_candidate_sign_table_matches_item_layout():
             ref = phase_oracle_sign_table(db, build_layout(db, k))
             assert table.shape == (ref.shape[0], layout.dim(CAND))
             for j, cand in enumerate(cands):
-                assert np.array_equal(table[:, j], ref[(slice(None),) + cand.items])
+                assert np.array_equal(table[:, j], ref[(slice(None),) + cand])
             assert np.all(table[:, len(cands):] == 1.0)  # padded slots
 
 

@@ -16,7 +16,7 @@ one thread as the benchmark caps them.  The digest is the sha256 of
 stdout, a NUL byte, stderr, a NUL byte and the decimal exit code, so a
 changed message or exit code shows as well as a changed report.
 
-The 183 runs, in this order:
+The 185 runs, in this order:
 
 * 6 benchmark ops: `quantum-ideal`, then `quantum-bbht`, at workload
   seeds 1, 2, 3 each, with the argv of `inputs.op_argv`.
@@ -48,12 +48,16 @@ The 183 runs, in this order:
   `--min-conf 1/2`, and `compare -T 16 --samples 200` in the three
   modes.  130 rows are not a multiple of 64, so the last word of a
   packed column is partly padding, and the levels reach k = 4.
+* 2 sampling runs on the same databases: `mine-sampling --synthetic 130
+  9 --seed S --density 0.6 --min-supp 1/4 --samples 8000 --json` for S
+  in 3, 5.  They reach k = 4 on a bit matrix over the drawn rows whose
+  last word is partly padding, with draw counts of about 7 bits.
 
 The row sampler (`classical.sampling_estimate`) runs in every
-`mine-sampling` and `compare` run: 87 of the 183 (the 12 compare runs
-outside the 108, the 3 `fimi-sampling` ops and 72 of the 108).  A change
-to its draws changes those digests, and only those: the other 96 must
-keep theirs.  In a
+`mine-sampling` and `compare` run: 89 of the 185 (the 12 compare runs
+outside the 108, the 3 `fimi-sampling` ops, 72 of the 108 and the last
+2).  A change to its draws changes those digests, and only those: the
+other 96 must keep theirs.  In a
 `compare` run each miner draws its own `--seed` stream, so the sampler's
 draws move only compare's `sampling` ledger, and its quantum half equals
 `mine-quantum` at the same seed.
@@ -141,6 +145,10 @@ def runs(inputs, work: str) -> list[list[str]]:
                   ["mine-classical", *db, "--min-conf", "1/2", "--json"]]
         argvs += [["compare", *db, "-T", "16", "--samples", "200", "--mode", mode,
                    "--json"] for mode in MODES]
+    for seed in ("3", "5"):
+        argvs.append(["mine-sampling", "--synthetic", "130", "9", "--seed", seed,
+                      "--density", "0.6", "--min-supp", "1/4", "--samples", "8000",
+                      "--json"])
     return argvs
 
 
