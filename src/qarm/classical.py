@@ -144,17 +144,23 @@ def cand_gen(frequents) -> np.ndarray:
     next-to-last item are those two rows; each other one is looked up by
     `searchsorted` on the level's packed row keys (`_row_keys`).
     """
-    level = as_level(frequents)
-    n, k = level.shape
-    if not n:
-        return np.empty((0, k + 1), dtype=level.dtype)
+    return _join(*_prefix_groups(as_level(frequents)))
+
+
+def _prefix_groups(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A level of distinct itemsets in lexicographic order, and the bounds
+    of its prefix groups (one group at k = 1), for `_join`."""
     ordered = _lex_sorted(level)
     if ordered is not level and (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise ValueError("frequents must be distinct")
-    level = ordered
-    bounds = _prefix_runs(level) if k > 1 else np.array([0, n])
+    return ordered, _prefix_runs(ordered) if level.shape[1] > 1 else np.array([0, len(level)])
+
+
+def _join(level: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """`cand_gen` of a level sorted and split by `_prefix_groups`."""
+    n, k = level.shape
     sizes = bounds[1:] - bounds[:-1]
-    if len(sizes) == n:  # no two rows share a prefix
+    if len(sizes) >= n:  # no two rows share a prefix
         return np.empty((0, k + 1), dtype=level.dtype)
     # row a joins the rows after it in its group: b = a + 1 .. group end - 1
     after = (bounds[1:] - 1).repeat(sizes) - np.arange(n)
@@ -201,16 +207,6 @@ def _bit_matrix_bytes(db: TransactionDB, level: np.ndarray) -> int:
     return n_items * -(-db.n_transactions // 64) * 8 * _BIT_MATRIX_COPIES
 
 
-def _join_count(level: np.ndarray) -> int:
-    """How many pairs `cand_gen` joins from a level: g(g-1)/2 over its
-    prefix groups of g rows."""
-    if level.shape[1] < 2:
-        return len(level) * (len(level) - 1) // 2
-    bounds = _prefix_runs(_lex_sorted(level))
-    sizes = bounds[1:] - bounds[:-1]
-    return int((sizes * (sizes - 1) // 2).sum())
-
-
 def mine_levels(db: TransactionDB,
                 examine: Callable[[np.ndarray, int], tuple[object, object]]
                 ) -> LevelRun:
@@ -231,9 +227,11 @@ def mine_levels(db: TransactionDB,
         run.results.append(result)
         run.stats.append(IterationStats(k, len(candidates), len(kept)))
         k += 1
-        _check_level_bytes(db, k, _join_count(kept), "",
+        ordered, bounds = _prefix_groups(kept)
+        sizes = bounds[1:] - bounds[:-1]  # a group of g rows makes g(g-1)/2 joins
+        _check_level_bytes(db, k, int((sizes * (sizes - 1) // 2).sum()), "",
                            len(kept) * _CANDIDATE_BYTES + _bit_matrix_bytes(db, kept))
-        candidates = cand_gen(kept)
+        candidates = _join(ordered, bounds)
     return run
 
 

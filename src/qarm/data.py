@@ -42,12 +42,10 @@ _DENSE_CELL_LIMIT = 1 << 26
 _PARSE_BLOCK = 1 << 20
 # the only bytes the fast path reads; any other byte takes the line parser
 _FAST_BYTES = b"0123456789 \t\n"
-# numpy's reader saturates an id past int64 (99999999999999999999 reads as
-# 2**63 - 1) instead of failing, so longer digit runs take the line parser,
-# which reads them exactly and refuses them by name
-_FAST_MAX_DIGITS = 18
-# maps every digit to "0", so a digit run shows as a run of zeros
-_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"0" * 9)
+# numpy's reader silently saturates an id past int64 at 2**63 - 1, so a
+# block holding an id this large takes the line parser, which reads every
+# id exactly and refuses one past _MAX_ITEM_ID by name
+_FAST_ID_LIMIT = 10 ** 18
 # n_items = 1 + largest id must fit int64
 _MAX_ITEM_ID = np.iinfo(np.int64).max - 1
 
@@ -283,8 +281,8 @@ def parse_fimi(text: str) -> TransactionDB:
     whole lines at a time, so besides the database's arrays and one copy
     of its ids, made when the blocks are joined, what it allocates is
     bounded by _PARSE_BLOCK, not by the text.  Any other text, or an id of
-    more than _FAST_MAX_DIGITS digits, is read line by line, which is also
-    what names the line of an error.
+    _FAST_ID_LIMIT or more, is read line by line, which is also what names
+    the line of an error.
     """
     db = _parse_fimi_blocks(text)
     return db if db is not None else _parse_fimi_lines(text)
@@ -292,8 +290,8 @@ def parse_fimi(text: str) -> TransactionDB:
 
 def _parse_fimi_blocks(text: str) -> TransactionDB | None:
     """Vectorised parse of text made only of digits, spaces, tabs and
-    newlines, with no id over _FAST_MAX_DIGITS digits; None for any other
-    text, which the line parser then reads and reports on.
+    newlines, with every id below _FAST_ID_LIMIT; None for any other text,
+    which the line parser then reads and reports on.
 
     Each block of whole lines is read by np.fromstring with every newline
     made a -1 token, so a line's ids lie between two -1s and a blank line
@@ -312,8 +310,7 @@ def _parse_fimi_blocks(text: str) -> TransactionDB | None:
             hi = cut + 1 if cut >= 0 else len(text)
         block = text[lo:hi].encode("ascii")
         lo = hi
-        if (block.translate(None, _FAST_BYTES)
-                or b"0" * (_FAST_MAX_DIGITS + 1) in block.translate(_DIGITS_TO_ZERO)):
+        if block.translate(None, _FAST_BYTES):
             return None
         tokens = np.fromstring(block.replace(b"\n", b" -1 ") + b" -1", dtype=np.int64, sep=" ")
         stop = tokens < 0
@@ -322,6 +319,8 @@ def _parse_fimi_blocks(text: str) -> TransactionDB | None:
         vals = tokens[~stop]
         if not vals.size:
             continue
+        if vals.max() >= _FAST_ID_LIMIT:
+            return None
         ptr = np.zeros(lengths.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=ptr[1:])
         # FIMI files usually list each row's ids sorted and distinct

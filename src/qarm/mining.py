@@ -51,7 +51,7 @@ from .classical import (
 from .constants import GRID_TOL, NORM_TOL
 from .data import Itemset, TransactionDB, as_level, support_threshold
 from .oracle import QueryCounter, _log2_exact
-from .qpe import SupportEstimate, decode_support, estimation_law
+from .qpe import SupportEstimate, _grid_value, decode_support, estimation_law
 from .qsim import as_rng
 
 __all__ = [
@@ -88,10 +88,15 @@ def good_set(big_t: int, min_supp) -> np.ndarray:
 
     Grid values are compared with GRID_TOL slack so exact boundaries
     (e.g. sin^2(pi/4) vs 1/2) land inside.  Symmetric: y is good iff T-y is.
+    Values are `decode_support`'s, by `math.sin` (`np.sin` can be an ulp off).
     """
-    thr = float(support_threshold(min_supp))
-    return np.array([decode_support(y, big_t).value >= thr - GRID_TOL
-                     for y in range(big_t)], dtype=bool)
+    return _good_mask(big_t, float(support_threshold(min_supp)))
+
+
+def _good_mask(big_t: int, thr: float) -> np.ndarray:
+    """good_set at a float threshold: y = 0..T/2 compared, mirrored to T-y."""
+    half = np.array([_grid_value(y, big_t) for y in range(big_t // 2 + 1)]) >= thr - GRID_TOL
+    return np.concatenate([half, half[(big_t - 1) // 2:0:-1]])
 
 
 def _rotation(mask: np.ndarray, p: float, phi: float, r: int) -> np.ndarray:
@@ -137,17 +142,16 @@ class _LevelPlan:
     `rng.choice` per measurement.
     """
 
-    def __init__(self, law: np.ndarray, min_supp, mode: str, k: int):
+    def __init__(self, law: np.ndarray, thr: float, mode: str, k: int):
         if mode not in AMPLIFY_MODES:
             raise ValueError(f"unknown amplification mode {mode!r}")
         big_t = law.shape[0]
-        mask = good_set(big_t, min_supp)
+        mask = _good_mask(big_t, thr)
         est = law.sum(axis=1)
         p = float(est[mask].sum())
         if p <= _P_FLOOR:
             raise NoFrequentCandidatesError(
-                f"no candidate clears min_supp={float(support_threshold(min_supp))}: "
-                f"good-subspace weight {p:.3e}"
+                f"no candidate clears min_supp={thr}: good-subspace weight {p:.3e}"
             )
         self.law, self.mode, self.k, self.big_t = law, mode, k, big_t
         # a list, so that each shot's lookup is cheap
@@ -228,7 +232,7 @@ def amplitude_amplify(law: np.ndarray, min_supp, mode: str = "ideal-projection",
     This is the law-returning form of one shot of the level plan the
     miner draws from: the same amplification, charges and bbht draws.
     """
-    plan = _LevelPlan(law, min_supp, mode, k)
+    plan = _LevelPlan(law, float(support_threshold(min_supp)), mode, k)
     if counter is None:
         counter = QueryCounter()
     if mode == "bbht":
@@ -255,12 +259,6 @@ class MiningResult:
 
     def itemsets(self) -> list[Itemset]:
         return [mi.itemset for mi in self.found]
-
-
-def _grid_step_at(estimate: SupportEstimate) -> float:
-    y, big_t = estimate.y, estimate.big_t
-    nxt = math.sin(math.pi * (y + 1) / big_t) ** 2
-    return abs(nxt - estimate.value)
 
 
 def check_mining_args(big_t: int, patience: int) -> None:
@@ -302,30 +300,27 @@ def qarm_mine_k(db: TransactionDB, candidates, k: int, big_t: int,
     total = float(law.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"(est, cand) law of |Psi3> sums to {total!r}")
-    plan = _LevelPlan(law, min_supp, mode, k)
+    plan = _LevelPlan(law, thr, mode, k)
 
     # by candidate row; an Itemset is made only for what is found
     found: dict[int, MinedItemset] = {}
-    misses = 0
-    first = True
+    misses = shots = 0
     while misses < patience:
-        if not first:
-            counter.charge_estimation_pipeline(k, big_t)
-        first = False
         y, j = plan.shot(rng, counter)
-        counter.measurements += 1
+        shots += 1
         if j >= len(level):
             raise AssertionError("measured an index beyond the candidates")
         if plan.good[y] and j not in found:
             estimate = decode_support(y, big_t)
-            found[j] = MinedItemset(
-                itemset=Itemset(level[j].tolist()),
-                estimate=estimate,
-                boundary_uncertain=abs(estimate.value - thr) < _grid_step_at(estimate),
-            )
+            step = abs(_grid_value(estimate.y + 1, big_t) - estimate.value)  # to the next point
+            found[j] = MinedItemset(itemset=Itemset(level[j].tolist()), estimate=estimate,
+                                    boundary_uncertain=abs(estimate.value - thr) < step)
             misses = 0
         else:
             misses += 1
+    # each shot after the first prepares |Psi3> again; each measures est, cand
+    counter.charge_estimation_pipeline(k, big_t, shots - 1)
+    counter.measurements += shots
 
     delta = counter.delta(start)
     per_pipeline = 2 * k * (big_t - 1)
@@ -346,8 +341,9 @@ def qarm_full(db: TransactionDB, min_supp, big_t: int,
               ) -> tuple[list[MiningResult], list[IterationStats]]:
     """Level-wise quantum mining on `mine_levels`: each level is one
     `qarm_mine_k`, and a level where nothing clears the threshold keeps
-    nothing.  T and patience are checked before any level runs."""
+    nothing.  T, patience and min_supp are checked before any level runs."""
     check_mining_args(big_t, patience)
+    min_supp = support_threshold(min_supp)
     rng = as_rng(rng)
     if counter is None:
         counter = QueryCounter()

@@ -17,7 +17,7 @@ oracle that this table is checked against.  Reads of padded rows/columns
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,10 +87,10 @@ class QueryCounter:
         self.elementary_gates += (2 * k - 1) * n
         self.grover_applications += n
 
-    def charge_estimation_pipeline(self, k: int, big_t: int):
-        """One preparation of |Psi3>: T-1 Grover applications."""
-        self.state_preparations += 1
-        self._charge_grovers(k, big_t - 1)
+    def charge_estimation_pipeline(self, k: int, big_t: int, n: int = 1):
+        """n preparations of |Psi3>: T-1 Grover applications each."""
+        self.state_preparations += n
+        self._charge_grovers(k, (big_t - 1) * n)
 
     def charge_amplification_iterations(self, k: int, big_t: int, n: int):
         """n Q = R_psi * S_good steps: each reflection about |Psi3> costs a
@@ -99,14 +99,13 @@ class QueryCounter:
         self._charge_grovers(k, 2 * (big_t - 1) * n)
 
     def snapshot(self) -> "QueryCounter":
-        return replace(self)
+        return QueryCounter(**vars(self))
 
     def delta(self, earlier: "QueryCounter") -> "QueryCounter":
-        mine, theirs = asdict(self), asdict(earlier)
-        return QueryCounter(**{f: mine[f] - theirs[f] for f in mine})
+        return QueryCounter(**{f: n - getattr(earlier, f) for f, n in vars(self).items()})
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _bits_for(count: int) -> int:

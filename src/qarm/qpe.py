@@ -67,12 +67,17 @@ class SupportEstimate:
     epsilon_scale: float
 
 
+def _grid_value(y: int, big_t: int) -> float:
+    """sin^2(pi*y/T), the value of grid point y that decodes and masks use."""
+    return math.sin(math.pi * y / big_t) ** 2
+
+
 def decode_support(y: int, big_t: int) -> SupportEstimate:
     """Fold y to y* = min(y, T-y) and decode s_hat = sin^2(pi*y*/T)."""
     if not 0 <= y < big_t:
         raise ValueError(f"y={y} outside [0, {big_t})")
     y_star = min(y, big_t - y)
-    value = math.sin(math.pi * y_star / big_t) ** 2
+    value = _grid_value(y_star, big_t)
     eps = 2 * math.pi * math.sqrt(value * (1 - value)) / big_t + math.pi ** 2 / big_t ** 2
     return SupportEstimate(y=y_star, big_t=big_t, value=value, epsilon_scale=eps)
 

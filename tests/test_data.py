@@ -169,16 +169,20 @@ class _Handed(TransactionDB):
 
 
 # numpy's reader saturates an id past int64 instead of failing, so every id
-# of more than 18 digits must reach the line parser, which reads it exactly
+# of 10**18 or more must reach the line parser, which reads it exactly; a
+# zero-padded small id is read exactly by the block parser
 @pytest.mark.parametrize("text, fast, expected", [
     ("1 " + "9" * 18 + "\n", True, [(1, 10 ** 18 - 1)]),
-    ("1 " + "0" * 18 + "7\n", False, [(1, 7)]),
+    ("1 " + "0" * 18 + "7\n", True, [(1, 7)]),
     ("1 " + "9" * 20 + "\n", False, "line 1: item id 99999999999999999999 too large"),
     (f"1\n5 {2 ** 63 - 1}\n", False, f"line 2: item id {2 ** 63 - 1} too large"),
     (f"1\n5 {2 ** 63 - 2}\n", False, [(1,), (5, 2 ** 63 - 2)]),
-    # under a 4-byte block the long id is only in the fifth block
-    ("3 4\n" * 4 + "5 " + "0" * 18 + "6\n", False, [(3, 4)] * 4 + [(5, 6)]),
-], ids=["18-digits", "padded-19-digits", "20-digits", "2**63-1", "2**63-2", "later-block"])
+    # under a 4-byte block the zero-padded id is only in the fifth block
+    ("3 4\n" * 4 + "5 " + "0" * 18 + "6\n", True, [(3, 4)] * 4 + [(5, 6)]),
+    # and 10**18, the least id the line parser must read, only in the fifth
+    ("3 4\n" * 4 + "5 1" + "0" * 18 + "\n", False, [(3, 4)] * 4 + [(5, 10 ** 18)]),
+], ids=["18-digits", "padded-19-digits", "20-digits", "2**63-1", "2**63-2", "later-block",
+        "later-block-10**18"])
 @pytest.mark.parametrize("block", [4, 1 << 20])
 def test_long_ids_take_the_line_parser(monkeypatch, text, fast, expected, block):
     monkeypatch.setattr(data, "_PARSE_BLOCK", block)

@@ -412,6 +412,53 @@ def test_mine_query_ledger_all_modes(dtoy):
         assert Itemset.of(1) in res.itemsets()
 
 
+def per_shot_ledger(db, cands, k, big_t, min_supp, mode, seed, patience):
+    """qarm_mine_k's shot loop with every shot charged as it runs: a
+    re-preparation before each shot after the first, a measurement after
+    each; the ledger it leaves, or the error that stopped it."""
+    counter = QueryCounter()
+    law = estimation_law(db, cands, k, big_t, counter)
+    try:
+        plan = qarm.mining._LevelPlan(law, min_supp, mode, k)
+    except NoFrequentCandidatesError as exc:
+        return type(exc)
+    rng, found, misses = np.random.default_rng(seed), set(), 0
+    while misses < patience:
+        if found or misses:
+            counter.charge_estimation_pipeline(k, big_t)
+        y, j = plan.shot(rng, counter)
+        counter.measurements += 1
+        if plan.good[y] and j not in found:
+            found.add(j)
+            misses = 0
+        else:
+            misses += 1
+    return counter
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from(AMPLIFY_MODES),
+       k=st.integers(1, 2), big_t=st.sampled_from([2, 4, 8, 16, 32]),
+       min_supp=st.sampled_from([0.125, 0.25, 0.5]), patience=st.integers(1, 25))
+def test_mine_k_ledger_equals_per_shot_charges(seed, mode, k, big_t, min_supp, patience):
+    # the level charges its re-preparations and measurements once, after
+    # the loop; field by field it must equal the loop that charges each
+    # shot (the ledger law scales both of its sides, so it cannot see a
+    # preparation too many or too few)
+    rng = np.random.default_rng(seed)
+    db = random_db(rng, n=int(rng.integers(1, 12)), m=int(rng.integers(k + 1, 6)))
+    cands = random_candidates(rng, db, k)
+    counter = QueryCounter()
+    try:
+        res = qarm_mine_k(db, cands, k, big_t, min_supp, mode, np.random.default_rng(seed),
+                          patience=patience, counter=counter)
+    except NoFrequentCandidatesError as exc:
+        counter = type(exc)
+    else:
+        assert res.shots_used == counter.state_preparations
+    assert counter == per_shot_ledger(db, cands, k, big_t, min_supp, mode, seed, patience)
+
+
 def test_mine_k2_pair_level(dtoy):
     # {0, 1} holds in rows 0 and 1: support 1/2, on the grid at T = 8
     counter = QueryCounter()

@@ -254,7 +254,7 @@ def test_counter_charge_laws():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_bulk_charges_equal_a_grover_loop(k):
-    # the pipeline charge and the charge for n Q steps add whole Grover
+    # the charges for n pipelines and for n Q steps add whole Grover
     # counts at once; every field must end where one charge_grover per
     # application leaves it
     for big_t in (1 << e for e in range(1, 11)):
@@ -268,6 +268,11 @@ def test_bulk_charges_equal_a_grover_loop(k):
             bulk.charge_amplification_iterations(k, big_t, n)
             loop.amplification_iterations += n
             for _ in range(2 * (big_t - 1) * n):
+                loop.charge_grover(k)
+            assert bulk == loop
+            bulk.charge_estimation_pipeline(k, big_t, n)
+            loop.state_preparations += n
+            for _ in range((big_t - 1) * n):
                 loop.charge_grover(k)
             assert bulk == loop
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qarm import (
     Itemset,
@@ -16,6 +16,7 @@ from qarm import (
     good_set,
     grid_steps_between,
 )
+from qarm.constants import GRID_TOL
 from qarm.oracle import CAND, EST, TXN, candidate_layout, candidate_sign_table
 from qarm.qpe import (
     _grover_kernel,
@@ -61,6 +62,26 @@ def test_good_set_examples():
     assert good_set(16, 0.5)[4]
     with pytest.raises(ValueError):
         good_set(8, 0)
+
+
+# T = 4096 examples where an np.sin grid gives another mask: the threshold
+# one ulp above grid value 91 plus GRID_TOL, and grid value 999 plus GRID_TOL
+@settings(max_examples=150, deadline=None)
+@given(big_t=st.one_of(st.sampled_from([1 << e for e in range(1, 13)]),
+                       st.integers(2, 1 << 12)),
+       at=st.integers(0, 1 << 11), kind=st.integers(0, 3))
+@example(big_t=4096, at=90, kind=3)
+@example(big_t=4096, at=998, kind=1)
+def test_good_set_equals_decoded_mask(big_t, at, kind):
+    # the mask is made from the folded grid at once; it must be the one
+    # that decoding every y gives, at thresholds on a grid value, at that
+    # value plus GRID_TOL, and one ulp either side of the latter
+    value = decode_support(1 + at % (big_t // 2), big_t).value
+    edge = value + GRID_TOL
+    thr = [value, edge, math.nextafter(edge, 0.0), math.nextafter(edge, 2.0)][kind]
+    assume(thr <= 1.0)
+    decoded = [decode_support(y, big_t).value >= thr - GRID_TOL for y in range(big_t)]
+    assert good_set(big_t, thr).tolist() == decoded
 
 
 def nonzero_outcomes(probs, floor=1e-15):

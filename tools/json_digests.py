@@ -16,7 +16,7 @@ one thread as the benchmark caps them.  The digest is the sha256 of
 stdout, a NUL byte, stderr, a NUL byte and the decimal exit code, so a
 changed message or exit code shows as well as a changed report.
 
-The 185 runs, in this order:
+The 194 runs, in this order:
 
 * 6 benchmark ops: `quantum-ideal`, then `quantum-bbht`, at workload
   seeds 1, 2, 3 each, with the argv of `inputs.op_argv`.
@@ -41,8 +41,8 @@ The 185 runs, in this order:
   the small FIMI files of `FIMI_FILES`, one for each way a text is read:
   unsorted and repeated ids with tabs and blank lines (the block parser's
   sort), CRLF line ends (the CLI reads them as newlines), a zero-padded
-  19-digit id (the line parser), and a 20-digit id and a letter (exit 2
-  naming the line).
+  19-digit id (read exactly by the block parser, since its value is
+  small), and a 20-digit id and a letter (exit 2 naming the line).
 * 10 runs on `--synthetic 130 9 --seed S --density 0.6 --min-supp 1/4`
   for S in 3, 5, five per seed: `mine-classical` without and with
   `--min-conf 1/2`, and `compare -T 16 --samples 200` in the three
@@ -52,12 +52,17 @@ The 185 runs, in this order:
   9 --seed S --density 0.6 --min-supp 1/4 --samples 8000 --json` for S
   in 3, 5.  They reach k = 4 on a bit matrix over the drawn rows whose
   last word is partly padding, with draw counts of about 7 bits.
+* 9 quantum runs on `--synthetic 16 6 --seed 3` in the three modes:
+  `mine-quantum --min-supp 1/4 -T 1024 --json`, a grid of 1,024 good-mask
+  points; and `mine-quantum --min-supp 1/2 -T 8 --json` at the default
+  density and at `--density 0.6`, where the grid value sin^2(pi/4) sits
+  on the threshold and must count as good.
 
 The row sampler (`classical.sampling_estimate`) runs in every
-`mine-sampling` and `compare` run: 89 of the 185 (the 12 compare runs
-outside the 108, the 3 `fimi-sampling` ops, 72 of the 108 and the last
-2).  A change to its draws changes those digests, and only those: the
-other 96 must keep theirs.  In a
+`mine-sampling` and `compare` run: 89 of the 194 (the 12 compare runs
+outside the 108, the 3 `fimi-sampling` ops, 72 of the 108 and the 2
+`mine-sampling` runs at 130 9).  A change to its draws changes those
+digests, and only those: the other 105 must keep theirs.  In a
 `compare` run each miner draws its own `--seed` stream, so the sampler's
 draws move only compare's `sampling` ledger, and its quantum half equals
 `mine-quantum` at the same seed.
@@ -149,6 +154,10 @@ def runs(inputs, work: str) -> list[list[str]]:
         argvs.append(["mine-sampling", "--synthetic", "130", "9", "--seed", seed,
                       "--density", "0.6", "--min-supp", "1/4", "--samples", "8000",
                       "--json"])
+    db = ["--synthetic", "16", "6", "--seed", "3"]
+    for grid in (["--min-supp", "1/4", "-T", "1024"], ["--min-supp", "1/2", "-T", "8"],
+                 ["--density", "0.6", "--min-supp", "1/2", "-T", "8"]):
+        argvs += [["mine-quantum", *db, *grid, "--mode", mode, "--json"] for mode in MODES]
     return argvs
 
 
