@@ -144,20 +144,7 @@ def cand_gen(frequents) -> np.ndarray:
     next-to-last item are those two rows; each other one is looked up by
     `searchsorted` on the level's packed row keys (`_row_keys`).
     """
-    return _join(*_prefix_groups(as_level(frequents)))
-
-
-def _prefix_groups(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A level of distinct itemsets in lexicographic order, and the bounds
-    of its prefix groups (one group at k = 1), for `_join`."""
-    ordered = _lex_sorted(level)
-    if ordered is not level and (ordered[1:] == ordered[:-1]).all(axis=1).any():
-        raise ValueError("frequents must be distinct")
-    return ordered, _prefix_runs(ordered) if level.shape[1] > 1 else np.array([0, len(level)])
-
-
-def _join(level: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """`cand_gen` of a level sorted and split by `_prefix_groups`."""
+    level, bounds = _prefix_groups(as_level(frequents))
     n, k = level.shape
     sizes = bounds[1:] - bounds[:-1]
     if len(sizes) >= n:  # no two rows share a prefix
@@ -179,6 +166,16 @@ def _join(level: np.ndarray, bounds: np.ndarray) -> np.ndarray:
             at = np.minimum(keys.searchsorted(sub), keys.size - 1)
             joined = joined[keys[at] == sub]
     return joined
+
+
+def _prefix_groups(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A level of distinct itemsets in lexicographic order (the level
+    itself if it is), and the bounds of its prefix groups (one group at
+    k = 1)."""
+    ordered = _lex_sorted(level)
+    if ordered is not level and (ordered[1:] == ordered[:-1]).all(axis=1).any():
+        raise ValueError("frequents must be distinct")
+    return ordered, _prefix_runs(ordered) if level.shape[1] > 1 else np.array([0, len(level)])
 
 
 @dataclass(frozen=True)
@@ -227,11 +224,12 @@ def mine_levels(db: TransactionDB,
         run.results.append(result)
         run.stats.append(IterationStats(k, len(candidates), len(kept)))
         k += 1
+        # sorted once: cand_gen takes the ordered level as it is
         ordered, bounds = _prefix_groups(kept)
         sizes = bounds[1:] - bounds[:-1]  # a group of g rows makes g(g-1)/2 joins
         _check_level_bytes(db, k, int((sizes * (sizes - 1) // 2).sum()), "",
                            len(kept) * _CANDIDATE_BYTES + _bit_matrix_bytes(db, kept))
-        candidates = _join(ordered, bounds)
+        candidates = cand_gen(ordered)
     return run
 
 

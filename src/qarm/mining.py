@@ -90,11 +90,8 @@ def good_set(big_t: int, min_supp) -> np.ndarray:
     (e.g. sin^2(pi/4) vs 1/2) land inside.  Symmetric: y is good iff T-y is.
     Values are `decode_support`'s, by `math.sin` (`np.sin` can be an ulp off).
     """
-    return _good_mask(big_t, float(support_threshold(min_supp)))
-
-
-def _good_mask(big_t: int, thr: float) -> np.ndarray:
-    """good_set at a float threshold: y = 0..T/2 compared, mirrored to T-y."""
+    thr = float(support_threshold(min_supp))
+    # y = 0..T/2 compared, mirrored onto T-y
     half = np.array([_grid_value(y, big_t) for y in range(big_t // 2 + 1)]) >= thr - GRID_TOL
     return np.concatenate([half, half[(big_t - 1) // 2:0:-1]])
 
@@ -142,16 +139,17 @@ class _LevelPlan:
     `rng.choice` per measurement.
     """
 
-    def __init__(self, law: np.ndarray, thr: float, mode: str, k: int):
+    def __init__(self, law: np.ndarray, min_supp, mode: str, k: int):
         if mode not in AMPLIFY_MODES:
             raise ValueError(f"unknown amplification mode {mode!r}")
         big_t = law.shape[0]
-        mask = _good_mask(big_t, thr)
+        mask = good_set(big_t, min_supp)
         est = law.sum(axis=1)
         p = float(est[mask].sum())
         if p <= _P_FLOOR:
             raise NoFrequentCandidatesError(
-                f"no candidate clears min_supp={thr}: good-subspace weight {p:.3e}"
+                f"no candidate clears min_supp={float(support_threshold(min_supp))}: "
+                f"good-subspace weight {p:.3e}"
             )
         self.law, self.mode, self.k, self.big_t = law, mode, k, big_t
         # a list, so that each shot's lookup is cheap
@@ -232,7 +230,7 @@ def amplitude_amplify(law: np.ndarray, min_supp, mode: str = "ideal-projection",
     This is the law-returning form of one shot of the level plan the
     miner draws from: the same amplification, charges and bbht draws.
     """
-    plan = _LevelPlan(law, float(support_threshold(min_supp)), mode, k)
+    plan = _LevelPlan(law, min_supp, mode, k)
     if counter is None:
         counter = QueryCounter()
     if mode == "bbht":
@@ -300,7 +298,7 @@ def qarm_mine_k(db: TransactionDB, candidates, k: int, big_t: int,
     total = float(law.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"(est, cand) law of |Psi3> sums to {total!r}")
-    plan = _LevelPlan(law, thr, mode, k)
+    plan = _LevelPlan(law, min_supp, mode, k)
 
     # by candidate row; an Itemset is made only for what is found
     found: dict[int, MinedItemset] = {}
@@ -341,9 +339,8 @@ def qarm_full(db: TransactionDB, min_supp, big_t: int,
               ) -> tuple[list[MiningResult], list[IterationStats]]:
     """Level-wise quantum mining on `mine_levels`: each level is one
     `qarm_mine_k`, and a level where nothing clears the threshold keeps
-    nothing.  T, patience and min_supp are checked before any level runs."""
+    nothing.  T and patience are checked before any level runs."""
     check_mining_args(big_t, patience)
-    min_supp = support_threshold(min_supp)
     rng = as_rng(rng)
     if counter is None:
         counter = QueryCounter()
