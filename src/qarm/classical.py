@@ -169,12 +169,9 @@ def cand_gen(frequents) -> np.ndarray:
 
 
 def _prefix_groups(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A level of distinct itemsets in lexicographic order (the level
-    itself if it is), and the bounds of its prefix groups (one group at
-    k = 1)."""
+    """A level of distinct itemsets in lexicographic order (`_lex_sorted`),
+    and the bounds of its prefix groups (one group at k = 1)."""
     ordered = _lex_sorted(level)
-    if ordered is not level and (ordered[1:] == ordered[:-1]).all(axis=1).any():
-        raise ValueError("frequents must be distinct")
     return ordered, _prefix_runs(ordered) if level.shape[1] > 1 else np.array([0, len(level)])
 
 
@@ -258,9 +255,11 @@ def apriori(db: TransactionDB, min_supp,
 
 
 def check_n_samples(n_samples: int) -> None:
-    """Refuse a row-draw count below 1."""
+    """Refuse a row-draw count below 1 or past int64."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if n_samples > np.iinfo(np.int64).max:
+        raise ValueError(f"n_samples {n_samples} does not fit int64")
 
 
 def sampling_estimate(db: TransactionDB, candidates, n_samples: int, rng=None,

@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,61 +46,43 @@ _DATASET_FILES = {
 }
 
 
-@dataclass
-class Report:
-    """Everything a run wants to say, renderable as JSON, text, or CSV."""
+class Report(dict):
+    """Everything a run wants to say: the JSON payload itself, renderable
+    as JSON, text, or CSV.  gamma, rules, agreement and checks are keys
+    only when given."""
 
-    command: str
-    config: dict
-    iterations: list[dict] = field(default_factory=list)
-    itemsets: list[dict] = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
-    gamma: dict | None = None
-    rules: list[dict] | None = None
-    agreement: dict | None = None
-    checks: list[dict] | None = None
-    status: str = "ok"
-
-    def payload(self) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "config": self.config,
-            "iterations": self.iterations,
-            "itemsets": self.itemsets,
-            "counters": self.counters,
-            "status": self.status,
-        }
-        for name in ("gamma", "rules", "agreement", "checks"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+    def __init__(self, command: str, config: dict, iterations=(), itemsets=(),
+                 counters=(), status: str = "ok", **optional):
+        super().__init__(schema_version=SCHEMA_VERSION, command=command, config=config,
+                         iterations=list(iterations), itemsets=list(itemsets),
+                         counters=dict(counters), status=status)
+        self.update((name, value) for name, value in optional.items() if value is not None)
 
     def to_json(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self, sort_keys=True, indent=2) + "\n"
 
     def iterations_csv(self) -> str:
         lines = ["k,m_candidates,m_frequent"]
-        for row in self.iterations:
+        for row in self["iterations"]:
             lines.append(f"{row['k']},{row['m_candidates']},{row['m_frequent']}")
         return "\n".join(lines) + "\n"
 
     def to_text(self, elapsed: float | None = None) -> str:
-        lines = [f"{self.command}  [{self.status}]"]
-        for key, value in sorted(self.config.items()):
+        lines = [f"{self['command']}  [{self['status']}]"]
+        for key, value in sorted(self["config"].items()):
             lines.append(f"  {key} = {value}")
-        if self.iterations:
+        iterations = self["iterations"]
+        if iterations:
             lines.append("  k  candidates  frequent" +
-                         ("     shots" if "shots_used" in self.iterations[0] else ""))
-            for row in self.iterations:
+                         ("     shots" if "shots_used" in iterations[0] else ""))
+            for row in iterations:
                 base = f"  {row['k']:<2} {row['m_candidates']:>10} {row['m_frequent']:>9}"
                 if "shots_used" in row:
                     base += f" {row['shots_used']:>9}"
                 lines.append(base)
-        if self.itemsets:
-            lines.append(f"  {len(self.itemsets)} frequent itemsets:")
-            for entry in self.itemsets:
+        if self["itemsets"]:
+            lines.append(f"  {len(self['itemsets'])} frequent itemsets:")
+            for entry in self["itemsets"]:
                 tag = "{" + ",".join(map(str, entry["items"])) + "}"
                 if "support" in entry:
                     lines.append(f"    {tag}  support={entry['support']}")
@@ -109,27 +90,25 @@ class Report:
                     grid = f" (y={entry['y']}/{entry['T']})" if "y" in entry else ""
                     extra = " (boundary)" if entry.get("boundary_uncertain") else ""
                     lines.append(f"    {tag}  estimate={entry['estimate']:.6f}{grid}{extra}")
-        if self.gamma:
-            parts = ", ".join(f"{k}={v:.4f}" for k, v in sorted(self.gamma.items())
+        if self.get("gamma"):
+            parts = ", ".join(f"{k}={v:.4f}" for k, v in sorted(self["gamma"].items())
                               if v is not None)
             lines.append(f"  gamma: {parts}")
-        if self.rules is not None:
-            lines.append(f"  {len(self.rules)} rules:")
-            for rule in self.rules:
+        if "rules" in self:
+            lines.append(f"  {len(self['rules'])} rules:")
+            for rule in self["rules"]:
                 lines.append(
                     f"    {rule['antecedent']} => {rule['consequent']} "
                     f"(supp={rule['support']}, conf={rule['confidence']})"
                 )
-        if self.agreement is not None:
-            for key, value in sorted(self.agreement.items()):
-                lines.append(f"  {key}: {value}")
-        if self.checks is not None:
-            for chk in self.checks:
-                detail = f" ({chk['detail']})" if chk.get("detail") else ""
-                lines.append(f"  {chk['name']}: {chk['status']}{detail}")
-        if self.counters:
+        for key, value in sorted(self.get("agreement", {}).items()):
+            lines.append(f"  {key}: {value}")
+        for chk in self.get("checks", ()):
+            detail = f" ({chk['detail']})" if chk.get("detail") else ""
+            lines.append(f"  {chk['name']}: {chk['status']}{detail}")
+        if self["counters"]:
             lines.append("  counters:")
-            for scope, counts in sorted(self.counters.items()):
+            for scope, counts in sorted(self["counters"].items()):
                 body = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()) if v)
                 lines.append(f"    {scope}: {body or '(none)'}")
         if elapsed is not None:
@@ -224,7 +203,7 @@ def cmd_mine_classical(args) -> tuple[Report, int]:
     if args.min_conf is not None:
         conf = support_threshold(args.min_conf)
         config["min_conf"] = str(conf)
-        report.rules = [
+        report["rules"] = [
             {
                 "antecedent": list(rule.antecedent),
                 "consequent": list(rule.consequent),
@@ -234,12 +213,6 @@ def cmd_mine_classical(args) -> tuple[Report, int]:
             for rule in generate_rules(result.frequents, conf)
         ]
     return report, 0
-
-
-def _check_samples(n_samples: int) -> None:
-    check_n_samples(n_samples)
-    if n_samples > np.iinfo(np.int64).max:
-        raise ValueError(f"--samples {n_samples} does not fit int64")
 
 
 def cmd_mine_sampling(args) -> tuple[Report, int]:
@@ -254,7 +227,6 @@ def cmd_mine_sampling(args) -> tuple[Report, int]:
             raise ValueError(f"--epsilon {args.epsilon} is too small: "
                              "1/eps^2 row draws do not fit int64")
         n_samples = max(1, math.ceil(1.0 / square))
-    _check_samples(n_samples)
     counter = QueryCounter()
     rng = np.random.default_rng(args.seed)
     kept, stats = sampling_apriori(db, thr, n_samples, rng, counter)
@@ -292,7 +264,7 @@ def cmd_mine_quantum(args) -> tuple[Report, int]:
 
 def cmd_compare(args) -> tuple[Report, int]:
     # Apriori runs first, so refuse what the other two miners would refuse
-    _check_samples(args.samples)
+    check_n_samples(args.samples)
     check_mining_args(args.grid, args.patience)
     db, source = _load_db(args)
     thr = support_threshold(args.min_supp)

@@ -204,10 +204,6 @@ class TransactionDB:
         out[rows, self._indices] = True
         return out
 
-    def present_items(self) -> list[int]:
-        """Items occurring in at least one transaction."""
-        return self.item_level()[:, 0].tolist()
-
     def item_level(self) -> np.ndarray:
         """Level 1: the items occurring in at least one transaction, as a
         C x 1 level (see `as_level`)."""
@@ -414,13 +410,19 @@ def _row_keys(level: np.ndarray) -> np.ndarray:
 def _lex_sorted(level: np.ndarray) -> np.ndarray:
     """A level's rows in lexicographic order: the level itself when its
     rows already strictly increase, as those of every level `mine_levels`
-    builds do, so no sort runs."""
+    builds do, so no sort runs.  A level that repeats a row is refused,
+    naming the first row in the level's order that equals an earlier one."""
     if len(level) < 2:
         return level
     keys = _row_keys(level)
     if (keys[1:] > keys[:-1]).all():
         return level
-    return level[np.argsort(keys, kind="stable")]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    again = order[1:][keys[1:] == keys[:-1]]  # each repeat, after its equal
+    if again.size:
+        raise ValueError(f"duplicate itemset {Itemset(level[again.min()].tolist())}")
+    return level[order]
 
 
 def _present(level: np.ndarray) -> np.ndarray:

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import NORM_TOL
 from .data import TransactionDB
-from .qsim import RegisterLayout, Statevector, inject_state
+from .qsim import RegisterLayout, Statevector, _require_zeroed, _three_axis_view, inject_state
 
 __all__ = [
     "EST", "TXN", "CAND", "KICK",
@@ -246,17 +245,11 @@ def _require_oracle_ancillas(state: Statevector, k: int):
         if name not in layout.names:
             raise ValueError(f"layout lacks ancilla register {name!r}")
         axis = layout.axis(name)
-        view = state.amps.reshape(
-            -1, 2, int(np.prod(layout.dims[axis + 1:], dtype=np.int64))
-        )
-        if np.sum(np.abs(view[:, 1, :]) ** 2) > NORM_TOL:
-            raise ValueError(f"ancilla {name!r} must start in |0>")
+        _require_zeroed(_three_axis_view(state, axis, axis), f"ancilla {name!r}")
     if KICK not in layout.names:
         raise ValueError("layout lacks the kickback register")
     axis = layout.axis(KICK)
-    view = state.amps.reshape(
-        -1, 2, int(np.prod(layout.dims[axis + 1:], dtype=np.int64))
-    )
+    view = _three_axis_view(state, axis, axis)
     if np.linalg.norm(view[:, 0, :] + view[:, 1, :]) > 1e-9:
         raise ValueError("kickback register must hold |->")
 

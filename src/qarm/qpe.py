@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Itemset, TransactionDB, _lex_sorted, _row_keys, as_level, level_supports
+from .data import TransactionDB, _lex_sorted, as_level, level_supports
 from .oracle import (
     CAND,
     EST,
@@ -146,13 +146,7 @@ def _check_candidates(db: TransactionDB, candidates, k: int) -> np.ndarray:
         raise ValueError("need at least one candidate")
     level = as_level(candidates, k)
     db.check_items(level)
-    if _lex_sorted(level) is not level:  # rows out of order, maybe repeated
-        order = np.argsort(_row_keys(level), kind="stable")
-        again = np.flatnonzero((level[order[1:]] == level[order[:-1]]).all(axis=1))
-        if again.size:
-            # the first row in level order equal to an earlier one
-            first = min(order[again + 1].tolist())
-            raise ValueError(f"duplicate candidate {Itemset(level[first].tolist())}")
+    _lex_sorted(level)
     return level
 
 

@@ -116,9 +116,7 @@ class Statevector:
 
     @classmethod
     def zero(cls, layout: RegisterLayout) -> "Statevector":
-        amps = np.zeros(1 << layout.n_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(layout, amps)
+        return cls.basis_state(layout, {})
 
     @classmethod
     def basis_state(cls, layout: RegisterLayout, values: dict[str, int]) -> "Statevector":
@@ -171,16 +169,12 @@ def prepare_uniform(state: Statevector, register: str, limit: int) -> Statevecto
     limit may be any value in [1, 2^width]; limits below the full register
     dimension give the exact-N uniform state used for transaction indices.
     """
-    axis = state.layout.axis(register)
     dim = state.layout.dim(register)
     if not 1 <= limit <= dim:
         raise ValueError(f"limit {limit} outside [1, {dim}] for {register!r}")
-    view3 = _three_axis_view(state, axis, axis)
-    _require_zeroed(view3, f"register {register!r}")
-    base = view3[:, 0, :] / np.sqrt(limit)
-    view3[:, :limit, :] = base[:, None, :]
-    state.check_norm()
-    return state
+    amps = np.zeros(dim)
+    amps[:limit] = 1.0 / np.sqrt(limit)
+    return inject_state(state, register, amps)
 
 
 def inject_state(state: Statevector, registers, amplitudes: np.ndarray) -> Statevector:
@@ -260,9 +254,7 @@ def reflect_about_state(state: Statevector, reference: Statevector) -> Statevect
 
 def register_marginal(state: Statevector, register: str) -> np.ndarray:
     """Probability distribution over one register's values."""
-    axis = state.layout.axis(register)
-    view3 = _three_axis_view(state, axis, axis)
-    return np.sum(np.abs(view3) ** 2, axis=(0, 2))
+    return joint_probs(state, [register])
 
 
 def joint_probs(state: Statevector, registers: Sequence[str]) -> np.ndarray:

@@ -254,7 +254,7 @@ def _k1_run(seed) -> bool:
             break
     db = synth_db(16, m, {(j,): s for j, s in enumerate(sup)},
                   int(rng.integers(2 ** 31)))
-    cands = [Itemset.of(j) for j in db.present_items()]
+    cands = [Itemset.of(j) for j in db.item_level()[:, 0].tolist()]
     _assert_clear_instance(db, cands, thr)
     res = qarm_mine_k(db, cands, 1, BIG_T, thr, "ideal-projection", rng,
                       patience=25)
@@ -277,7 +277,7 @@ def _k2_run(seed) -> bool:
         for r in K2_PATTERNS[kind]:
             rows[int(perm[r])].append(j)
     db = TransactionDB.from_rows(rows, m)
-    singles = [Itemset.of(j) for j in db.present_items()]
+    singles = [Itemset.of(j) for j in db.item_level()[:, 0].tolist()]
     cands = cand_gen(sorted(_frequents(db, singles, thr)))
     assert any(exact_support(db, c).value < Fraction(3, 10) for c in cands)
     _assert_clear_instance(db, cands, thr)

@@ -32,6 +32,7 @@ from qarm import (
 from qarm.classical import (
     REFERENCE_APRIORI_RUNS,
     REFERENCE_GAMMA,
+    check_n_samples,
     mine_levels,
     sampling_apriori,
 )
@@ -307,8 +308,9 @@ def test_mine_levels_joins_each_level_kept(data, seed):
     levels = len(candidates_seen)
     assert seen == list(range(1, levels + 1))
     assert len(kept_seen) == len(run.results) == len(run.stats) == levels
-    if db.present_items():
-        assert rows(candidates_seen[0]) == [Itemset.of(j) for j in db.present_items()]
+    present = db.item_level()[:, 0].tolist()
+    if present:
+        assert rows(candidates_seen[0]) == [Itemset.of(j) for j in present]
     else:
         assert levels == 0
     for i in range(1, levels):
@@ -425,6 +427,23 @@ def test_sampling_matches_per_candidate_reference(seed, k, n, rows_per_call):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def test_sample_count_past_int64_is_refused_before_any_draw(dtoy):
+    # 2**63 draws would take about 2**41 calls of _DRAW_BUDGET rows each
+    calls = []
+
+    class Recording(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a row was drawn")
+
+    check_n_samples(2 ** 63 - 1)
+    for run in (lambda rng: sampling_estimate(dtoy, [Itemset.of(0)], 2 ** 63, rng),
+                lambda rng: sampling_apriori(dtoy, "1/4", 2 ** 63, rng, None)):
+        with pytest.raises(ValueError, match=f"^n_samples {2 ** 63} does not fit int64$"):
+            run(Recording(np.random.PCG64(0)))
+    assert calls == []
+
+
 def test_sampling_reads_only_drawn_rows(monkeypatch):
     # a sampled count costs the drawn rows, not N: it reads no item's
     # column and never builds the CSC view
@@ -449,7 +468,8 @@ def test_sampling_reads_only_drawn_rows(monkeypatch):
 def test_sampling_memory_does_not_follow_item_ids():
     # nothing the sampled count allocates is sized by the largest item id
     db = TransactionDB.from_rows([[1, 2], [10 ** 6]])
-    for candidates in ([Itemset.of(j) for j in db.present_items()], [Itemset((1, 2))]):
+    singles = [Itemset.of(j) for j in db.item_level()[:, 0].tolist()]
+    for candidates in (singles, [Itemset((1, 2))]):
         sampling_estimate(db, candidates, 8000, 0)  # the CSC view is the database's
         peak = traced_peak(lambda: sampling_estimate(db, candidates, 8000, 0))
         bound = (len(candidates) * classical._CANDIDATE_BYTES

@@ -378,6 +378,46 @@ def test_mine_quantum_golden_transcript(capsys, mode):
     assert doc["counters"]["quantum"] == counters
 
 
+# reproduce-appendix reads this as retail.dat; kosarak.dat is absent
+APPENDIX_FIMI = "0 1 2\n0 1\n1 2 3\n0 2 3\n"
+
+# Each subcommand's text report, its `elapsed:` line dropped, as sha256.
+# Recorded while `Report` was a dataclass whose payload() built the JSON
+# dict, before it became that dict; the text must not have moved.
+TEXT_REPORTS = [
+    (["mine-classical", "--synthetic", "16", "6", "--seed", "3", "--density", "0.6",
+      "--min-supp", "1/4", "--min-conf", "1/2"], 0,
+     "b84964b35fbe9093b3fd447a398d9976ff20a577f840f5839a9ae3229377cdd4"),
+    (["mine-sampling", "--synthetic", "16", "6", "--seed", "3", "--min-supp", "1/4",
+      "--samples", "200"], 0,
+     "1551bf635eb1bdecb8c0160d610b7ef14b562c9e1f97d79692666000faa6aba1"),
+    (["mine-quantum", "--synthetic", "16", "6", "--seed", "3", "--min-supp", "1/4",
+      "-T", "32", "--mode", "bbht"], 0,
+     "455be56201acf2d0c906f410c437c5302703946acb3d42498b6fa428fbfc593f"),
+    (["compare", "--synthetic", "16", "6", "--seed", "2", "--density", "0.5",
+      "--min-supp", "0.3", "-T", "32", "--samples", "200", "--mode", "grover-known"], 0,
+     "e51c7c689da7e6d08dc0ee680db6af26ac53b9d7ff9efa481a0dc8cf9066f974"),
+    (["reproduce-appendix", "--retail", "retail.dat"], 1,
+     "8167ad90b7a96f018dcf216ccb0abf2e239159caab816273bb1bffe10417c26f"),
+    (["datasets"], 0,
+     "260bda40fe4213fd93e7c23a58514e55bd179e63b849ee4d4a956cc462b6bdfa"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", TEXT_REPORTS,
+                         ids=[argv[0] for argv, _, _ in TEXT_REPORTS])
+def test_text_reports_render_as_recorded(capsys, tmp_path, monkeypatch, argv, code, digest):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QARM_RETAIL", raising=False)
+    monkeypatch.delenv("QARM_KOSARAK", raising=False)
+    (tmp_path / "retail.dat").write_text(APPENDIX_FIMI, encoding="ascii")
+    assert main(argv) == code
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines[0].startswith(f"{argv[0]}  [") and lines[-1].startswith("  elapsed: ")
+    text = "".join(lines[:-1])
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest, text
+
+
 def test_unwritable_output_is_a_clean_error(capsys, tmp_path, clear_db_path):
     missing = tmp_path / "no-such-dir"
     for flag in ("--output", "--csv"):
@@ -497,8 +537,8 @@ EMPTY_DB = ["--synthetic", "8", "4", "--density", "0", "--min-supp", "1/2"]
     (["compare", "-T", "1"], "T must be a power of two >= 2, got 1"),
     (["mine-quantum", "-T", "24"], "T must be a power of two >= 2, got 24"),
     (["mine-sampling", "--samples", str(2 ** 63)],
-     f"--samples {2 ** 63} does not fit int64"),
-    (["compare", "--samples", str(2 ** 63)], f"--samples {2 ** 63} does not fit int64"),
+     f"n_samples {2 ** 63} does not fit int64"),
+    (["compare", "--samples", str(2 ** 63)], f"n_samples {2 ** 63} does not fit int64"),
     (["mine-sampling", "--epsilon", "1e-100"],
      "--epsilon 1e-100 is too small: 1/eps^2 row draws do not fit int64"),
 ])

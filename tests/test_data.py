@@ -402,9 +402,12 @@ def test_bitset_support_matches_dense(dtoy):
 
 
 def test_present_items(dtoy):
-    assert dtoy.present_items() == [0, 1, 2]
+    # level 1 is the items that occur, as a C x 1 int32 level
+    assert dtoy.item_level()[:, 0].tolist() == [0, 1, 2]
     db = TransactionDB.from_rows([[1], [1, 3]], n_items=5)
-    assert db.present_items() == [1, 3]
+    level = db.item_level()
+    assert level.shape == (2, 1) and level.dtype == np.int32
+    assert level[:, 0].tolist() == [1, 3]
 
 
 def test_support_threshold_forms():

@@ -2,6 +2,7 @@
 and the parallel estimation pipeline."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from qarm import (
     QueryCounter,
     QubitBudgetError,
     TransactionDB,
+    cand_gen,
     exact_support,
     good_set,
     grid_steps_between,
 )
 from qarm.constants import GRID_TOL
+from qarm.data import _lex_sorted
 from qarm.oracle import CAND, EST, TXN, candidate_layout, candidate_sign_table
 from qarm.qpe import (
     _grover_kernel,
@@ -241,6 +244,42 @@ def test_estimation_law_refuses_like_the_pipeline(dtoy, cands, k, big_t, cap):
     assert len(set(errors)) == 1
     assert (errors[0][0] is QubitBudgetError) == (cap is not None)
     assert cap is None or f"but the cap is {cap}" in errors[0][1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3))
+def test_every_level_consumer_refuses_the_same_repeats(data, k):
+    # cand_gen, estimation_law and the dense pipeline share one check: a
+    # level that repeats a row is refused, naming the first row equal to an
+    # earlier one in the order given; any other level orders as the sorted
+    # set of its rows
+    db = TransactionDB.from_rows([[0, 1, 2, 3], [0, 1], [1, 3], [2]], n_items=4)
+    distinct = data.draw(st.lists(st.sampled_from(list(combinations(range(4), k))),
+                                  min_size=1, unique=True))
+    rows = data.draw(st.permutations(
+        distinct + data.draw(st.lists(st.sampled_from(distinct), max_size=3))))
+    candidates = rows if data.draw(st.booleans()) else np.array(rows, dtype=np.int32)
+    seen, first = set(), None
+    for row in rows:
+        if row in seen:
+            first = row
+            break
+        seen.add(row)
+    consumers = [cand_gen,
+                 lambda c: estimation_law(db, c, k, 4, QueryCounter()),
+                 lambda c: parallel_amplitude_estimation(db, c, k, 4)]
+    if first is None:
+        level = np.array(rows, dtype=np.int32)
+        ordered = _lex_sorted(level)
+        assert [tuple(row) for row in ordered.tolist()] == sorted(set(rows))
+        assert (ordered is level) == (rows == sorted(rows))
+        for consume in consumers:
+            consume(candidates)
+        return
+    for consume in consumers:
+        with pytest.raises(ValueError) as info:
+            consume(candidates)
+        assert str(info.value) == f"duplicate itemset {Itemset(first)}"
 
 
 def test_estimation_pipeline_query_budget(dtoy):
