@@ -146,7 +146,7 @@ def _check_candidates(db: TransactionDB, candidates, k: int) -> np.ndarray:
         raise ValueError("need at least one candidate")
     level = as_level(candidates, k)
     db.check_items(level)
-    _lex_sorted(level)
+    _lex_sorted(level)  # refuses a repeated row; the level keeps its order
     return level
 
 
