@@ -381,9 +381,9 @@ def test_mine_quantum_golden_transcript(capsys, mode):
 # reproduce-appendix reads this as retail.dat; kosarak.dat is absent
 APPENDIX_FIMI = "0 1 2\n0 1\n1 2 3\n0 2 3\n"
 
-# Each subcommand's text report, its `elapsed:` line dropped, as sha256.
-# Recorded while `Report` was a dataclass whose payload() built the JSON
-# dict, before it became that dict; the text must not have moved.
+# Each subcommand's text report, its `elapsed:` line dropped, as sha256,
+# recorded before `Report` became the JSON dict it renders: the JSON
+# digests do not cover the text, which must not move.
 TEXT_REPORTS = [
     (["mine-classical", "--synthetic", "16", "6", "--seed", "3", "--density", "0.6",
       "--min-supp", "1/4", "--min-conf", "1/2"], 0,
