@@ -15,6 +15,7 @@ from .data import (
     ExactSupport,
     FimiParseError,
     Itemset,
+    QueryCounter,
     TransactionDB,
     exact_support,
     parse_fimi,
@@ -30,7 +31,7 @@ from .mining import (
     qarm_full,
     qarm_mine_k,
 )
-from .oracle import QueryCounter, build_layout
+from .oracle import build_layout
 from .qpe import (
     SupportEstimate,
     analytic_phase_distribution,

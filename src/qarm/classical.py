@@ -23,6 +23,7 @@ from .constants import LEVEL_BYTES
 from .data import (
     ExactSupport,
     Itemset,
+    QueryCounter,
     TransactionDB,
     _lex_sorted,
     _prefix_runs,
@@ -32,8 +33,6 @@ from .data import (
     level_supports,
     support_threshold,
 )
-from .oracle import QueryCounter
-from .qsim import as_rng
 
 # most row draws sampling_estimate asks of the Generator in one call
 _DRAW_BUDGET = 1 << 22
@@ -279,7 +278,7 @@ def sampling_estimate(db: TransactionDB, candidates, n_samples: int, rng=None,
     an exact count is made over every row.  No candidates, no draws.
     """
     check_n_samples(n_samples)
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     level = as_level(candidates)
     db.check_items(level)
     if not len(level):
@@ -305,7 +304,7 @@ def sampling_apriori(db: TransactionDB, min_supp, n_samples: int, rng,
     Returns every kept (itemset, estimate) pair and the level stats."""
     check_n_samples(n_samples)
     min_count = _min_count(support_threshold(min_supp), n_samples)
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
 
     def examine(candidates, k):
         estimates = sampling_estimate(db, candidates, n_samples, rng, counter)

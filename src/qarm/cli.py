@@ -29,13 +29,13 @@ from .classical import (
 )
 from .data import (
     FimiParseError,
+    QueryCounter,
     TransactionDB,
     parse_fimi,
     support_threshold,
     synth_db,
 )
 from .mining import AMPLIFY_MODES, MiningResult, check_mining_args, qarm_full
-from .oracle import QueryCounter
 from .qpe import grid_steps_between
 
 SCHEMA_VERSION = 1
@@ -315,10 +315,14 @@ def cmd_compare(args) -> tuple[Report, int]:
 
 
 def _find_dataset(name: str, explicit: str | None) -> str | None:
+    """The path given by --NAME, which must exist, else the first of
+    $QARM_NAME, ./NAME.dat and data/NAME.dat that exists, else None."""
+    if explicit is not None:
+        if not os.path.exists(explicit):
+            raise ValueError(f"--{name} {explicit}: no such file")
+        return explicit
     filename, env = _DATASET_FILES[name]
-    candidates = [explicit, os.environ.get(env), filename,
-                  os.path.join("data", filename)]
-    for path in candidates:
+    for path in (os.environ.get(env), filename, os.path.join("data", filename)):
         if path and os.path.exists(path):
             return path
     return None
@@ -329,8 +333,10 @@ def cmd_reproduce_appendix(args) -> tuple[Report, int]:
     counters: dict = {}
     failed = False
     ran = False
-    for name, explicit in (("retail", args.retail), ("kosarak", args.kosarak)):
-        path = _find_dataset(name, explicit)
+    # every given path is checked before any file is mined
+    paths = [(name, _find_dataset(name, explicit))
+             for name, explicit in (("retail", args.retail), ("kosarak", args.kosarak))]
+    for name, path in paths:
         if path is None:
             checks.append({"name": name, "status": "SKIPPED",
                            "detail": "dataset file not found"})

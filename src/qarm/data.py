@@ -11,6 +11,7 @@ level's items, one packed row per item as MAFIA's vertical bitmaps are
 the CSC view over every row.  A sampled one weights each row by its
 draws and fills it from the CSR slices of the drawn rows alone, then
 weighs each AND by one bit plane per binary digit of the draw counts.
+The query ledger that every miner charges, `QueryCounter`, lives here too.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ __all__ = [
     "FimiParseError",
     "Itemset",
     "ExactSupport",
+    "QueryCounter",
     "TransactionDB",
     "as_level",
     "parse_fimi",
@@ -108,6 +110,48 @@ class ExactSupport:
 
     def __float__(self) -> float:
         return self.numerator / self.denominator
+
+
+@dataclass
+class QueryCounter:
+    """Ledger of oracle queries and simulated work."""
+
+    basic_oracle_calls: int = 0
+    phase_oracle_k_calls: int = 0
+    grover_applications: int = 0
+    amplification_iterations: int = 0
+    state_preparations: int = 0
+    measurements: int = 0
+    classical_row_scans: int = 0
+    elementary_gates: int = 0
+
+    def charge_grover(self, k: int, n: int = 1):
+        """n Grover applications, each one k-item phase oracle: 2k
+        basic-oracle calls around a k-controlled NOT of 2k - 1 gates."""
+        self.basic_oracle_calls += 2 * k * n
+        self.phase_oracle_k_calls += n
+        self.elementary_gates += (2 * k - 1) * n
+        self.grover_applications += n
+
+    def charge_estimation_pipeline(self, k: int, big_t: int, n: int = 1):
+        """n preparations of |Psi3>: T-1 Grover applications each."""
+        self.state_preparations += n
+        self.charge_grover(k, (big_t - 1) * n)
+
+    def charge_amplification_iterations(self, k: int, big_t: int, n: int):
+        """n Q = R_psi * S_good steps: each reflection about |Psi3> costs a
+        pipeline forward and backward, 2(T-1) Grover applications."""
+        self.amplification_iterations += n
+        self.charge_grover(k, 2 * (big_t - 1) * n)
+
+    def snapshot(self) -> "QueryCounter":
+        return QueryCounter(**vars(self))
+
+    def delta(self, earlier: "QueryCounter") -> "QueryCounter":
+        return QueryCounter(**{f: n - getattr(earlier, f) for f, n in vars(self).items()})
+
+    def as_dict(self) -> dict:
+        return dict(vars(self))
 
 
 def as_level(candidates, k: int | None = None) -> np.ndarray:
@@ -363,8 +407,9 @@ def level_supports(db: TransactionDB, candidates,
                    weights: np.ndarray | None = None) -> np.ndarray:
     """Support counts |{i : x subset of row i}| of a level's candidates
     (an array or a list, see `as_level`), in order, as an int64 array, or
-    with weights (length N, int64) the sums of weights[i] over those rows.
-    Weights are draw counts: a negative one is refused with ValueError.
+    with weights the sums of weights[i] over those rows.  Weights are draw
+    counts, a 1-d integer array of length N: any other array, or a
+    negative count, is refused with ValueError before anything is counted.
 
     Unweighted single items gather the column counts.  Unweighted
     k-itemsets, k >= 2, are counted on a bit matrix of the level's items:
@@ -376,8 +421,13 @@ def level_supports(db: TransactionDB, candidates,
     sampler's count costs its drawn rows, not N (`_weighted_supports`)."""
     level = as_level(candidates)
     db.check_items(level)
-    if weights is not None and weights.size and weights.min() < 0:
-        raise ValueError("weights are draw counts and must be non-negative")
+    if weights is not None:
+        weights = np.asarray(weights)
+        if weights.shape != (db.n_transactions,) or weights.dtype.kind not in "iu":
+            raise ValueError(f"weights must be a 1-d integer array of length "
+                             f"N={db.n_transactions}, got {weights.dtype} {weights.shape}")
+        if weights.size and weights.min() < 0:
+            raise ValueError("weights are draw counts and must be non-negative")
     if not len(level):
         return np.zeros(0, dtype=np.int64)
     if weights is not None:

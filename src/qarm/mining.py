@@ -49,10 +49,8 @@ from .classical import (
     mine_levels,
 )
 from .constants import GRID_TOL, NORM_TOL
-from .data import Itemset, TransactionDB, as_level, support_threshold
-from .oracle import QueryCounter, _log2_exact
-from .qpe import SupportEstimate, _grid_value, decode_support, estimation_law
-from .qsim import as_rng
+from .data import Itemset, QueryCounter, TransactionDB, as_level, support_threshold
+from .qpe import SupportEstimate, _grid_value, _log2_exact, decode_support, estimation_law
 
 __all__ = [
     "NoFrequentCandidatesError",
@@ -89,7 +87,9 @@ def good_set(big_t: int, min_supp) -> np.ndarray:
     Grid values are compared with GRID_TOL slack so exact boundaries
     (e.g. sin^2(pi/4) vs 1/2) land inside.  Symmetric: y is good iff T-y is.
     Values are `decode_support`'s, by `math.sin` (`np.sin` can be an ulp off).
+    A T that is not a power of two >= 2 is refused with ValueError.
     """
+    _log2_exact(big_t)
     thr = float(support_threshold(min_supp))
     # y = 0..T/2 compared, mirrored onto T-y
     half = np.array([_grid_value(y, big_t) for y in range(big_t // 2 + 1)]) >= thr - GRID_TOL
@@ -234,7 +234,7 @@ def amplitude_amplify(law: np.ndarray, min_supp, mode: str = "ideal-projection",
     if counter is None:
         counter = QueryCounter()
     if mode == "bbht":
-        y = plan.bbht_outcome(as_rng(rng), counter)
+        y = plan.bbht_outcome(np.random.default_rng(rng), counter)
         collapsed = np.zeros_like(law)
         collapsed[y] = law[y] / law[y].sum()
         return collapsed
@@ -284,7 +284,7 @@ def qarm_mine_k(db: TransactionDB, candidates, k: int, big_t: int,
         raise ValueError(f"unknown amplification mode {mode!r}")
     check_mining_args(big_t, patience)
     thr = float(support_threshold(min_supp))
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     if counter is None:
         counter = QueryCounter()
     start = counter.snapshot()
@@ -341,7 +341,7 @@ def qarm_full(db: TransactionDB, min_supp, big_t: int,
     `qarm_mine_k`, and a level where nothing clears the threshold keeps
     nothing.  T and patience are checked before any level runs."""
     check_mining_args(big_t, patience)
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     if counter is None:
         counter = QueryCounter()
 

@@ -1,12 +1,12 @@
-"""Oracle access to the transaction matrix and the query ledger.
+"""Oracle access to the transaction matrix, as the dense reference runs it.
 
 The basic oracle is the permutation |i>|j>|a> -> |i>|j>|a XOR D[i,j]>.
 The k-item phase oracle flips the sign of |i>|j_1..j_k> exactly when
 transaction i contains all k items; its circuit-faithful construction
 costs 2k basic-oracle calls (compute, kick, uncompute) plus one
-k-controlled NOT onto a kickback qubit held in |->.  A diagonal fast
-path multiplies a precomputed sign table instead and must agree with
-the circuit exactly; it charges the same query counts.
+k-controlled NOT onto a kickback qubit held in |->, and
+`phase_oracle_sign_table` is its diagonal.  The ledger it charges is
+`qarm.data.QueryCounter`.
 
 The estimation pipeline runs on est, txn, cand: one candidate register
 indexes the C candidates of a level, and its sign table reads D through
@@ -17,17 +17,15 @@ oracle that this table is checked against.  Reads of padded rows/columns
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import TransactionDB
+from .data import QueryCounter, TransactionDB
+from .qpe import _log2_exact
 from .qsim import RegisterLayout, Statevector, _require_zeroed, _three_axis_view, inject_state
 
 __all__ = [
     "EST", "TXN", "CAND", "KICK",
     "item_register", "ancilla_register", "item_registers",
-    "QueryCounter",
     "build_layout",
     "candidate_layout",
     "padded_bit_matrix",
@@ -57,79 +55,22 @@ def item_registers(layout: RegisterLayout) -> list[str]:
     return [n for n in layout.names if n.startswith("item")]
 
 
-@dataclass
-class QueryCounter:
-    """Ledger of oracle queries and simulated work."""
-
-    basic_oracle_calls: int = 0
-    phase_oracle_k_calls: int = 0
-    grover_applications: int = 0
-    amplification_iterations: int = 0
-    state_preparations: int = 0
-    measurements: int = 0
-    classical_row_scans: int = 0
-    elementary_gates: int = 0
-
-    def charge_phase_oracle(self, k: int):
-        self.basic_oracle_calls += 2 * k
-        self.phase_oracle_k_calls += 1
-        self.elementary_gates += 2 * k - 1
-
-    def charge_grover(self, k: int):
-        self.charge_phase_oracle(k)
-        self.grover_applications += 1
-
-    def _charge_grovers(self, k: int, n: int):
-        """n Grover applications at once: the sums of n charge_grover calls."""
-        self.basic_oracle_calls += 2 * k * n
-        self.phase_oracle_k_calls += n
-        self.elementary_gates += (2 * k - 1) * n
-        self.grover_applications += n
-
-    def charge_estimation_pipeline(self, k: int, big_t: int, n: int = 1):
-        """n preparations of |Psi3>: T-1 Grover applications each."""
-        self.state_preparations += n
-        self._charge_grovers(k, (big_t - 1) * n)
-
-    def charge_amplification_iterations(self, k: int, big_t: int, n: int):
-        """n Q = R_psi * S_good steps: each reflection about |Psi3> costs a
-        pipeline forward and backward, 2(T-1) Grover applications."""
-        self.amplification_iterations += n
-        self._charge_grovers(k, 2 * (big_t - 1) * n)
-
-    def snapshot(self) -> "QueryCounter":
-        return QueryCounter(**vars(self))
-
-    def delta(self, earlier: "QueryCounter") -> "QueryCounter":
-        return QueryCounter(**{f: n - getattr(earlier, f) for f, n in vars(self).items()})
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))
-
-
 def _bits_for(count: int) -> int:
     return max(1, int(count - 1).bit_length())
 
 
-def _log2_exact(big_t: int) -> int:
-    if big_t < 2 or big_t & (big_t - 1):
-        raise ValueError(f"T must be a power of two >= 2, got {big_t}")
-    return big_t.bit_length() - 1
-
-
-def build_layout(db: TransactionDB, k: int, *,
-                 ancillas: bool = False) -> RegisterLayout:
-    """Item-register layout for the k-item oracle circuit, in canonical order."""
+def build_layout(db: TransactionDB, k: int) -> RegisterLayout:
+    """Item-register layout for the k-item oracle circuit, in canonical
+    order: txn, item0..item{k-1}, anc0..anc{k-1}, kick."""
     if k < 1:
         raise ValueError("k must be >= 1")
     regs = [(TXN, _bits_for(db.n_transactions))]
     m_bits = _bits_for(db.n_items)
     for l in range(k):
         regs.append((item_register(l), m_bits))
-    if ancillas:
-        for l in range(k):
-            regs.append((ancilla_register(l), 1))
-        regs.append((KICK, 1))
+    for l in range(k):
+        regs.append((ancilla_register(l), 1))
+    regs.append((KICK, 1))
     return RegisterLayout(regs)
 
 
@@ -255,35 +196,24 @@ def _require_oracle_ancillas(state: Statevector, k: int):
 
 
 def apply_phase_oracle_k(state: Statevector, db: TransactionDB,
-                         counter: QueryCounter | None = None,
-                         mode: str = "circuit") -> Statevector:
+                         counter: QueryCounter | None = None) -> Statevector:
     """Apply O^(k): sign flip on transactions containing all k queried items.
 
-    mode "circuit" runs the faithful construction (2k basic oracles around a
-    k-controlled NOT onto the kickback qubit) and needs ancillas in |0>^k
-    and the kickback in |->.  mode "diagonal" multiplies the sign table
-    directly; both modes charge identical query counts.
+    Runs the faithful construction (2k basic oracles around a k-controlled
+    NOT onto the kickback qubit), which needs ancillas in |0>^k and the
+    kickback in |->; `phase_oracle_sign_table` is its diagonal.
     """
-    layout = state.layout
-    items = item_registers(layout)
+    items = item_registers(state.layout)
     k = len(items)
     if k == 0:
         raise ValueError("layout has no item registers")
-    if mode == "diagonal":
-        view = state.view()
-        view *= phase_oracle_sign_table(db, layout)
-        if counter is not None:
-            counter.charge_phase_oracle(k)
-    elif mode == "circuit":
-        _require_oracle_ancillas(state, k)
-        for l in range(k):
-            apply_basic_oracle(state, db, TXN, items[l], ancilla_register(l), counter)
-        generalized_cnot(state, [ancilla_register(l) for l in range(k)], KICK, counter)
-        for l in reversed(range(k)):
-            apply_basic_oracle(state, db, TXN, items[l], ancilla_register(l), counter)
-        if counter is not None:
-            counter.phase_oracle_k_calls += 1
-    else:
-        raise ValueError(f"unknown oracle mode {mode!r}")
+    _require_oracle_ancillas(state, k)
+    for l in range(k):
+        apply_basic_oracle(state, db, TXN, items[l], ancilla_register(l), counter)
+    generalized_cnot(state, [ancilla_register(l) for l in range(k)], KICK, counter)
+    for l in reversed(range(k)):
+        apply_basic_oracle(state, db, TXN, items[l], ancilla_register(l), counter)
+    if counter is not None:
+        counter.phase_oracle_k_calls += 1
     state.check_norm()
     return state

@@ -21,7 +21,8 @@ The miner takes that law from `estimation_law`, which builds it in
 closed form from the candidates' exact support counts and charges the
 ledger as the pipeline would; the miner bounds it in bytes, not qubits.
 `parallel_amplitude_estimation` runs the pipeline on the dense state; it
-is the reference the closed form is tested against.
+is the reference the closed form is tested against, and the only code
+here that loads the dense engine (`qarm.qsim`, `qarm.oracle`).
 """
 from __future__ import annotations
 
@@ -30,22 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TransactionDB, _lex_sorted, as_level, level_supports
-from .oracle import (
-    CAND,
-    EST,
-    TXN,
-    QueryCounter,
-    _log2_exact,
-    candidate_layout,
-    candidate_sign_table,
-)
-from .qsim import (
-    Statevector,
-    apply_controlled_power,
-    inverse_qft,
-    prepare_uniform,
-)
+from .data import QueryCounter, TransactionDB, _lex_sorted, as_level, level_supports
 
 __all__ = [
     "SupportEstimate",
@@ -65,6 +51,13 @@ class SupportEstimate:
     big_t: int
     value: float
     epsilon_scale: float
+
+
+def _log2_exact(big_t: int) -> int:
+    """log2 of the grid size T, refusing a T that is not a power of two >= 2."""
+    if big_t < 2 or big_t & (big_t - 1):
+        raise ValueError(f"T must be a power of two >= 2, got {big_t}")
+    return big_t.bit_length() - 1
 
 
 def _grid_value(y: int, big_t: int) -> float:
@@ -152,13 +145,18 @@ def _check_candidates(db: TransactionDB, candidates, k: int) -> np.ndarray:
 
 def parallel_amplitude_estimation(db: TransactionDB, candidates,
                                   k: int, big_t: int,
-                                  counter: QueryCounter | None = None) -> Statevector:
+                                  counter: QueryCounter | None = None) -> "Statevector":
     """Run steps 1-3: prepare, estimate in parallel, inverse QFT.
 
     Returns |Psi3> on est, txn, cand, where cand value j stands for
     candidates[j]; exactly T-1 Grover applications (2k(T-1) basic-oracle
     calls) are charged, plus one state preparation.
     """
+    # only this reference loads the dense engine, so no miner imports it;
+    # importing at call time also picks up names a tracer has wrapped
+    from .oracle import CAND, EST, TXN, candidate_layout, candidate_sign_table
+    from .qsim import Statevector, apply_controlled_power, inverse_qft, prepare_uniform
+
     candidates = _check_candidates(db, candidates, k)
     layout = candidate_layout(db, len(candidates), big_t)
     state = Statevector.zero(layout)

@@ -20,7 +20,6 @@ __all__ = [
     "QubitBudgetError",
     "RegisterLayout",
     "Statevector",
-    "as_rng",
     "prepare_uniform",
     "inject_state",
     "apply_controlled_power",
@@ -35,13 +34,6 @@ __all__ = [
 
 class QubitBudgetError(ValueError):
     """Layout's state of 16-byte amplitudes would not fit LEVEL_BYTES."""
-
-
-def as_rng(rng) -> np.random.Generator:
-    """Accept a Generator, a seed, or None (fresh entropy)."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 class RegisterLayout:
@@ -130,11 +122,8 @@ class Statevector:
     def copy(self) -> "Statevector":
         return Statevector(self.layout, self.amps.copy())
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def check_norm(self):
-        n = self.norm()
+        n = float(np.linalg.norm(self.amps))
         if abs(n - 1.0) > NORM_TOL:
             raise ValueError(f"state norm drifted to {n!r}")
 
@@ -278,7 +267,7 @@ def measure(state: Statevector, registers: Sequence[str], rng):
         registers = [registers]
     if not registers or len(set(registers)) != len(registers):
         raise ValueError("registers must be nonempty and distinct")
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     probs = joint_probs(state, registers)
     flat = probs.ravel()
     total = flat.sum()
@@ -309,7 +298,7 @@ def sample_counts(state: Statevector, registers: Sequence[str], shots: int,
     """
     if isinstance(registers, str):
         registers = [registers]
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     probs = joint_probs(state, registers)
     flat = probs.ravel()
     draws = rng.choice(flat.size, size=shots, p=flat / flat.sum())

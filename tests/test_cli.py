@@ -428,6 +428,24 @@ def test_unwritable_output_is_a_clean_error(capsys, tmp_path, clear_db_path):
         assert err.startswith("error: ") and "no-such-dir" in err
 
 
+@pytest.mark.parametrize("flag", ["--retail", "--kosarak"])
+def test_reproduce_appendix_refuses_a_missing_explicit_path(capsys, tmp_path, monkeypatch,
+                                                            flag):
+    # a file in the default place, and one for the other flag, must not
+    # stand in for a named one that is missing, nor be mined first
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QARM_RETAIL", raising=False)
+    monkeypatch.delenv("QARM_KOSARAK", raising=False)
+    (tmp_path / "retail.dat").write_text(CLEAR_FIMI, encoding="ascii")
+    (tmp_path / "kosarak.dat").write_text(CLEAR_FIMI, encoding="ascii")
+    monkeypatch.setattr(qarm.cli, "apriori", lambda *_args: pytest.fail("mined a file"))
+    missing = str(tmp_path / "absent" / "x.dat")
+    code = main(["reproduce-appendix", "--retail", "retail.dat", "--kosarak", "kosarak.dat",
+                 flag, missing, "--json"])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {flag} {missing}: no such file\n")
+
+
 def test_reproduce_appendix_non_ascii_names_the_line(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("QARM_KOSARAK", raising=False)
@@ -603,7 +621,9 @@ def test_sampling_draws_past_the_budget_in_slices(capsys, monkeypatch):
 
 def test_failed_draw_is_a_clean_error(capsys, monkeypatch, clear_db_path):
     monkeypatch.setattr(qarm.classical, "_DRAW_BUDGET", 7)  # 10 draws in two calls
-    monkeypatch.setattr(np.random, "default_rng", SecondDrawFails)
+    # as numpy's does, the fake returns a Generator it is given unaltered
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seed if isinstance(
+        seed, np.random.Generator) else SecondDrawFails(seed))
     code = main(["mine-sampling", "--dataset", clear_db_path, "--min-supp", "1/2",
                  "--samples", "10", "--json"])
     assert code == 2

@@ -382,6 +382,26 @@ def test_level_supports_refuses_a_negative_weight(dtoy):
             level_supports(dtoy, candidates, weights)
 
 
+@pytest.mark.parametrize("weights", [
+    np.array([1]),  # short: the pair (0, 1) would count 1 where it counts 2
+    np.ones(6, dtype=np.int64),  # long: would be cut to N
+    np.ones(4),  # float
+    np.ones((1, 4), dtype=np.int64),  # 2-d
+    np.ones(4, dtype=bool),
+], ids=["short", "long", "float", "2d", "bool"])
+def test_level_supports_refuses_weights_that_are_not_n_draw_counts(monkeypatch, weights):
+    db = TransactionDB.from_rows([[0, 1], [0, 1], [1], [0]])
+    assert level_supports(db, [[0, 1]], np.ones(4, dtype=np.int64)).tolist() == [2]
+
+    def counted(*_args):
+        raise AssertionError("counted before the weights were checked")
+
+    monkeypatch.setattr(data, "_weighted_supports", counted)
+    for candidates in ([[0, 1]], [[0], [1]], []):
+        with pytest.raises(ValueError, match="1-d integer array of length N=4"):
+            level_supports(db, candidates, weights)
+
+
 def test_level_supports_rejects_items_out_of_range(dtoy):
     with pytest.raises(ValueError, match="item 3 out of range for 3 items"):
         level_supports(dtoy, [Itemset((0, 1)), Itemset((1, 3)), Itemset((4, 5))])

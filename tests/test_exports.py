@@ -1,7 +1,9 @@
 """Every name a qarm module exports in `__all__` exists, every class and
-function the package imports is exported, and only `qarm.data` reads the
-internals of a `TransactionDB`."""
+function the package imports is exported, only `qarm.data` reads the
+internals of a `TransactionDB`, and no runtime module loads the dense
+engine."""
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -33,6 +35,37 @@ def test_package_exports_what_it_imports():
                 and value.__module__.startswith("qarm.")]
     unlisted = sorted(set(imported) - set(qarm.__all__))
     assert not unlisted, f"qarm imports but does not export: {unlisted}"
+
+
+def _module_level_imports(path: pathlib.Path) -> set[str]:
+    """The qarm modules a file imports when it loads: its imports outside
+    any function or class body, with `from . import x` read as `x`."""
+    found = set()
+    pending = list(ast.parse(path.read_text()).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0 and not base.startswith("qarm"):
+                continue
+            base = base.removeprefix("qarm").lstrip(".")
+            found.update([base] if base else [alias.name for alias in node.names])
+        else:
+            pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("name", ["data", "classical", "mining", "qpe", "cli"])
+def test_runtime_modules_do_not_load_the_dense_engine(name):
+    # the simulator and the oracle circuit are the reference the closed
+    # forms are tested against; the miners and the CLI run without them
+    path = pathlib.Path(qarm.__file__).parent / f"{name}.py"
+    dense = {"qsim", "oracle", "qarm.qsim", "qarm.oracle"}
+    assert not _module_level_imports(path) & dense
 
 
 def test_only_data_reads_transaction_db_internals():

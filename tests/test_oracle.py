@@ -1,4 +1,4 @@
-"""Bit oracle, k-item phase oracle (circuit and diagonal), query ledger."""
+"""Bit oracle, k-item phase oracle circuit and its sign tables, query ledger."""
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from conftest import random_candidates, random_db
 
 
 def test_build_layout_geometry(dtoy):
-    layout = build_layout(dtoy, 2, ancillas=True)
+    layout = build_layout(dtoy, 2)
     assert layout.names == ("txn", "item0", "item1", "anc0", "anc1", "kick")
     assert layout.width(TXN) == 2   # 4 transactions
     assert layout.width(item_register(0)) == 2  # 3 items round up
@@ -62,6 +62,7 @@ def test_candidate_sign_table_matches_item_layout():
             layout = candidate_layout(db, len(cands), 8)
             table = candidate_sign_table(db, cands, layout)
             ref = phase_oracle_sign_table(db, build_layout(db, k))
+            ref = ref.reshape(ref.shape[:k + 1])  # drop the ancilla and kick axes
             assert table.shape == (ref.shape[0], layout.dim(CAND))
             for j, cand in enumerate(cands):
                 assert np.array_equal(table[:, j], ref[(slice(None),) + cand])
@@ -79,7 +80,7 @@ def test_padded_bit_matrix(dtoy):
 
 
 def test_basic_oracle_basis_maps(dtoy):
-    layout = build_layout(dtoy, 1, ancillas=True)
+    layout = build_layout(dtoy, 1)
     # D[0,1] = 1: target flips
     state = Statevector.basis_state(layout, {TXN: 0, "item0": 1})
     apply_basic_oracle(state, dtoy, TXN, "item0", ancilla_register(0))
@@ -98,7 +99,7 @@ def test_basic_oracle_basis_maps(dtoy):
 
 def test_basic_oracle_is_an_involution(dtoy):
     rng = np.random.default_rng(7)
-    layout = build_layout(dtoy, 1, ancillas=True)
+    layout = build_layout(dtoy, 1)
     state = Statevector.zero(layout)
     amps = rng.standard_normal(state.amps.size) + 1j * rng.standard_normal(state.amps.size)
     state.amps[:] = amps / np.linalg.norm(amps)
@@ -112,7 +113,7 @@ def test_basic_oracle_is_an_involution(dtoy):
 
 def test_generalized_cnot():
     db = TransactionDB.from_rows([[0]], n_items=1)
-    layout = build_layout(db, 2, ancillas=True)
+    layout = build_layout(db, 2)
 
     state = Statevector.basis_state(layout, {"anc0": 1, "anc1": 1})
     generalized_cnot(state, ["anc0", "anc1"], KICK)
@@ -134,7 +135,7 @@ def test_generalized_cnot():
     with pytest.raises(ValueError):
         generalized_cnot(state, [], KICK)
     wide = Statevector.zero(build_layout(
-        TransactionDB.from_rows([[0], [0], [0]], n_items=1), 1, ancillas=True))
+        TransactionDB.from_rows([[0], [0], [0]], n_items=1), 1))
     wide.amps[0] = 1.0
     with pytest.raises(ValueError):
         generalized_cnot(wide, [TXN], KICK)  # multi-qubit control
@@ -142,12 +143,12 @@ def test_generalized_cnot():
 
 def test_phase_oracle_signs_on_circuit(dtoy):
     # items (0, 1): rows 0 and 1 contain both, rows 2 and 3 do not
-    layout = build_layout(dtoy, 2, ancillas=True)
+    layout = build_layout(dtoy, 2)
     state = Statevector.basis_state(layout, {"item0": 0, "item1": 1})
     prepare_uniform(state, TXN, 4)
     prepare_minus(state)
     counter = QueryCounter()
-    apply_phase_oracle_k(state, dtoy, counter, mode="circuit")
+    apply_phase_oracle_k(state, dtoy, counter)
 
     base = {"item0": 0, "item1": 1, "kick": 0}
     amp = lambda i: state.amplitude({TXN: i, **base}).real
@@ -166,26 +167,22 @@ def test_phase_oracle_signs_on_circuit(dtoy):
 
 
 def test_phase_oracle_circuit_preconditions(dtoy):
-    layout = build_layout(dtoy, 1, ancillas=True)
+    layout = build_layout(dtoy, 1)
     state = Statevector.basis_state(layout, {ancilla_register(0): 1})
     prepare_minus(state)
     with pytest.raises(ValueError, match="anc0"):
-        apply_phase_oracle_k(state, dtoy, mode="circuit")
+        apply_phase_oracle_k(state, dtoy)
 
     state = Statevector.basis_state(layout, {})  # kick left in |0>
     with pytest.raises(ValueError, match="kick"):
-        apply_phase_oracle_k(state, dtoy, mode="circuit")
-
-    state = Statevector.basis_state(layout, {})
-    prepare_minus(state)
-    with pytest.raises(ValueError, match="mode"):
-        apply_phase_oracle_k(state, dtoy, mode="table")
+        apply_phase_oracle_k(state, dtoy)
 
 
 def test_sign_table_matches_membership(dtoy):
     layout = build_layout(dtoy, 1)
     table = phase_oracle_sign_table(dtoy, layout)
-    assert table.shape == (4, 4)
+    assert table.shape == (4, 4, 1, 1)  # anc0 and kick broadcast
+    table = table.reshape(4, 4)
     dense = dtoy.dense()
     for i in range(4):
         for j in range(4):
@@ -198,7 +195,7 @@ def test_circuit_and_diagonal_agree():
     for k in (1, 2, 3):
         for _ in range(4):
             db = random_db(rng, n=rng.integers(2, 7), m=rng.integers(2, 5))
-            layout = build_layout(db, k, ancillas=True)
+            layout = build_layout(db, k)
             front = [TXN] + [item_register(l) for l in range(k)]
             dim = int(np.prod([layout.dim(n) for n in front]))
             vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -207,31 +204,36 @@ def test_circuit_and_diagonal_agree():
             circuit = Statevector.zero(layout)
             inject_state(circuit, front, vec)
             prepare_minus(circuit)
-            diagonal = circuit.copy()
+            diagonal = circuit.view() * phase_oracle_sign_table(db, layout)
 
             c1, c2 = QueryCounter(), QueryCounter()
-            apply_phase_oracle_k(circuit, db, c1, mode="circuit")
-            apply_phase_oracle_k(diagonal, db, c2, mode="diagonal")
-            assert np.max(np.abs(circuit.amps - diagonal.amps)) < 1e-12
+            apply_phase_oracle_k(circuit, db, c1)
+            assert np.max(np.abs(circuit.view() - diagonal)) < 1e-12
+            # one phase oracle is a Grover application's whole query cost
+            c2.charge_grover(k)
+            c2.grover_applications = 0
             assert c1.as_dict() == c2.as_dict()
             assert c1.basic_oracle_calls == 2 * k
 
 
 def test_diagonal_preserves_magnitudes(dtoy):
+    # the circuit acts as its diagonal: it changes signs, never magnitudes
     rng = np.random.default_rng(17)
     layout = build_layout(dtoy, 2)
+    vec = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     state = Statevector.zero(layout)
-    amps = rng.standard_normal(state.amps.size) + 1j * rng.standard_normal(state.amps.size)
-    state.amps[:] = amps / np.linalg.norm(amps)
+    inject_state(state, [TXN, item_register(0), item_register(1)], vec / np.linalg.norm(vec))
+    prepare_minus(state)
     before = np.abs(state.amps.copy())
-    apply_phase_oracle_k(state, dtoy, mode="diagonal")
+    apply_phase_oracle_k(state, dtoy)
     assert np.max(np.abs(np.abs(state.amps) - before)) < 1e-15
 
 
 def test_counter_charge_laws():
     c = QueryCounter()
-    c.charge_phase_oracle(2)
-    assert (c.basic_oracle_calls, c.phase_oracle_k_calls, c.elementary_gates) == (4, 1, 3)
+    c.charge_grover(2, 3)
+    assert (c.basic_oracle_calls, c.phase_oracle_k_calls, c.elementary_gates) == (12, 3, 9)
+    assert c.grover_applications == 3
 
     c = QueryCounter()
     c.charge_grover(3)

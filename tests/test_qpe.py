@@ -67,6 +67,13 @@ def test_good_set_examples():
         good_set(8, 0)
 
 
+@pytest.mark.parametrize("big_t", [0, 6])
+def test_good_set_refuses_a_grid_that_is_not_a_power_of_two(big_t):
+    # T = 0 divided by zero, and T = 6 gave a 6-entry mask
+    with pytest.raises(ValueError, match=f"T must be a power of two >= 2, got {big_t}"):
+        good_set(big_t, 0.5)
+
+
 # T = 4096 examples where an np.sin grid gives another mask: the threshold
 # one ulp above grid value 91 plus GRID_TOL, and grid value 999 plus GRID_TOL
 @settings(max_examples=150, deadline=None)
@@ -83,6 +90,10 @@ def test_good_set_equals_decoded_mask(big_t, at, kind):
     edge = value + GRID_TOL
     thr = [value, edge, math.nextafter(edge, 0.0), math.nextafter(edge, 2.0)][kind]
     assume(thr <= 1.0)
+    if big_t & (big_t - 1):  # decoding takes any T; the mask takes a power of two
+        with pytest.raises(ValueError, match="power of two"):
+            good_set(big_t, thr)
+        return
     decoded = [decode_support(y, big_t).value >= thr - GRID_TOL for y in range(big_t)]
     assert good_set(big_t, thr).tolist() == decoded
 
