@@ -38,8 +38,9 @@ def test_package_exports_what_it_imports():
 
 
 def _module_level_imports(path: pathlib.Path) -> set[str]:
-    """The qarm modules a file imports when it loads: its imports outside
-    any function or class body, with `from . import x` read as `x`."""
+    """The modules a file imports when it loads, outside any function or
+    class body; a qarm module is named as within the package, so both
+    `from .qsim import x` and `from . import qsim` read as `qsim`."""
     found = set()
     pending = list(ast.parse(path.read_text()).body)
     while pending:
