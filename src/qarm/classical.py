@@ -25,9 +25,9 @@ from .data import (
     Itemset,
     QueryCounter,
     TransactionDB,
+    _item_ranks,
     _lex_sorted,
     _prefix_runs,
-    _present,
     _row_keys,
     as_level,
     level_supports,
@@ -195,8 +195,7 @@ def _bit_matrix_bytes(db: TransactionDB, level: np.ndarray) -> int:
     """What an exact count of k-itemsets, k >= 2, over a level's items
     holds besides its candidates: the bit matrix and one chunk's gathered
     rows and popcounts."""
-    n_items = len(level) if level.shape[1] == 1 or not len(level) else \
-        int(np.count_nonzero(_present(level)))
+    n_items = _item_ranks(level)[0].size
     return n_items * -(-db.n_transactions // 64) * 8 * _BIT_MATRIX_COPIES
 
 

@@ -40,11 +40,6 @@ from .qpe import grid_steps_between
 
 SCHEMA_VERSION = 1
 
-_DATASET_FILES = {
-    "retail": ("retail.dat", "QARM_RETAIL"),
-    "kosarak": ("kosarak.dat", "QARM_KOSARAK"),
-}
-
 
 class Report(dict):
     """Everything a run wants to say: the JSON payload itself, renderable
@@ -129,7 +124,8 @@ def _read_fimi(path: str) -> TransactionDB:
     return parse_fimi(text)
 
 
-def _load_db(args) -> tuple[TransactionDB, dict]:
+def _load_db(args) -> tuple:
+    """The database, the --min-supp threshold and their config, with --seed."""
     if args.dataset is not None:
         db = _read_fimi(args.dataset)
         source = {"dataset": args.dataset}
@@ -141,7 +137,8 @@ def _load_db(args) -> tuple[TransactionDB, dict]:
         source = {"synthetic": {"n": n, "m": m, "density": args.density}}
     else:
         raise ValueError("provide --dataset PATH or --synthetic N M")
-    return db, source
+    thr = support_threshold(args.min_supp)
+    return db, thr, dict(source, min_supp=str(thr), seed=args.seed)
 
 
 def _stats_rows(stats: list[IterationStats], shots: list[int] | None = None) -> list[dict]:
@@ -179,12 +176,20 @@ def _quantum_itemsets(results: list[MiningResult]) -> list[dict]:
     return out
 
 
+def _mine_quantum(args, db, thr, config) -> tuple:
+    """`mine-quantum`, and `compare`'s quantum half: qarm_full on its own
+    --seed stream, with T, mode and patience added to the config."""
+    counter = QueryCounter()
+    results, stats = qarm_full(db, thr, args.grid, args.mode, np.random.default_rng(args.seed),
+                               patience=args.patience, counter=counter)
+    config.update(T=args.grid, mode=args.mode, patience=args.patience)
+    return results, stats, counter
+
+
 def cmd_mine_classical(args) -> tuple[Report, int]:
-    db, source = _load_db(args)
-    thr = support_threshold(args.min_supp)
+    db, thr, config = _load_db(args)
     counter = QueryCounter()
     result = apriori(db, thr, counter)
-    config = dict(source, min_supp=str(thr), seed=args.seed)
     report = Report(
         command="mine-classical",
         config=config,
@@ -216,8 +221,7 @@ def cmd_mine_classical(args) -> tuple[Report, int]:
 
 
 def cmd_mine_sampling(args) -> tuple[Report, int]:
-    db, source = _load_db(args)
-    thr = support_threshold(args.min_supp)
+    db, thr, config = _load_db(args)
     n_samples = args.samples
     if args.epsilon is not None:
         if not 0 < args.epsilon < math.inf:
@@ -232,8 +236,7 @@ def cmd_mine_sampling(args) -> tuple[Report, int]:
     kept, stats = sampling_apriori(db, thr, n_samples, rng, counter)
     report = Report(
         command="mine-sampling",
-        config=dict(source, min_supp=str(thr), seed=args.seed,
-                    n_samples=n_samples),
+        config=dict(config, n_samples=n_samples),
         iterations=_stats_rows(stats),
         itemsets=[
             {"items": list(x), "estimate": est}
@@ -245,16 +248,11 @@ def cmd_mine_sampling(args) -> tuple[Report, int]:
 
 
 def cmd_mine_quantum(args) -> tuple[Report, int]:
-    db, source = _load_db(args)
-    thr = support_threshold(args.min_supp)
-    counter = QueryCounter()
-    rng = np.random.default_rng(args.seed)
-    results, stats = qarm_full(db, thr, args.grid, args.mode, rng,
-                               patience=args.patience, counter=counter)
+    db, thr, config = _load_db(args)
+    results, stats, counter = _mine_quantum(args, db, thr, config)
     report = Report(
         command="mine-quantum",
-        config=dict(source, min_supp=str(thr), seed=args.seed, T=args.grid,
-                    mode=args.mode, patience=args.patience),
+        config=config,
         iterations=_stats_rows(stats, [res.shots_used for res in results]),
         itemsets=_quantum_itemsets(results),
         counters={"quantum": counter.as_dict()},
@@ -266,8 +264,7 @@ def cmd_compare(args) -> tuple[Report, int]:
     # Apriori runs first, so refuse what the other two miners would refuse
     check_n_samples(args.samples)
     check_mining_args(args.grid, args.patience)
-    db, source = _load_db(args)
-    thr = support_threshold(args.min_supp)
+    db, thr, config = _load_db(args)
 
     classical_counter = QueryCounter()
     classical = apriori(db, thr, classical_counter)
@@ -277,9 +274,7 @@ def cmd_compare(args) -> tuple[Report, int]:
     sampling_apriori(db, thr, args.samples, np.random.default_rng(args.seed),
                      sampling_counter)
 
-    quantum_counter = QueryCounter()
-    results, _ = qarm_full(db, thr, args.grid, args.mode, np.random.default_rng(args.seed),
-                           patience=args.patience, counter=quantum_counter)
+    results, _, quantum_counter = _mine_quantum(args, db, thr, config)
 
     quantum_found = {mi.itemset for res in results for mi in res.found}
     classical_found = set(classical.frequents)
@@ -297,9 +292,7 @@ def cmd_compare(args) -> tuple[Report, int]:
     }
     report = Report(
         command="compare",
-        config=dict(source, min_supp=str(thr), seed=args.seed, T=args.grid,
-                    mode=args.mode, patience=args.patience,
-                    n_samples=args.samples),
+        config=dict(config, n_samples=args.samples),
         iterations=_stats_rows(classical.stats),
         itemsets=_quantum_itemsets(results),
         counters={
@@ -314,25 +307,25 @@ def cmd_compare(args) -> tuple[Report, int]:
     return report, 0
 
 
-def _find_dataset(name: str, explicit: str | None) -> str | None:
-    """The path given by --NAME, which must exist, else the first of
-    $QARM_NAME, ./NAME.dat and data/NAME.dat that exists, else None."""
-    if explicit is not None:
-        if not os.path.exists(explicit):
-            raise ValueError(f"--{name} {explicit}: no such file")
-        return explicit
-    filename, env = _DATASET_FILES[name]
-    for path in (os.environ.get(env), filename, os.path.join("data", filename)):
-        if path and os.path.exists(path):
+def _find_dataset(name: str, flag: str | None) -> str | None:
+    """The path named by --NAME, or by $QARM_NAME (set and not empty)
+    without the flag, which must exist; with neither, the first of
+    ./NAME.dat and data/NAME.dat that exists, else None."""
+    env = f"QARM_{name.upper()}"
+    for given, path in ((f"--{name}", flag), (f"${env}", os.environ.get(env) or None)):
+        if path is not None:
+            if not os.path.exists(path):
+                raise ValueError(f"{given} {path}: no such file")
             return path
-    return None
+    filename = f"{name}.dat"
+    return next((path for path in (filename, os.path.join("data", filename))
+                 if os.path.exists(path)), None)
 
 
 def cmd_reproduce_appendix(args) -> tuple[Report, int]:
     checks: list[dict] = []
     counters: dict = {}
     failed = False
-    ran = False
     # every given path is checked before any file is mined
     paths = [(name, _find_dataset(name, explicit))
              for name, explicit in (("retail", args.retail), ("kosarak", args.kosarak))]
@@ -341,7 +334,6 @@ def cmd_reproduce_appendix(args) -> tuple[Report, int]:
             checks.append({"name": name, "status": "SKIPPED",
                            "detail": "dataset file not found"})
             continue
-        ran = True
         db = _read_fimi(path)
         for label in ("1%", "2%"):
             counter = QueryCounter()
@@ -365,10 +357,10 @@ def cmd_reproduce_appendix(args) -> tuple[Report, int]:
                 "status": "PASS" if ok_gamma else "FAIL",
                 "detail": f"{gamma:.4f} vs {want_gamma}",
             })
-    status = "fail" if failed else ("ok" if ran else "skipped")
+    status = "fail" if failed else ("ok" if any(path for _, path in paths) else "skipped")
     report = Report(
         command="reproduce-appendix",
-        config={"retail": args.retail, "kosarak": args.kosarak},
+        config=dict(paths),
         counters=counters,
         checks=checks,
         status=status,

@@ -11,3 +11,6 @@ GRID_TOL = 1e-12
 # Most bytes one mining level may allocate, checked before it allocates
 # its candidates and law; a dense reference state must fit it too.
 LEVEL_BYTES = 1 << 30
+
+# Most shots one quantum mining level may take; a patience above it is refused.
+LEVEL_SHOTS = 1 << 20

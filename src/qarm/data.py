@@ -475,19 +475,15 @@ def _lex_sorted(level: np.ndarray) -> np.ndarray:
     return level[order]
 
 
-def _present(level: np.ndarray) -> np.ndarray:
-    """A bool mask over ids 0..max of a nonempty level: True at the items
-    it holds."""
-    present = np.zeros(int(level.max()) + 1, dtype=bool)
-    present[level.ravel()] = True
-    return present
-
-
 def _item_ranks(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A nonempty level's distinct items, increasing, and each entry's
-    rank among them (int32): its item's row in a bit matrix of them."""
-    present = _present(level)
-    return present.nonzero()[0], (present.cumsum(dtype=np.int32) - 1)[level]
+    """A level's distinct items, increasing, and each entry's rank among
+    them (int32): its item's row in a bit matrix of them.  Ranked by
+    sorting the level's own entries, so nothing is sized by an item id."""
+    items = np.sort(level, axis=None)
+    first = np.ones(items.size, dtype=bool)
+    np.not_equal(items[1:], items[:-1], out=first[1:])
+    items = items[first]
+    return items, items.searchsorted(level).astype(np.int32)
 
 
 def _bit_columns(db: TransactionDB, items: np.ndarray) -> np.ndarray:
@@ -556,11 +552,10 @@ def _weighted_supports(db: TransactionDB, level: np.ndarray,
     over those rows, column p for the p-th, and are counted on it with
     one plane per bit of the weights (`_and_counts`)."""
     single = level.shape[1] == 1
-    if single:  # ranks from the level's own items: nothing sized by an item id
-        items = np.sort(level[:, 0])  # a repeated item counts at its leftmost
+    items, ranks = _item_ranks(level)
+    if single:
         sums = np.zeros(items.size, dtype=np.int64)
     else:
-        items, ranks = _item_ranks(level)
         words = -(-int(np.count_nonzero(weights)) // 64)
         bits = np.zeros((items.size, words), dtype=np.uint64)
         planes = np.zeros((int(weights.max()).bit_length(), words), dtype=np.uint64)
@@ -582,7 +577,7 @@ def _weighted_supports(db: TransactionDB, level: np.ndarray,
                 _set_bits(bits, at[hit], pos + owner[hit])
         pos += rows.size
     if single:
-        return sums[np.searchsorted(items, level[:, 0])]
+        return sums[ranks[:, 0]]
     return _and_counts(bits, ranks, planes)
 
 

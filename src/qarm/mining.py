@@ -27,11 +27,14 @@ CDF that `rng.choice` builds from w / w.sum(), with w the very weights
 it draws from, so a shot costs O(log(T*C)) and takes the uniforms
 `rng.choice` would take.  `amplitude_amplify` returns the amplified law
 of one shot and is the reference the tests hold the plan to.  A level
-over `constants.LEVEL_BYTES` is refused before its law.
+over `constants.LEVEL_BYTES` is refused before its law, and one still
+finding itemsets after `constants.LEVEL_SHOTS` shots is stopped.
 
 Each Q iteration costs two pipeline traversals, 2(T-1) Grover
-applications; re-preparations cost T-1.  With shots counted as state
-preparations, basic-oracle calls always equal
+applications; re-preparations cost T-1.  A level charges its shots'
+re-preparations, fixed r iterations and measurements once, after its
+last shot; bbht charges each attempt it draws.  With shots counted as
+state preparations, basic-oracle calls always equal
 2k(T-1) * (preparations + 2 * amplification iterations).
 """
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .classical import (
     _check_level_bytes,
     mine_levels,
 )
-from .constants import GRID_TOL, NORM_TOL
+from .constants import GRID_TOL, LEVEL_SHOTS, NORM_TOL
 from .data import Itemset, QueryCounter, TransactionDB, as_level, support_threshold
 from .qpe import SupportEstimate, _grid_value, _log2_exact, decode_support, estimation_law
 
@@ -179,11 +182,11 @@ class _LevelPlan:
         return cdf
 
     def shot(self, rng, counter: QueryCounter) -> tuple[int, int]:
-        """Amplify and measure once: the (y, j) outcome of est and cand."""
+        """Amplify and measure once: the (y, j) outcome of est and cand.
+        Only bbht charges here; a fixed r is the level's to charge."""
         if self.mode == "bbht":
             y = self.bbht_outcome(rng, counter)
             return y, _draw(self.cdf(y=y), rng)
-        counter.charge_amplification_iterations(self.k, self.big_t, self.r)
         return divmod(_draw(self.cdf(self.r), rng), self.law.shape[1])
 
     def bbht_outcome(self, rng, counter: QueryCounter) -> int:
@@ -194,11 +197,7 @@ class _LevelPlan:
         m_cap = max(1.0, 1.1 / math.sqrt(p))
         budget = int(200.0 / math.sqrt(p)) + 50
         spent = 0
-        first = True
         while True:
-            if not first:
-                counter.charge_estimation_pipeline(k, big_t)
-            first = False
             r = int(rng.integers(0, int(math.ceil(m))))
             counter.charge_amplification_iterations(k, big_t, r)
             y = _draw(self.cdf(r), rng)
@@ -209,6 +208,7 @@ class _LevelPlan:
             if spent > budget:
                 raise RuntimeError("amplitude amplification failed to converge")
             m = min(m * 6.0 / 5.0, m_cap)
+            counter.charge_estimation_pipeline(k, big_t)  # |Psi3> again, to retry
 
 
 def amplitude_amplify(law: np.ndarray, min_supp, mode: str = "ideal-projection",
@@ -261,10 +261,12 @@ class MiningResult:
 
 def check_mining_args(big_t: int, patience: int) -> None:
     """Refuse a grid size T that is not a power of two >= 2 and a patience
-    below 1."""
+    below 1 or above LEVEL_SHOTS, which a level could not outlast."""
     _log2_exact(big_t)
     if patience < 1:
         raise ValueError("patience must be >= 1")
+    if patience > LEVEL_SHOTS:
+        raise ValueError(f"patience {patience} is above the {LEVEL_SHOTS}-shot cap of a level")
 
 
 def qarm_mine_k(db: TransactionDB, candidates, k: int, big_t: int,
@@ -276,8 +278,9 @@ def qarm_mine_k(db: TransactionDB, candidates, k: int, big_t: int,
     add no new itemset.
 
     Raises NoFrequentCandidatesError when no candidate's support reaches
-    the threshold (good-subspace weight zero), and MemoryError before the
-    law when the level would pass LEVEL_BYTES.  Every recorded estimate is
+    the threshold (good-subspace weight zero), MemoryError before the
+    law when the level would pass LEVEL_BYTES, and RuntimeError when it
+    has taken LEVEL_SHOTS shots and would take another.  Every recorded estimate is
     at the threshold or above; an itemset keeps its first estimate.
     """
     if mode not in AMPLIFY_MODES:
@@ -304,6 +307,8 @@ def qarm_mine_k(db: TransactionDB, candidates, k: int, big_t: int,
     found: dict[int, MinedItemset] = {}
     misses = shots = 0
     while misses < patience:
+        if shots == LEVEL_SHOTS:
+            raise RuntimeError(f"level {k}: still finding itemsets at the {LEVEL_SHOTS}-shot cap")
         y, j = plan.shot(rng, counter)
         shots += 1
         if j >= len(level):
@@ -316,8 +321,10 @@ def qarm_mine_k(db: TransactionDB, candidates, k: int, big_t: int,
             misses = 0
         else:
             misses += 1
-    # each shot after the first prepares |Psi3> again; each measures est, cand
+    # each shot after the first prepares |Psi3> again; each runs the fixed
+    # r iterations of Q (bbht charged its own draws) and measures est, cand
     counter.charge_estimation_pipeline(k, big_t, shots - 1)
+    counter.charge_amplification_iterations(k, big_t, plan.r * shots)
     counter.measurements += shots
 
     delta = counter.delta(start)

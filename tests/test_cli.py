@@ -446,6 +446,67 @@ def test_reproduce_appendix_refuses_a_missing_explicit_path(capsys, tmp_path, mo
     assert capsys.readouterr() == ("", f"error: {flag} {missing}: no such file\n")
 
 
+@pytest.mark.parametrize("name", ["retail", "kosarak"])
+def test_reproduce_appendix_refuses_a_missing_variable_path(capsys, tmp_path, monkeypatch,
+                                                            name):
+    # a $QARM_NAME naming no file is refused, not passed over for a file
+    # in the default place, and nothing is mined
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QARM_RETAIL", raising=False)
+    monkeypatch.delenv("QARM_KOSARAK", raising=False)
+    (tmp_path / f"{name}.dat").write_text(CLEAR_FIMI, encoding="ascii")
+    missing = str(tmp_path / "absent" / f"{name}.dat")
+    monkeypatch.setenv(f"QARM_{name.upper()}", missing)
+    monkeypatch.setattr(qarm.cli, "apriori", lambda *_args: pytest.fail("mined a file"))
+    code = main(["reproduce-appendix", "--json"])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: $QARM_{name.upper()} {missing}: no such file\n")
+
+
+@pytest.mark.parametrize("where", ["variable", "flag over variable", "here", "data"])
+def test_reproduce_appendix_config_names_the_file_mined(capsys, tmp_path, monkeypatch, where):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QARM_RETAIL", raising=False)
+    monkeypatch.delenv("QARM_KOSARAK", raising=False)
+    argv = ["reproduce-appendix"]
+    if where == "here":
+        path = "retail.dat"
+    elif where == "data":
+        (tmp_path / "data").mkdir()
+        path = os.path.join("data", "retail.dat")
+    else:
+        path = str(tmp_path / "elsewhere.dat")
+        monkeypatch.setenv("QARM_RETAIL", path)
+        if where == "flag over variable":
+            monkeypatch.setenv("QARM_RETAIL", str(tmp_path / "absent.dat"))
+            argv += ["--retail", path]
+    Path(tmp_path, path).write_text(APPENDIX_FIMI, encoding="ascii")
+    code, doc = run_json(capsys, argv)
+    assert code == 1  # four rows are not the retail file
+    assert doc["config"] == {"retail": path, "kosarak": None}
+    assert [c["name"] for c in doc["checks"]][-1] == "kosarak"
+    assert [c["status"] for c in doc["checks"]][:4] == ["FAIL", "FAIL", "FAIL", "FAIL"]
+
+
+def test_patience_above_the_level_shot_cap_is_refused(capsys, monkeypatch):
+    monkeypatch.setattr(qarm.mining, "LEVEL_SHOTS", 4)
+    monkeypatch.setattr(qarm.mining, "qarm_mine_k", lambda *_a, **_k: pytest.fail("ran a level"))
+    for command in ("mine-quantum", "compare"):
+        assert main([command, "--synthetic", "8", "4", "--min-supp", "1/4",
+                     "--patience", "5"]) == 2
+        assert capsys.readouterr() == ("", "error: patience 5 is above the 4-shot cap of a level\n")
+
+
+def test_level_at_the_shot_cap_is_a_clean_error(capsys, monkeypatch):
+    # twelve items in nearly every row: each of the first shots finds a new one
+    monkeypatch.setattr(qarm.mining, "LEVEL_SHOTS", 3)
+    code = main(["mine-quantum", "--synthetic", "16", "12", "--density", "0.9",
+                 "--min-supp", "1/4", "--patience", "2", "--json"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: level 1: still finding itemsets at the "
+                                       "3-shot cap\n")
+
+
 def test_reproduce_appendix_non_ascii_names_the_line(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("QARM_KOSARAK", raising=False)

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qarm.classical
+import qarm.cli
+import qarm.mining
 from qarm import data
 from qarm import (
     FimiParseError,
@@ -319,6 +322,51 @@ def test_db_validation_rejects_bad_rows():
     # the same items split across rows are fine
     db = TransactionDB(np.array([0, 1, 2]), np.array([1, 1]), 3)
     assert db.row(0) == db.row(1) == (1,)
+
+
+# Each refusal and edge branch no other test reaches, with what it must
+# raise (an exception, matched by type and message) or return.
+EDGES = [
+    ("support-denominator", lambda: data.ExactSupport(0, 0),
+     ValueError("denominator must be >= 1")),
+    ("support-numerator", lambda: data.ExactSupport(3, 2),
+     ValueError("numerator 3 outside [0, 2]")),
+    ("level-1-d", lambda: data.as_level(np.array([0, 1], dtype=np.int32)),
+     ValueError("a level must be a 2-d integer array")),
+    ("level-float", lambda: data.as_level(np.zeros((1, 2))),
+     ValueError("a level must be a 2-d integer array")),
+    ("indptr-start", lambda: TransactionDB([1, 1], [], 1),
+     ValueError("indptr must be 1-d, start at 0, with >= 1 row")),
+    ("indptr-end", lambda: TransactionDB([0, 2, 1], [0, 1], 2),
+     ValueError("indptr must be nondecreasing and end at nnz")),
+    ("n-items", lambda: TransactionDB([0, 0], [], 0), ValueError("n_items must be >= 1")),
+    ("rows-none", lambda: TransactionDB.from_rows([]), ValueError("no transactions")),
+    ("rows-negative", lambda: TransactionDB.from_rows([[2, -1]]),
+     ValueError("item indices must be non-negative")),
+    ("rows-empty", lambda: TransactionDB.from_rows([[], []]),
+     ValueError("cannot infer n_items from empty rows")),
+    # 2**13 empty rows over 2**14 items: 2**27 cells, twice the guard
+    ("dense-guard", lambda: TransactionDB(np.zeros(2 ** 13 + 1), [], 2 ** 14).dense(),
+     ValueError(f"dense matrix of {2 ** 27} cells exceeds guard")),
+    ("synth-size", lambda: synth_db(0, 3, {}, seed=0), ValueError("n and m must be >= 1")),
+    ("sample-empty-level", lambda: qarm.classical.sampling_estimate(
+        TransactionDB.from_rows([[0]]), np.zeros((0, 2), dtype=np.int32), 5, 0).tolist(), []),
+    ("gamma-none-frequent", lambda: qarm.cli._gamma_dict(
+        [qarm.classical.IterationStats(1, 3, 0), qarm.classical.IterationStats(2, 1, 0)]), None),
+    ("draw-weights", lambda: qarm.mining._weights_cdf(np.array([1.0, -1.0, 1.0])),
+     ValueError("draw weights must be finite, non-negative and sum to 1")),
+]
+
+
+@pytest.mark.parametrize("call, expect", [edge[1:] for edge in EDGES],
+                         ids=[edge[0] for edge in EDGES])
+def test_refusals_and_edge_branches(call, expect):
+    if isinstance(expect, Exception):
+        with pytest.raises(type(expect)) as exc:
+            call()
+        assert str(exc.value) == str(expect)
+    else:
+        assert call() == expect
 
 
 def test_column_counts_are_not_copied():

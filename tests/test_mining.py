@@ -317,7 +317,11 @@ def test_level_plan_draws_equal_per_shot_choice(seed, mode, k, big_t, n_cand,
             except NoFrequentCandidatesError:
                 runs.append(([NoFrequentCandidatesError], counter, rng.bit_generator.state))
                 continue
-            shot = lambda: plan.shot(rng, counter)
+
+            def shot():
+                # the level charges its fixed r once for all its shots
+                counter.charge_amplification_iterations(k, big_t, plan.r)
+                return plan.shot(rng, counter)
         else:
             def shot():
                 out = parent_amplify(law, good, mode, rng, counter, k)
@@ -414,8 +418,9 @@ def test_mine_query_ledger_all_modes(dtoy):
 
 def per_shot_ledger(db, cands, k, big_t, min_supp, mode, seed, patience):
     """qarm_mine_k's shot loop with every shot charged as it runs: a
-    re-preparation before each shot after the first, a measurement after
-    each; the ledger it leaves, or the error that stopped it."""
+    re-preparation before each shot after the first, the plan's fixed r
+    iterations and a measurement after each; the ledger it leaves, or the
+    error that stopped it."""
     counter = QueryCounter()
     law = estimation_law(db, cands, k, big_t, counter)
     try:
@@ -427,6 +432,7 @@ def per_shot_ledger(db, cands, k, big_t, min_supp, mode, seed, patience):
         if found or misses:
             counter.charge_estimation_pipeline(k, big_t)
         y, j = plan.shot(rng, counter)
+        counter.charge_amplification_iterations(k, big_t, plan.r)
         counter.measurements += 1
         if plan.good[y] and j not in found:
             found.add(j)
@@ -477,6 +483,22 @@ def test_mine_validation():
         qarm_mine_k(db, ITEMS(0), 1, 8, 0.5, patience=0)
     with pytest.raises(ValueError):
         qarm_mine_k(db, ITEMS(0), 1, 8, 0.5, mode="fast")
+
+
+@pytest.mark.parametrize("cap", [3, 4])
+def test_level_stops_at_the_shot_cap(monkeypatch, cap):
+    # item 0 alone is frequent: the first shot finds it and the next three
+    # miss, so a patience of 3 stops after 4 shots, which a cap of 4 allows
+    monkeypatch.setattr(qarm.mining, "LEVEL_SHOTS", cap)
+    mine = lambda: qarm_mine_k(quarter_db(), ITEMS(0, 1, 2, 3), 1, 8, 0.5, patience=3,
+                               rng=np.random.default_rng(0))
+    if cap == 4:
+        assert mine().shots_used == 4
+        return
+    with pytest.raises(RuntimeError, match="^level 1: still finding itemsets at the 3-shot cap$"):
+        mine()
+    with pytest.raises(ValueError, match="^patience 4 is above the 3-shot cap of a level$"):
+        qarm.mining.check_mining_args(8, 4)
 
 
 def test_mine_off_grid_tail_behaviour():
