@@ -28,7 +28,7 @@ it draws from, so a shot costs O(log(T*C)) and takes the uniforms
 `rng.choice` would take.  `amplitude_amplify` returns the amplified law
 of one shot and is the reference the tests hold the plan to.  A level
 over `constants.LEVEL_BYTES` is refused before its law, and one still
-finding itemsets after `constants.LEVEL_SHOTS` shots is stopped.
+finding itemsets at `constants.LEVEL_SHOTS` shots raises RuntimeError.
 
 Each Q iteration costs two pipeline traversals, 2(T-1) Grover
 applications; re-preparations cost T-1.  A level charges its shots'

@@ -476,8 +476,9 @@ def test_reproduce_appendix_config_names_the_file_mined(capsys, tmp_path, monkey
         path = os.path.join("data", "retail.dat")
     else:
         path = str(tmp_path / "elsewhere.dat")
-        monkeypatch.setenv("QARM_RETAIL", path)
-        if where == "flag over variable":
+        if where == "variable":
+            monkeypatch.setenv("QARM_RETAIL", path)
+        else:  # the flag is used, and a variable naming no file is not read
             monkeypatch.setenv("QARM_RETAIL", str(tmp_path / "absent.dat"))
             argv += ["--retail", path]
     Path(tmp_path, path).write_text(APPENDIX_FIMI, encoding="ascii")

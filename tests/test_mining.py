@@ -485,16 +485,14 @@ def test_mine_validation():
         qarm_mine_k(db, ITEMS(0), 1, 8, 0.5, mode="fast")
 
 
-@pytest.mark.parametrize("cap", [3, 4])
-def test_level_stops_at_the_shot_cap(monkeypatch, cap):
+def test_level_stops_at_the_shot_cap(monkeypatch):
     # item 0 alone is frequent: the first shot finds it and the next three
     # miss, so a patience of 3 stops after 4 shots, which a cap of 4 allows
-    monkeypatch.setattr(qarm.mining, "LEVEL_SHOTS", cap)
     mine = lambda: qarm_mine_k(quarter_db(), ITEMS(0, 1, 2, 3), 1, 8, 0.5, patience=3,
                                rng=np.random.default_rng(0))
-    if cap == 4:
-        assert mine().shots_used == 4
-        return
+    monkeypatch.setattr(qarm.mining, "LEVEL_SHOTS", 4)
+    assert mine().shots_used == 4
+    monkeypatch.setattr(qarm.mining, "LEVEL_SHOTS", 3)
     with pytest.raises(RuntimeError, match="^level 1: still finding itemsets at the 3-shot cap$"):
         mine()
     with pytest.raises(ValueError, match="^patience 4 is above the 3-shot cap of a level$"):
