@@ -43,7 +43,9 @@ _DRAW_BUDGET = 1 << 22
 # dict slots), and per transaction (the exact count's reused bool column
 # and its packed copy; the sampler's int64 draw counts, their bit planes,
 # and at most N // 8 of the drawn rows and N // 8 of their items at a time)
-_CANDIDATE_BYTES, _KEPT_BYTES, _ROW_BYTES = 64, 384, 28
+_CANDIDATE_BYTES, _KEPT_BYTES, _ROW_BYTES = 64, 192, 28
+# kept rows turned into Python objects at a time
+_KEPT_SLICE = 1 << 8
 # the bit matrix of a count's items and one chunk's gathered words and
 # popcounts, as a multiple of the matrix over every row (a sampled count's
 # matrix spans only the drawn rows, and it also holds one masked chunk)
@@ -125,11 +127,23 @@ def fre_exam(db: TransactionDB, candidates, min_supp,
     counts = level_supports(db, level)
     keep = np.flatnonzero(counts >= _min_count(thr, n_rows))
     _check_level_bytes(db, level.shape[1], len(level), "", len(keep) * _KEPT_BYTES)
-    kept = [(Itemset(x), ExactSupport(count, n_rows))
-            for x, count in zip(level[keep].tolist(), counts[keep].tolist())]
+    kept = _kept_pairs(level, keep, counts, lambda count: ExactSupport(count, n_rows))
     if counter is not None:
         counter.classical_row_scans += n_rows * level.size
     return kept, counts
+
+
+def _kept_pairs(level: np.ndarray, keep: np.ndarray, values: np.ndarray,
+                make: Callable) -> list:
+    """(Itemset, make(value)) for each kept row of a level and its value,
+    built _KEPT_SLICE rows at a time, so no Python list of every kept row
+    is alive next to the pairs."""
+    pairs = []
+    for lo in range(0, len(keep), _KEPT_SLICE):
+        rows = keep[lo:lo + _KEPT_SLICE]
+        pairs += [(Itemset(x), make(value))
+                  for x, value in zip(level[rows].tolist(), values[rows].tolist())]
+    return pairs
 
 
 def cand_gen(frequents) -> np.ndarray:
@@ -309,9 +323,7 @@ def sampling_apriori(db: TransactionDB, min_supp, n_samples: int, rng,
         estimates = sampling_estimate(db, candidates, n_samples, rng, counter)
         keep = np.flatnonzero(np.round(estimates * n_samples) >= min_count)
         _check_level_bytes(db, k, len(candidates), "", len(keep) * _KEPT_BYTES)
-        kept = candidates[keep]
-        return kept, [(Itemset(x), est)
-                      for x, est in zip(kept.tolist(), estimates[keep].tolist())]
+        return candidates[keep], _kept_pairs(candidates, keep, estimates, float)
 
     run = mine_levels(db, examine)
     return [pair for level in run.results for pair in level], run.stats

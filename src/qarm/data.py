@@ -15,12 +15,17 @@ The query ledger that every miner charges, `QueryCounter`, lives here too.
 """
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
+
+from .constants import LEVEL_BYTES
 
 __all__ = [
     "FimiParseError",
@@ -42,6 +47,14 @@ _DENSE_CELL_LIMIT = 1 << 26
 # parse_fimi's fast path reads this many bytes at a time (cut at a newline),
 # so its temporaries stay bounded whatever the file size
 _PARSE_BLOCK = 1 << 20
+# the least work a parse or count thread gets: text bytes of one piece, or
+# bit-matrix words gathered for one chunk of candidates.  On a 2-core
+# x86-64 host a thread's start and join take about 65 us, and each task
+# hands the GIL back and forth a few times: two threads counted in 1.2 to
+# 2 times one thread's time with 2**15 words each, in 0.8 to 0.92 of it
+# with 2**16 and in 0.5 to 0.55 with 2**17, and parsed 1 MiB of text in
+# 0.65 of it with 2**19 bytes each
+_THREAD_WORK = 1 << 16
 # the only bytes the fast path reads; any other byte takes the line parser
 _FAST_BYTES = b"0123456789 \t\n"
 # numpy's reader silently saturates an id past int64 at 2**63 - 1, so a
@@ -50,10 +63,19 @@ _FAST_BYTES = b"0123456789 \t\n"
 _FAST_ID_LIMIT = 10 ** 18
 # n_items = 1 + largest id must fit int64
 _MAX_ITEM_ID = np.iinfo(np.int64).max - 1
+# bytes synth_db allocates, rounded up from tracemalloc peaks: per entry
+# (its row id in its item's array, its slots in the row lists before and
+# after sorting, and the database's int64 id: 38 to 47 B at densities 0.25
+# to 1), per row (its lists: 160 B) and per item (its array of rows: 344 B)
+_SYNTH_ENTRY_BYTES, _SYNTH_ROW_BYTES, _SYNTH_ITEM_BYTES = 48, 168, 352
 
 
 class FimiParseError(ValueError):
     """Raised when FIMI text cannot be parsed into a database."""
+
+
+class _NotFast(Exception):
+    """A piece of FIMI text that the block parser does not read."""
 
 
 class Itemset(tuple):
@@ -312,17 +334,74 @@ def _unsorted_rows(indptr: np.ndarray, indices: np.ndarray) -> bool:
     return bool(bad.any())
 
 
+@functools.cache
+def _cpu_count() -> int:
+    """The CPUs this process may run on (its affinity where the OS has
+    one), read once."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(work: int) -> int:
+    """The threads a call runs on, given the work that one thread would do
+    in one piece or chunk: one per CPU, each with at least _THREAD_WORK of
+    that work.  Less than two threads' work reads no CPU count."""
+    if work < 2 * _THREAD_WORK:
+        return 1
+    return min(_cpu_count(), work // _THREAD_WORK)
+
+
+def _run_tasks(n: int, task, workers: int) -> None:
+    """Run task(0) .. task(n - 1) on min(n, workers) threads, the calling
+    thread one of them, each thread taking the lowest task not yet taken.
+    A task writes only its own slot or slice of its caller's output.  Once
+    a task raises, no thread takes another; every thread is joined before
+    this returns, and then the exception of the lowest-numbered task that
+    raised is raised here, as a serial loop would raise it."""
+    if min(n, workers) < 2:
+        for i in range(n):
+            task(i)
+        return
+    tasks = iter(range(n))
+    lock = threading.Lock()
+    failed: dict[int, BaseException] = {}
+
+    def work():
+        while True:
+            with lock:  # a task taken after another fails is a later one
+                i = next(tasks, None) if not failed else None
+            if i is None:
+                return
+            try:
+                task(i)
+            except BaseException as exc:
+                failed[i] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(min(n, workers) - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    if failed:
+        raise failed[min(failed)]
+
+
 def parse_fimi(text: str) -> TransactionDB:
     """Parse FIMI format: one transaction per line, space-separated item ids.
 
     Blank lines are skipped.  Duplicate ids inside a line collapse to one.
     n_items = 1 + max id seen, which must fit int64.  Text of digits,
-    spaces, tabs and newlines is read by numpy's text reader a block of
-    whole lines at a time, so besides the database's arrays and one copy
-    of its ids, made when the blocks are joined, what it allocates is
-    bounded by _PARSE_BLOCK, not by the text.  Any other text, or an id of
-    _FAST_ID_LIMIT or more, is read line by line, which is also what names
-    the line of an error.
+    spaces, tabs and newlines is read by numpy's text reader a piece of
+    whole lines at a time, on as many threads as the process has CPUs, so
+    besides the database's arrays and one copy of its ids, made when the
+    pieces are joined, what it allocates is bounded by _PARSE_BLOCK, not by
+    the text.  Any other text, or an id of _FAST_ID_LIMIT or more, is read
+    line by line, which is also what names the line of an error.
     """
     db = _parse_fimi_blocks(text)
     return db if db is not None else _parse_fimi_lines(text)
@@ -333,52 +412,69 @@ def _parse_fimi_blocks(text: str) -> TransactionDB | None:
     newlines, with every id below _FAST_ID_LIMIT; None for any other text,
     which the line parser then reads and reports on.
 
-    Each block of whole lines is read by np.fromstring with every newline
-    made a -1 token, so a line's ids lie between two -1s and a blank line
-    is an empty gap; a block with an unsorted row is lexsorted and deduped."""
+    The text is cut at newlines into pieces of at most _PARSE_BLOCK // W
+    bytes (a longer line is one piece), read on W threads (`_workers`), so
+    at most one _PARSE_BLOCK of text is in flight, and joined in order."""
     if not text.isascii():
         return None
-    values: list[np.ndarray] = []
-    counts: list[np.ndarray] = []
-    lo = 0
-    while lo < len(text):
-        hi = min(lo + _PARSE_BLOCK, len(text))
+    workers = _workers(min(len(text), _PARSE_BLOCK))
+    size = max(_PARSE_BLOCK // workers, 1)
+    cuts = [0]
+    while cuts[-1] < len(text):
+        lo = cuts[-1]
+        hi = min(lo + size, len(text))
         if hi < len(text):
             cut = text.rfind("\n", lo, hi)
-            if cut < 0:  # a line longer than a block is read whole
+            if cut < 0:  # a line longer than a piece is read whole
                 cut = text.find("\n", hi)
             hi = cut + 1 if cut >= 0 else len(text)
-        block = text[lo:hi].encode("ascii")
-        lo = hi
-        if block.translate(None, _FAST_BYTES):
-            return None
-        tokens = np.fromstring(block.replace(b"\n", b" -1 ") + b" -1", dtype=np.int64, sep=" ")
-        stop = tokens < 0
-        lengths = np.diff(np.flatnonzero(stop), prepend=-1) - 1
-        lengths = lengths[lengths > 0]  # blank lines drop out
-        vals = tokens[~stop]
-        if not vals.size:
-            continue
-        if vals.max() >= _FAST_ID_LIMIT:
-            return None
-        ptr = np.zeros(lengths.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=ptr[1:])
-        # FIMI files usually list each row's ids sorted and distinct
-        if _unsorted_rows(ptr, vals):
-            row = np.repeat(np.arange(lengths.size), lengths)
-            order = np.lexsort((vals, row))
-            vals, row = vals[order], row[order]
-            keep = np.ones(vals.size, dtype=bool)
-            keep[1:] = (vals[1:] != vals[:-1]) | (row[1:] != row[:-1])
-            vals, lengths = vals[keep], np.bincount(row[keep])
-        values.append(vals)
-        counts.append(lengths)
-    if not values:
+        cuts.append(hi)
+    pieces: list = [None] * (len(cuts) - 1)
+
+    def parse(i):
+        pieces[i] = _parse_fimi_piece(text[cuts[i]:cuts[i + 1]].encode("ascii"))
+        if pieces[i] is None:
+            raise _NotFast  # no later piece is read
+
+    try:
+        _run_tasks(len(pieces), parse, workers)
+    except _NotFast:
+        return None
+    if not any(ids.size for ids, _ in pieces):
         raise FimiParseError("no transactions")
-    indices = np.concatenate(values)
-    indptr = np.zeros(sum(c.size for c in counts) + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    indices = np.concatenate([ids for ids, _ in pieces])
+    counts = np.concatenate([lengths for _, lengths in pieces])
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
     return TransactionDB(indptr, indices, int(indices.max()) + 1)
+
+
+def _parse_fimi_piece(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ids and row lengths of a piece of whole lines, or None if it
+    holds a byte the fast path does not read or an id of _FAST_ID_LIMIT or
+    more.  np.fromstring reads it with every newline made a -1 token, so a
+    line's ids lie between two -1s and a blank line is an empty gap; a
+    piece with an unsorted row is lexsorted and deduped."""
+    if block.translate(None, _FAST_BYTES):
+        return None
+    tokens = np.fromstring(block.replace(b"\n", b" -1 ") + b" -1", dtype=np.int64, sep=" ")
+    stop = tokens < 0
+    lengths = np.diff(np.flatnonzero(stop), prepend=-1) - 1
+    lengths = lengths[lengths > 0]  # blank lines drop out
+    vals = tokens[~stop]
+    if vals.size and vals.max() >= _FAST_ID_LIMIT:
+        return None
+    ptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    # FIMI files usually list each row's ids sorted and distinct
+    if _unsorted_rows(ptr, vals):
+        row = np.repeat(np.arange(lengths.size), lengths)
+        order = np.lexsort((vals, row))
+        vals, row = vals[order], row[order]
+        keep = np.ones(vals.size, dtype=bool)
+        keep[1:] = (vals[1:] != vals[:-1]) | (row[1:] != row[:-1])
+        vals, lengths = vals[keep], np.bincount(row[keep])
+    return vals, lengths
 
 
 def _parse_fimi_lines(text: str) -> TransactionDB:
@@ -506,17 +602,24 @@ def _and_counts(bits: np.ndarray, ranks: np.ndarray, planes=(None,)) -> np.ndarr
     """Each candidate's count on a bit matrix, its items' rows given by
     ranks (C x k): the sum over b of 2**b times the popcount of the AND of
     those rows with planes[b], a bit row of the rows whose weight has bit
-    b set (None: every row, weight 1).  Candidates are taken as many at a
-    time as the matrix has rows, so the gathered rows never outgrow it."""
+    b set (None: every row, weight 1).  Candidates are counted in chunks of
+    len(bits) // W on W threads (`_workers`), each into its own slice of
+    the counts, so the gathered rows in flight never outgrow the matrix."""
     out = np.zeros(len(ranks), dtype=np.int64)
-    for lo in range(0, len(ranks), len(bits)):
-        part = ranks[lo:lo + len(bits)]
+    workers = _workers(ranks[:len(bits)].size * bits.shape[1])
+    step = max(len(bits) // workers, 1)
+
+    def count(i):
+        part = ranks[i * step:(i + 1) * step]
         words = bits[part[:, 0]]
         for column in part.T[1:]:
             words &= bits[column]
         for b, plane in enumerate(planes):
             held = words if plane is None else words & plane
-            out[lo:lo + len(part)] += np.bitwise_count(held).sum(axis=1, dtype=np.int64) << b
+            out[i * step:i * step + len(part)] += (
+                np.bitwise_count(held).sum(axis=1, dtype=np.int64) << b)
+
+    _run_tasks(-(-len(ranks) // step), count, workers)
     return out
 
 
@@ -619,6 +722,8 @@ def synth_db(n: int, m: int, support_targets: Mapping, seed: int,
     Each target names a single item, and its support must be a rational
     with denominator dividing n; every target is met exactly.  Items not
     mentioned in any target get independent background_density fill.
+    Raises MemoryError, before anything is built, if the database's
+    expected size would pass LEVEL_BYTES.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
@@ -637,6 +742,12 @@ def synth_db(n: int, m: int, support_targets: Mapping, seed: int,
         if not 0 <= count <= n:
             raise ValueError(f"target support {frac} infeasible for n={n}")
         counts[j] = int(count)
+    entries = sum(counts.values()) + background_density * n * (m - len(counts))
+    n_bytes = int(entries * _SYNTH_ENTRY_BYTES + n * _SYNTH_ROW_BYTES + m * _SYNTH_ITEM_BYTES
+                  + len(counts) * 8 * n)  # each target's permutation of the rows
+    if n_bytes > LEVEL_BYTES:
+        raise MemoryError(f"a {n} x {m} database at density {background_density} needs "
+                          f"about {n_bytes} bytes, over the {LEVEL_BYTES}-byte level budget")
 
     rng = np.random.default_rng(seed)
     col_rows = {j: rng.permutation(n)[:count] for j, count in counts.items()}

@@ -30,7 +30,8 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(autouse=True)
 def no_leaked_threads():
-    # qarm starts no thread; a test that leaves one alive shows one crept in
+    # qarm joins its parse and count threads before the call that started
+    # them returns; a test that leaves a thread alive shows one leaked
     before = set(threading.enumerate())
     yield
     extra = [t.name for t in threading.enumerate() if t not in before]

@@ -696,8 +696,9 @@ def test_failed_draw_is_a_clean_error(capsys, monkeypatch, clear_db_path):
 
 
 def test_cli_import_does_not_load_concurrent_futures():
-    # qarm runs on one thread; this keeps a thread pool from creeping in
-    # and set-up from paying ~7 ms to import it
+    # qarm's parse and count threads are plain threading.Threads; this
+    # keeps a thread pool from creeping in and set-up from paying ~6 ms
+    # to import it
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qarm.__file__)))
     probe = ("import sys, qarm.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
@@ -721,3 +722,15 @@ def test_readme_command_lines_run_in_text_mode(capsys):
         out = capsys.readouterr().out
         assert code == 0, line
         assert out.startswith(argv[0]), line
+
+
+def test_synthetic_over_the_level_budget_exits_2(capsys):
+    # numpy used to refuse this size with its own message; qarm refuses it
+    # from the size alone, naming N, M, the density and the bytes
+    code = main(["mine-classical", "--synthetic", "100000000000", "100000000000",
+                 "--min-supp", "1/2", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: out of memory: a 100000000000 x 100000000000 database at density 0.25 "
+        "needs about 120000000051999991136256 bytes, over the 1073741824-byte level budget\n")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qarm.classical
+import qarm.constants
 import qarm.cli
 import qarm.mining
 from qarm import data
@@ -522,3 +523,35 @@ def test_synth_db_background_density():
     db = synth_db(32, 4, {}, seed=5, background_density=0.5)
     total = sum(len(r) for r in db.rows())
     assert 0 < total < 32 * 4
+
+
+def _synth_bytes(n, m, density, n_targets=0):
+    return (density * n * (m - n_targets) * data._SYNTH_ENTRY_BYTES
+            + n * data._SYNTH_ROW_BYTES + m * data._SYNTH_ITEM_BYTES + n_targets * 8 * n)
+
+
+@pytest.mark.parametrize("n, m, density, targets", [
+    (20_000, 50, 0.25, {}), (20_000, 50, 1.0, {}), (2_000, 500, 0.25, {}),
+    (100_000, 5, 0.0, {}), (100, 20_000, 0.01, {}), (4_000, 30, 0.5, {(0,): 1, (1,): "1/2"}),
+])
+def test_synth_db_stays_within_its_expected_bytes(n, m, density, targets):
+    # the figures the budget check charges, against what synth_db allocates
+    peak = traced_peak(lambda: synth_db(n, m, targets, seed=1, background_density=density))
+    assert peak <= _synth_bytes(n, m, density, len(targets)) + CALL_BYTES
+
+
+@pytest.mark.parametrize("n, m, density", [
+    (10 ** 11, 10 ** 11, 0.25), (10 ** 8, 2, 0.0), (10 ** 6, 10 ** 4, 0.25)])
+def test_synth_db_refuses_a_database_over_the_level_budget(n, m, density):
+    # refused from its size alone: nothing sized by n or m is allocated
+    expected = int(_synth_bytes(n, m, density))
+    assert expected > qarm.constants.LEVEL_BYTES
+    message = (f"a {n} x {m} database at density {density} needs about {expected} bytes, "
+               f"over the {qarm.constants.LEVEL_BYTES}-byte level budget")
+
+    def refused():
+        with pytest.raises(MemoryError) as err:
+            synth_db(n, m, {}, seed=1, background_density=density)
+        assert str(err.value) == message
+
+    assert traced_peak(refused) <= CALL_BYTES

@@ -12,7 +12,9 @@ output.
 
 Each run is a fresh `python -c` process calling `qarm.cli.main(argv)`,
 one at a time, with PYTHONPATH set to TREE/src and thread pools capped at
-one thread as the benchmark caps them.  The digest is the sha256 of
+one thread as the benchmark caps them.  Those caps are BLAS and OpenMP
+caps: qarm's parse and count threads do not read them and run on every
+CPU of the process's affinity, which no report depends on.  The digest is the sha256 of
 stdout, a NUL byte, stderr, a NUL byte and the decimal exit code, so a
 changed message or exit code shows as well as a changed report.
 
