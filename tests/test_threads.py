@@ -2,6 +2,7 @@
 the same results, raise the same errors and stay within the same byte
 bounds on any number of CPUs."""
 
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -119,6 +120,25 @@ def test_threads_start_only_past_the_work_gate(monkeypatch):
                      "--min-supp", "1/2", "-T", "64", "--mode", "ideal-projection",
                      "--seed", "1", "--json"]) == 0
         assert started[0] == 0
+
+
+def test_every_task_runs_once_on_more_threads_than_cores():
+    # threads switch every microsecond, so two threads taking the same task,
+    # or none taking one, would show in the per-task run counts
+    runs = np.zeros(5000, dtype=np.int64)
+
+    def task(i):
+        runs[i] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.monotonic()
+        data._run_tasks(runs.size, task, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.monotonic() - start < 60
+    assert (runs == 1).all()
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
