@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .data import (
     _lex_sorted,
     _prefix_runs,
     _row_keys,
+    _supports,
     as_level,
     level_supports,
     support_threshold,
@@ -121,29 +122,35 @@ def fre_exam(db: TransactionDB, candidates, min_supp,
     the kept itemsets if the level would pass LEVEL_BYTES with them.
     Charges k*N row operations per k-candidate to the classical ledger.
     """
-    thr = support_threshold(min_supp)
     level = as_level(candidates)
+    counts, keep = _exam_level(db, level, support_threshold(min_supp), counter)
+    n_rows = db.n_transactions
+    kept = list(_kept_pairs(level, keep, counts, lambda count: ExactSupport(count, n_rows)))
+    return kept, counts
+
+
+def _exam_level(db: TransactionDB, level: np.ndarray, thr: Fraction,
+                counter: QueryCounter | None) -> tuple[np.ndarray, np.ndarray]:
+    """`fre_exam`'s count of a level: every candidate's count and the rows
+    whose count reaches thr, once the level and its kept itemsets have
+    passed LEVEL_BYTES; charges the ledger."""
     n_rows = db.n_transactions
     counts = level_supports(db, level)
     keep = np.flatnonzero(counts >= _min_count(thr, n_rows))
     _check_level_bytes(db, level.shape[1], len(level), "", len(keep) * _KEPT_BYTES)
-    kept = _kept_pairs(level, keep, counts, lambda count: ExactSupport(count, n_rows))
     if counter is not None:
         counter.classical_row_scans += n_rows * level.size
-    return kept, counts
+    return counts, keep
 
 
 def _kept_pairs(level: np.ndarray, keep: np.ndarray, values: np.ndarray,
-                make: Callable) -> list:
+                make: Callable) -> Iterator[tuple[Itemset, object]]:
     """(Itemset, make(value)) for each kept row of a level and its value,
-    built _KEPT_SLICE rows at a time, so no Python list of every kept row
+    made _KEPT_SLICE rows at a time, so no Python list of every kept row
     is alive next to the pairs."""
-    pairs = []
     for lo in range(0, len(keep), _KEPT_SLICE):
         rows = keep[lo:lo + _KEPT_SLICE]
-        pairs += [(Itemset(x), make(value))
-                  for x, value in zip(level[rows].tolist(), values[rows].tolist())]
-    return pairs
+        yield from zip(map(Itemset, level[rows].tolist()), map(make, values[rows].tolist()))
 
 
 def cand_gen(frequents) -> np.ndarray:
@@ -254,16 +261,21 @@ def apriori(db: TransactionDB, min_supp,
             counter: QueryCounter | None = None) -> AprioriResult:
     """Level-wise exact mining; level 1 candidates are the items that occur."""
     thr = support_threshold(min_supp)
-    min_count = _min_count(thr, db.n_transactions)
+    n_rows = db.n_transactions
+    frequents: dict[Itemset, ExactSupport] = {}
 
     def examine(candidates, _k):
-        level, counts = fre_exam(db, candidates, thr, counter)
-        return candidates[counts >= min_count], (level, counts)
+        counts, keep = _exam_level(db, candidates, thr, counter)
+        # pair by pair into the dict: a list of (itemset, support) tuples,
+        # once dropped, would stay on CPython's free list of tuples, which
+        # a full garbage collection empties, so the bytes held after the
+        # call would depend on when one last ran
+        frequents.update(_kept_pairs(candidates, keep, counts,
+                                     lambda count: ExactSupport(count, n_rows)))
+        return candidates[keep], counts
 
     run = mine_levels(db, examine)
-    frequents = {x: sup for level, _ in run.results for x, sup in level}
-    return AprioriResult(frequents=frequents, stats=run.stats,
-                         counts=[counts for _, counts in run.results])
+    return AprioriResult(frequents=frequents, stats=run.stats, counts=run.results)
 
 
 def check_n_samples(n_samples: int) -> None:
@@ -303,7 +315,7 @@ def sampling_estimate(db: TransactionDB, candidates, n_samples: int, rng=None,
         size = min(_DRAW_BUDGET, n_samples - start)
         drawn += np.bincount(rng.integers(0, n_rows, size=size, dtype=draw_dtype),
                              minlength=n_rows)
-    estimates = level_supports(db, level, drawn) / n_samples
+    estimates = _supports(db, level, drawn) / n_samples
     if counter is not None:
         counter.classical_row_scans += n_samples * level.size
     return estimates
@@ -323,7 +335,7 @@ def sampling_apriori(db: TransactionDB, min_supp, n_samples: int, rng,
         estimates = sampling_estimate(db, candidates, n_samples, rng, counter)
         keep = np.flatnonzero(np.round(estimates * n_samples) >= min_count)
         _check_level_bytes(db, k, len(candidates), "", len(keep) * _KEPT_BYTES)
-        return candidates[keep], _kept_pairs(candidates, keep, estimates, float)
+        return candidates[keep], list(_kept_pairs(candidates, keep, estimates, float))
 
     run = mine_levels(db, examine)
     return [pair for level in run.results for pair in level], run.stats

@@ -2,16 +2,20 @@
 
 A database is N transactions over M items, a binary matrix D with
 D[i, j] = 1 iff transaction i contains item j.  Rows are stored sparsely
-(sorted item ids per transaction, CSR style), with a lazily built CSC view
-(the rows of each item).  A level of k-itemsets is a C x k int32 array,
-one itemset per row (`as_level`).  Every support, exact or sampled, is
-counted by `level_supports`, k-itemsets (k >= 2) on a bit matrix of the
-level's items, one packed row per item as MAFIA's vertical bitmaps are
-(Burdick, Calimlim and Gehrke, ICDE 2001).  An exact count fills it from
-the CSC view over every row.  A sampled one weights each row by its
-draws and fills it from the CSR slices of the drawn rows alone, then
-weighs each AND by one bit plane per binary digit of the draw counts.
-The query ledger that every miner charges, `QueryCounter`, lives here too.
+(sorted items per transaction, CSR style), with a lazily built CSC view
+(the rows of each item).  Inside, an item is its position among the M'
+ids that occur, recoded once as Borgelt's Apriori recodes items (FIMI
+2003), so nothing is sized by the largest id; every public name takes
+and gives the ids themselves.  A level of k-itemsets is a C x k int32
+array, one itemset per row (`as_level`).  Every support, exact or
+sampled, is counted by `level_supports`, k-itemsets (k >= 2) on a bit
+matrix of the level's items, one packed row per item as MAFIA's vertical
+bitmaps are (Burdick, Calimlim and Gehrke, ICDE 2001).  An exact count
+fills it from the CSC view over every row.  A sampled one weights each
+row by its draws and fills it from the CSR slices of the drawn rows
+alone, then weighs each AND by one bit plane per binary digit of the
+draw counts.  The query ledger that every miner charges, `QueryCounter`,
+lives here too.
 """
 from __future__ import annotations
 
@@ -63,6 +67,13 @@ _FAST_BYTES = b"0123456789 \t\n"
 _FAST_ID_LIMIT = 10 ** 18
 # n_items = 1 + largest id must fit int64
 _MAX_ITEM_ID = np.iinfo(np.int64).max - 1
+# TransactionDB recodes its ids with a bincount over 0..largest id when
+# n_items is at most this many times the entries, else with np.unique's
+# sort.  On a 2-core x86-64 host, at 10**3, 3 * 10**4 and 8.3 * 10**5
+# entries, the two took equal time (0.9 to 1.0 times) at 4 ids per entry;
+# at 0.02 the bincount took 1/3 to 1/18 of the sort's time, at 16 over 3
+# times it.  The bincount's 8 bytes per id then stay within 32 per entry
+_RECODE_IDS_PER_ENTRY = 4
 # bytes synth_db allocates, rounded up from tracemalloc peaks: per entry
 # (its row id in its item's array, its slots in the row lists before and
 # after sorting, and the database's int64 id: 38 to 47 B at densities 0.25
@@ -211,7 +222,13 @@ def as_level(candidates, k: int | None = None) -> np.ndarray:
 
 
 class TransactionDB:
-    """Immutable transaction database over items 0..n_items-1."""
+    """Immutable transaction database over items 0..n_items-1.
+
+    Inside, the ids that occur are `_item_ids` (increasing int64, M' of
+    them), each entry of `_indices` is its item's position among them
+    (int32), and `_column_counts` counts each present id's rows, so the
+    arrays are sized by the entries and the present ids, never by n_items.
+    An id in range that no row holds has no position and an empty column."""
 
     def __init__(self, indptr, indices, n_items: int):
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -227,10 +244,9 @@ class TransactionDB:
         if _unsorted_rows(indptr, indices):
             raise ValueError("row items must be sorted and distinct")
         self._indptr = indptr
-        self._indices = indices
+        self._item_ids, self._indices, self._column_counts = _recode(indices, n_items)
         self.n_transactions = int(indptr.size - 1)
         self.n_items = int(n_items)
-        self._column_counts = np.bincount(indices, minlength=n_items).astype(np.int64, copy=False)
         self._csc = None  # lazy (column starts, row ids ordered by column)
 
     @classmethod
@@ -254,7 +270,7 @@ class TransactionDB:
 
     def row(self, i: int) -> tuple[int, ...]:
         lo, hi = self._indptr[i], self._indptr[i + 1]
-        return tuple(int(j) for j in self._indices[lo:hi])
+        return tuple(self._item_ids[self._indices[lo:hi]].tolist())
 
     def rows(self) -> Iterator[tuple[int, ...]]:
         for i in range(self.n_transactions):
@@ -267,27 +283,34 @@ class TransactionDB:
             raise ValueError(f"dense matrix of {cells} cells exceeds guard")
         out = np.zeros((self.n_transactions, self.n_items), dtype=bool)
         rows = np.repeat(np.arange(self.n_transactions), np.diff(self._indptr))
-        out[rows, self._indices] = True
+        out[rows, self._item_ids[self._indices]] = True
         return out
 
     def item_level(self) -> np.ndarray:
         """Level 1: the items occurring in at least one transaction, as a
         C x 1 level (see `as_level`)."""
-        return as_level(np.flatnonzero(self._column_counts)[:, None])
+        return as_level(self._item_ids[:, None].copy())
 
-    def _rows_with_item(self, j: int) -> np.ndarray:
-        """Increasing row ids of the transactions that contain item j."""
+    def _positions(self, items: np.ndarray) -> np.ndarray:
+        """Each item's position among the present ids, or -1 for an item
+        that no row holds, whose left and right insertion points are one."""
+        at = self._item_ids.searchsorted(items)
+        return np.where(self._item_ids.searchsorted(items, side="right") > at, at, -1)
+
+    def _rows_with_item(self, p: int) -> np.ndarray:
+        """Increasing row ids of the transactions that contain the item at
+        position p (see `_positions`)."""
         if self._csc is None:
             # a stable sort has one result, so the narrowest key dtype gives
             # the int64 permutation, and numpy radix-sorts 16-bit keys
-            keys = self._indices.astype(np.min_scalar_type(self.n_items - 1))
+            keys = self._indices.astype(np.min_scalar_type(max(self._item_ids.size - 1, 0)))
             order = np.argsort(keys, kind="stable")
             all_rows = np.repeat(np.arange(self.n_transactions), np.diff(self._indptr))
-            starts = np.zeros(self.n_items + 1, dtype=np.int64)
+            starts = np.zeros(self._item_ids.size + 1, dtype=np.int64)
             np.cumsum(self._column_counts, out=starts[1:])
             self._csc = (starts, all_rows[order])
         starts, rows = self._csc
-        return rows[starts[j]:starts[j + 1]]
+        return rows[starts[p]:starts[p + 1]]
 
     def check_items(self, level: np.ndarray) -> None:
         """Refuse a level (see `as_level`) with items outside 0..n_items-1,
@@ -299,10 +322,12 @@ class TransactionDB:
 
     def contains_all(self, itemset: Itemset) -> np.ndarray:
         """Boolean vector over transactions: row contains every item of x."""
-        self.check_items(as_level([itemset]))
+        level = as_level([itemset])
+        self.check_items(level)
         held = np.zeros(self.n_transactions, dtype=np.int64)
-        for j in itemset:
-            held[self._rows_with_item(j)] += 1
+        for p in self._positions(level[0]).tolist():
+            if p >= 0:  # an absent item is held by no row
+                held[self._rows_with_item(p)] += 1
         return held == len(itemset)
 
     def column_bitset(self, j: int) -> int:
@@ -316,12 +341,32 @@ class TransactionDB:
         return (
             self.n_items == other.n_items
             and np.array_equal(self._indptr, other._indptr)
+            and np.array_equal(self._item_ids, other._item_ids)
             and np.array_equal(self._indices, other._indices)
         )
 
     def __repr__(self) -> str:
         return (f"TransactionDB(n_transactions={self.n_transactions}, "
                 f"n_items={self.n_items}, nnz={self._indices.size})")
+
+
+def _recode(indices: np.ndarray, n_items: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ids that occur in `indices`, all below n_items (increasing
+    int64), each entry's position among them (int32) and each id's count
+    (int64).  The map is increasing, so rows stay sorted and every order
+    of ids is kept.  With n_items within _RECODE_IDS_PER_ENTRY times the
+    entries, ids are counted by a bincount, whose table gives each present
+    id its position; else by np.unique, which sorts the entries.  Both
+    allocate O(nnz)."""
+    if indices.size and n_items <= _RECODE_IDS_PER_ENTRY * indices.size:
+        counts = np.bincount(indices)
+        ids = np.flatnonzero(counts)
+        counts = counts[ids]
+        table = np.empty(int(ids[-1]) + 1, dtype=np.int32)  # read only at present ids
+        table[ids] = np.arange(ids.size, dtype=np.int32)
+        return ids, table.take(indices), counts
+    ids, positions, counts = np.unique(indices, return_inverse=True, return_counts=True)
+    return ids, positions.astype(np.int32), counts
 
 
 def _unsorted_rows(indptr: np.ndarray, indices: np.ndarray) -> bool:
@@ -444,8 +489,10 @@ def _parse_fimi_blocks(text: str) -> TransactionDB | None:
         raise FimiParseError("no transactions")
     indices = np.concatenate([ids for ids, _ in pieces])
     counts = np.concatenate([lengths for _, lengths in pieces])
+    pieces.clear()  # freed before the database recodes the ids
     indptr = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
+    del counts
     return TransactionDB(indptr, indices, int(indices.max()) + 1)
 
 
@@ -524,14 +571,24 @@ def level_supports(db: TransactionDB, candidates,
                              f"N={db.n_transactions}, got {weights.dtype} {weights.shape}")
         if weights.size and weights.min() < 0:
             raise ValueError("weights are draw counts and must be non-negative")
-    if not len(level):
-        return np.zeros(0, dtype=np.int64)
-    if weights is not None:
-        return _weighted_supports(db, level, weights)
-    if level.shape[1] == 1:
-        return db._column_counts[level[:, 0]]
+    return _supports(db, level, weights)
+
+
+def _supports(db: TransactionDB, level: np.ndarray,
+              weights: np.ndarray | None = None) -> np.ndarray:
+    """`level_supports` of a level, and weights, that are already checked
+    (`as_level`, `TransactionDB.check_items`).  The level's distinct items
+    are found among the present ids once; an absent one counts 0."""
+    if not (len(level) and db._item_ids.size):  # no candidate, or no row holds an item
+        return np.zeros(len(level), dtype=np.int64)
+    if weights is None and level.shape[1] == 1:
+        at = db._positions(level[:, 0])
+        return np.where(at >= 0, db._column_counts[at], 0)
     items, ranks = _item_ranks(level)
-    return _and_counts(_bit_columns(db, items), ranks)
+    positions = db._positions(items)
+    if weights is not None:
+        return _weighted_supports(db, positions, ranks, weights)
+    return _and_counts(_bit_columns(db, positions), ranks)
 
 
 def _prefix_runs(level: np.ndarray) -> np.ndarray:
@@ -582,18 +639,20 @@ def _item_ranks(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return items, items.searchsorted(level).astype(np.int32)
 
 
-def _bit_columns(db: TransactionDB, items: np.ndarray) -> np.ndarray:
-    """One row of ceil(N/64) uint64 words per item, bit i of an item's row
-    set iff transaction i holds it.  Items are filled a block at a time
-    from the CSC view through a bool block of at most the matrix's bytes
-    (4 KiB at least), packed at once."""
+def _bit_columns(db: TransactionDB, positions: np.ndarray) -> np.ndarray:
+    """One row of ceil(N/64) uint64 words per item, given by its position
+    (`TransactionDB._positions`), bit i of an item's row set iff
+    transaction i holds it; an absent item's row is empty.  Items are
+    filled a block at a time from the CSC view through a bool block of at
+    most the matrix's bytes (4 KiB at least), packed at once."""
     words = -(-db.n_transactions // 64)
-    bits = np.zeros((items.size, words), dtype=np.uint64)
+    bits = np.zeros((positions.size, words), dtype=np.uint64)
     step = max(1, max(bits.nbytes, 1 << 12) // (words * 64))
-    for lo in range(0, items.size, step):
-        block = np.zeros((min(step, items.size - lo), words * 64), dtype=bool)
-        for d, j in enumerate(items[lo:lo + step].tolist()):
-            block[d, db._rows_with_item(j)] = True
+    for lo in range(0, positions.size, step):
+        block = np.zeros((min(step, positions.size - lo), words * 64), dtype=bool)
+        for d, p in enumerate(positions[lo:lo + step].tolist()):
+            if p >= 0:
+                block[d, db._rows_with_item(p)] = True
         bits[lo:lo + len(block)] = np.packbits(block, axis=1, bitorder="little").view(np.uint64)
     return bits
 
@@ -626,7 +685,7 @@ def _and_counts(bits: np.ndarray, ranks: np.ndarray, planes=(None,)) -> np.ndarr
 def _row_pieces(db: TransactionDB, rows: np.ndarray, step: int):
     """The items of increasing `rows`, from their CSR slices, in pieces of
     at most `step` items (and at least one row): yields each item's row as
-    an index into `rows`, and the items, row after row."""
+    an index into `rows`, and the items' positions, row after row."""
     begin = db._indptr[rows]
     length = db._indptr[rows + 1] - begin
     ends = np.cumsum(length)
@@ -646,21 +705,25 @@ def _set_bits(bits: np.ndarray, rows, cols: np.ndarray) -> None:
     np.bitwise_or.at(bits.reshape(-1), flat, np.left_shift(1, cols & 63).astype(np.uint64))
 
 
-def _weighted_supports(db: TransactionDB, level: np.ndarray,
+def _weighted_supports(db: TransactionDB, positions: np.ndarray, ranks: np.ndarray,
                        weights: np.ndarray) -> np.ndarray:
     """level_supports with weights, over the rows of nonzero weight only,
-    read from their CSR slices N // 8 rows and N // 8 row items at a time.
-    Single items add each row's weight at their items' ranks among the
-    level's.  k-itemsets, k >= 2, set their items' bits in a bit matrix
-    over those rows, column p for the p-th, and are counted on it with
-    one plane per bit of the weights (`_and_counts`)."""
-    single = level.shape[1] == 1
-    items, ranks = _item_ranks(level)
+    read from their CSR slices N // 8 rows and N // 8 row items at a time,
+    for a level of distinct items at `positions` (`_supports`) and ranks.
+    Each row item is ranked among the level's by one int32 table over the
+    M' present ids, -1 off the level.  Single items add each row's weight
+    at their ranks.  k-itemsets, k >= 2, set their items' bits in a bit
+    matrix over those rows, column p for the p-th, and are counted on it
+    with one plane per bit of the weights (`_and_counts`)."""
+    single = ranks.shape[1] == 1
+    table = np.full(db._item_ids.size, -1, dtype=np.int32)
+    present = positions >= 0
+    table[positions[present]] = np.flatnonzero(present)
     if single:
-        sums = np.zeros(items.size, dtype=np.int64)
+        sums = np.zeros(positions.size, dtype=np.int64)
     else:
         words = -(-int(np.count_nonzero(weights)) // 64)
-        bits = np.zeros((items.size, words), dtype=np.uint64)
+        bits = np.zeros((positions.size, words), dtype=np.uint64)
         planes = np.zeros((int(weights.max()).bit_length(), words), dtype=np.uint64)
     step = max(db.n_transactions // 8, 1)
     pos = 0  # the column of the first row of this step
@@ -671,9 +734,8 @@ def _weighted_supports(db: TransactionDB, level: np.ndarray,
             for b in range(len(planes)):
                 _set_bits(planes, b, pos + np.flatnonzero((w >> b) & 1))
         for owner, row_items in _row_pieces(db, rows, step):
-            at = np.searchsorted(items, row_items)
-            np.minimum(at, items.size - 1, out=at)
-            hit = items[at] == row_items
+            at = table[row_items]
+            hit = at >= 0
             if single:
                 np.add.at(sums, at[hit], w[owner[hit]])
             else:
@@ -744,13 +806,14 @@ def synth_db(n: int, m: int, support_targets: Mapping, seed: int,
         counts[j] = int(count)
     entries = sum(counts.values()) + background_density * n * (m - len(counts))
     n_bytes = int(entries * _SYNTH_ENTRY_BYTES + n * _SYNTH_ROW_BYTES + m * _SYNTH_ITEM_BYTES
-                  + len(counts) * 8 * n)  # each target's permutation of the rows
+                  + (8 * n if counts else 0))  # one target's permutation of the rows at a time
     if n_bytes > LEVEL_BYTES:
         raise MemoryError(f"a {n} x {m} database at density {background_density} needs "
                           f"about {n_bytes} bytes, over the {LEVEL_BYTES}-byte level budget")
 
     rng = np.random.default_rng(seed)
-    col_rows = {j: rng.permutation(n)[:count] for j, count in counts.items()}
+    # each copied down to its count, so one permutation is alive at a time
+    col_rows = {j: rng.permutation(n)[:count].copy() for j, count in counts.items()}
     if background_density > 0:
         for j in range(m):
             if j not in counts:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import QueryCounter, TransactionDB, _lex_sorted, as_level, level_supports
+from .data import QueryCounter, TransactionDB, _lex_sorted, _supports, as_level
 
 __all__ = [
     "SupportEstimate",
@@ -187,7 +187,8 @@ def estimation_law(db: TransactionDB, candidates, k: int,
     charged the same: one state preparation and T-1 Grover applications.
     """
     candidates = _check_candidates(db, candidates, k)
-    counts, group = np.unique(level_supports(db, candidates), return_inverse=True)
+    # counted as checked: level_supports would check the level again
+    counts, group = np.unique(_supports(db, candidates), return_inverse=True)
     table = np.stack([analytic_phase_distribution(c / db.n_transactions, big_t)
                       for c in counts.tolist()], axis=1) / len(candidates)
     counter.charge_estimation_pipeline(k, big_t)

@@ -21,7 +21,7 @@ import qarm.mining
 from qarm import TransactionDB, apriori, qarm_full, synth_db
 from qarm.cli import main
 
-from conftest import SecondDrawFails
+from conftest import SecondDrawFails, traced_peak
 
 CLEAR_FIMI = "0 1 2\n" * 4 + "0 1\n" * 4
 
@@ -734,3 +734,19 @@ def test_synthetic_over_the_level_budget_exits_2(capsys):
     assert captured.err == (
         "error: out of memory: a 100000000000 x 100000000000 database at density 0.25 "
         "needs about 120000000051999991136256 bytes, over the 1073741824-byte level budget\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["mine-classical"], ["mine-sampling", "--samples", "8000"], ["mine-quantum", "-T", "64"]],
+    ids=["classical", "sampling", "quantum"])
+def test_memory_does_not_follow_the_largest_id(capsys, tmp_path, argv):
+    # two rows whose largest id is 10**7 parse and mine in what two rows of
+    # small ids take (about 70 to 140 KiB), not in arrays of 10**7 entries
+    path = tmp_path / "far.dat"
+    path.write_text("1 2\n10000000\n", encoding="ascii")
+    argv = argv + ["--dataset", str(path), "--min-supp", "1/2", "--seed", "1", "--json"]
+    assert main(argv) == 0  # imports and caches are not the run's
+    first = capsys.readouterr().out
+    peak = traced_peak(lambda: main(argv))
+    assert capsys.readouterr().out == first
+    assert peak <= 1 << 18

@@ -162,16 +162,6 @@ def test_parse_errors_name_the_first_bad_line(before, tail, bad, where):
     assert str(err.value) == message
 
 
-class _Handed(TransactionDB):
-    """The rows and n_items a parser hands TransactionDB, kept without the
-    column counts, which are sized by the largest id and cannot be
-    allocated for ids near 2**63."""
-
-    def __init__(self, indptr, indices, n_items):
-        self._indptr, self._indices = np.asarray(indptr), np.asarray(indices)
-        self.n_transactions, self.n_items = len(self._indptr) - 1, n_items
-
-
 # numpy's reader saturates an id past int64 instead of failing, so every id
 # of 10**18 or more must reach the line parser, which reads it exactly; a
 # zero-padded small id is read exactly by the block parser
@@ -190,7 +180,6 @@ class _Handed(TransactionDB):
 @pytest.mark.parametrize("block", [4, 1 << 20])
 def test_long_ids_take_the_line_parser(monkeypatch, text, fast, expected, block):
     monkeypatch.setattr(data, "_PARSE_BLOCK", block)
-    monkeypatch.setattr(data, "TransactionDB", _Handed)
     assert (data._parse_fimi_blocks(text) is not None) == fast
     got = _outcome(parse_fimi, text)
     if isinstance(expected, str):
@@ -371,11 +360,52 @@ def test_refusals_and_edge_branches(call, expect):
 
 
 def test_column_counts_are_not_copied():
-    # memory follows the largest id (n_items = 1 + it), so the constructor
-    # keeps bincount's int64 counts instead of copying them
+    # the column counts are kept over the ids that occur, never over
+    # n_items = 1 + the largest id, so ids up to 10**6 allocate far less
+    # than one int64 each
     n_items = 10 ** 6 + 1
     peak = traced_peak(lambda: TransactionDB.from_rows([[1, 2], [n_items - 1]]))
     assert peak < 1.25 * 8 * n_items
+
+
+def _recoded(rows, n_items, ids_per_entry):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_RECODE_IDS_PER_ENTRY", ids_per_entry)
+        return TransactionDB.from_rows(rows, n_items=n_items)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.integers(1, 70), spread=st.integers(1, 3),
+       density=st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+def test_both_recodings_build_one_database(seed, n_rows, spread, density):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 8))
+    compact = random_db(rng, n_rows, m, density=density)  # some items in no row
+    # the bincount (ids per entry past any id) and the sort (none) build
+    # the same arrays, on ids `spread` apart
+    rows = [tuple(j * spread for j in row) for row in compact.rows()]
+    by_count, by_sort = (_recoded(rows, m * spread, factor) for factor in (1 << 30, 0))
+    for name in ("_item_ids", "_indices", "_column_counts"):
+        a, b = getattr(by_count, name), getattr(by_sort, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert by_count == by_sort and list(by_count.rows()) == rows
+    # ids 10**9 apart, counted exactly and weighted at k = 1..3 against the
+    # compact database's dense matrix, with candidates over every item in
+    # range, the absent ones included
+    gap = 10 ** 9
+    far = TransactionDB.from_rows([[j * gap for j in row] for row in compact.rows()],
+                                  n_items=(m - 1) * gap + 1)
+    present = compact.item_level()[:, 0].tolist()
+    assert far.item_level()[:, 0].tolist() == [j * gap for j in present]
+    dense = compact.dense()
+    w = rng.integers(0, 4, size=n_rows)
+    level = [Itemset.of(j) for j in range(m)]
+    while level:
+        held = [dense[:, list(x)].all(axis=1) for x in level]
+        wide = [Itemset([j * gap for j in x]) for x in level]
+        assert level_supports(far, wide).tolist() == [int(h.sum()) for h in held]
+        assert level_supports(far, wide, w).tolist() == [int((h * w).sum()) for h in held]
+        level = [Itemset(x) for x in cand_gen([x for x in level if rng.random() < 0.8]).tolist()]
 
 
 @settings(max_examples=80)
@@ -538,6 +568,16 @@ def test_synth_db_stays_within_its_expected_bytes(n, m, density, targets):
     # the figures the budget check charges, against what synth_db allocates
     peak = traced_peak(lambda: synth_db(n, m, targets, seed=1, background_density=density))
     assert peak <= _synth_bytes(n, m, density, len(targets)) + CALL_BYTES
+
+
+def test_synth_db_holds_one_target_permutation_at_a_time():
+    # each target's rows are copied out of its own permutation of the rows,
+    # so thirty targets of ten rows cost their entries and one permutation
+    n, m = 20_000, 40
+    targets = {(j,): Fraction(10, n) for j in range(30)}
+    peak = traced_peak(lambda: synth_db(n, m, targets, seed=1))
+    assert peak <= (30 * 10 * data._SYNTH_ENTRY_BYTES + n * data._SYNTH_ROW_BYTES
+                    + m * data._SYNTH_ITEM_BYTES + 8 * n + CALL_BYTES)
 
 
 @pytest.mark.parametrize("n, m, density", [
