@@ -75,10 +75,16 @@ _MAX_ITEM_ID = np.iinfo(np.int64).max - 1
 # times it.  The bincount's 8 bytes per id then stay within 32 per entry
 _RECODE_IDS_PER_ENTRY = 4
 # bytes synth_db allocates, rounded up from tracemalloc peaks: per entry
-# (its row id in its item's array, its slots in the row lists before and
-# after sorting, and the database's int64 id: 38 to 47 B at densities 0.25
-# to 1), per row (its lists: 160 B) and per item (its array of rows: 344 B)
-_SYNTH_ENTRY_BYTES, _SYNTH_ROW_BYTES, _SYNTH_ITEM_BYTES = 48, 168, 352
+# (its int32 row and id, their sorted copies and the sort's int64 order,
+# then the database's ids: 24 to 27 B at densities 0.01 to 1), per row (the
+# row starts and their search keys: 12 B) and per item (its array of rows
+# and list slots: 190 to 205 B)
+_SYNTH_ENTRY_BYTES, _SYNTH_ROW_BYTES, _SYNTH_ITEM_BYTES = 32, 16, 224
+# the most random numbers synth_db draws, n per target (its permutation of
+# the rows) and n per background item (uniforms): on a 2-CPU x86-64 host a
+# uniform, its comparison and its share of flatnonzero take 4.4 to 5.5 ns,
+# so 2**31 of them take about 10 s (a permutation's take about 24 ns each)
+_SYNTH_DRAWS = 1 << 31
 
 
 class FimiParseError(ValueError):
@@ -252,21 +258,29 @@ class TransactionDB:
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]],
                   n_items: int | None = None) -> "TransactionDB":
-        canon = [sorted({int(j) for j in row}) for row in rows]
-        if not canon:
+        """A database of the given rows, each an iterable of item ids read
+        with int(), in any order and possibly repeated: each row is kept as
+        its distinct ids, increasing (`_canonical_rows`), and an empty row
+        is kept.  n_items defaults to 1 + the largest id.  Raises
+        ValueError for no rows ("no transactions"), a negative id ("item
+        indices must be non-negative") and, without n_items, rows that
+        are all empty ("cannot infer n_items from empty rows")."""
+        flat: list[int] = []
+        ends = []
+        for row in rows:
+            flat.extend(map(int, row))
+            ends.append(len(flat))
+        if not ends:
             raise ValueError("no transactions")
-        for row in canon:
-            if row and row[0] < 0:
-                raise ValueError("item indices must be non-negative")
+        ids = np.array(flat, dtype=np.int64)
+        if ids.size and ids.min() < 0:
+            raise ValueError("item indices must be non-negative")
         if n_items is None:
-            top = max((row[-1] for row in canon if row), default=None)
-            if top is None:
+            if not ids.size:
                 raise ValueError("cannot infer n_items from empty rows")
-            n_items = top + 1
-        indptr = np.zeros(len(canon) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([len(r) for r in canon])
-        indices = np.asarray([j for row in canon for j in row], dtype=np.int64)
-        return cls(indptr, indices, n_items)
+            n_items = int(ids.max()) + 1
+        owner = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+        return cls(*_canonical_rows(owner, ids, len(ends)), n_items)
 
     def row(self, i: int) -> tuple[int, ...]:
         lo, hi = self._indptr[i], self._indptr[i + 1]
@@ -377,6 +391,23 @@ def _unsorted_rows(indptr: np.ndarray, indices: np.ndarray) -> bool:
     np.less_equal(indices[1:], indices[:-1], out=bad[1:-1])
     bad[indptr] = False
     return bool(bad.any())
+
+
+def _canonical_rows(rows: np.ndarray, ids: np.ndarray,
+                    n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR (indptr, indices) of entries given as (rows[i], ids[i])
+    pairs in any order, rows in 0..n_rows-1: each row's ids increasing, a
+    repeated pair kept once and a row with no entry kept empty, as
+    Borgelt's Apriori prepares each transaction once (FIMI 2003).  One
+    lexsort of the pairs, a dedupe mask and one binary search for the row
+    starts; indices keep the dtype of ids, and nothing is sized by an id."""
+    order = np.lexsort((ids, rows))
+    rows, ids = rows[order], ids[order]
+    del order  # freed before the deduped copies are made
+    keep = np.ones(ids.size, dtype=bool)
+    keep[1:] = (ids[1:] != ids[:-1]) | (rows[1:] != rows[:-1])
+    rows, ids = rows[keep], ids[keep]
+    return rows.searchsorted(np.arange(n_rows + 1, dtype=rows.dtype)), ids
 
 
 @functools.cache
@@ -501,7 +532,7 @@ def _parse_fimi_piece(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     holds a byte the fast path does not read or an id of _FAST_ID_LIMIT or
     more.  np.fromstring reads it with every newline made a -1 token, so a
     line's ids lie between two -1s and a blank line is an empty gap; a
-    piece with an unsorted row is lexsorted and deduped."""
+    piece with an unsorted row is put in canonical form (`_canonical_rows`)."""
     if block.translate(None, _FAST_BYTES):
         return None
     tokens = np.fromstring(block.replace(b"\n", b" -1 ") + b" -1", dtype=np.int64, sep=" ")
@@ -515,23 +546,21 @@ def _parse_fimi_piece(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     np.cumsum(lengths, out=ptr[1:])
     # FIMI files usually list each row's ids sorted and distinct
     if _unsorted_rows(ptr, vals):
-        row = np.repeat(np.arange(lengths.size), lengths)
-        order = np.lexsort((vals, row))
-        vals, row = vals[order], row[order]
-        keep = np.ones(vals.size, dtype=bool)
-        keep[1:] = (vals[1:] != vals[:-1]) | (row[1:] != row[:-1])
-        vals, lengths = vals[keep], np.bincount(row[keep])
+        ptr, vals = _canonical_rows(np.repeat(np.arange(lengths.size), lengths), vals,
+                                    lengths.size)
+        lengths = np.diff(ptr)
     return vals, lengths
 
 
 def _parse_fimi_lines(text: str) -> TransactionDB:
     """Line-by-line parse of any text, with the line number of any error."""
-    rows: list[set[int]] = []
+    flat: list[int] = []
+    ends = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        ids = set()
+        ids = []
         for tok in line.split():
             try:
-                ids.add(int(tok))
+                ids.append(int(tok))
             except ValueError:
                 raise FimiParseError(f"line {lineno}: non-integer token {tok!r}") from None
         if not ids:
@@ -540,10 +569,13 @@ def _parse_fimi_lines(text: str) -> TransactionDB:
             raise FimiParseError(f"line {lineno}: negative item id {min(ids)}")
         if max(ids) > _MAX_ITEM_ID:
             raise FimiParseError(f"line {lineno}: item id {max(ids)} too large")
-        rows.append(ids)
-    if not rows:
+        flat += ids
+        ends.append(len(flat))
+    if not ends:
         raise FimiParseError("no transactions")
-    return TransactionDB.from_rows(rows)
+    ids = np.array(flat, dtype=np.int64)
+    owner = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    return TransactionDB(*_canonical_rows(owner, ids, len(ends)), int(ids.max()) + 1)
 
 
 def level_supports(db: TransactionDB, candidates,
@@ -784,8 +816,10 @@ def synth_db(n: int, m: int, support_targets: Mapping, seed: int,
     Each target names a single item, and its support must be a rational
     with denominator dividing n; every target is met exactly.  Items not
     mentioned in any target get independent background_density fill.
-    Raises MemoryError, before anything is built, if the database's
-    expected size would pass LEVEL_BYTES.
+    Raises MemoryError, before anything is drawn, if the database's
+    expected size would pass LEVEL_BYTES, and ValueError if it would draw
+    more than _SYNTH_DRAWS random numbers.  Each item's rows are drawn as an
+    array and the database is built from them by `_canonical_rows`.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
@@ -810,17 +844,20 @@ def synth_db(n: int, m: int, support_targets: Mapping, seed: int,
     if n_bytes > LEVEL_BYTES:
         raise MemoryError(f"a {n} x {m} database at density {background_density} needs "
                           f"about {n_bytes} bytes, over the {LEVEL_BYTES}-byte level budget")
+    draws = n * (m if background_density > 0 else len(counts))
+    if draws > _SYNTH_DRAWS:
+        raise ValueError(f"a {n} x {m} database at density {background_density} draws "
+                         f"{draws} random numbers, over the cap of {_SYNTH_DRAWS}")
 
     rng = np.random.default_rng(seed)
-    # each copied down to its count, so one permutation is alive at a time
-    col_rows = {j: rng.permutation(n)[:count].copy() for j, count in counts.items()}
+    # each item's rows, int32 as the budget keeps n below 2**31; a target's
+    # are copied down to its count, so one permutation is alive at a time
+    col_rows = {j: rng.permutation(n)[:count].astype(np.int32) for j, count in counts.items()}
     if background_density > 0:
         for j in range(m):
             if j not in counts:
-                col_rows[j] = np.flatnonzero(rng.random(n) < background_density)
-
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for j, members in col_rows.items():
-        for r in members.tolist():
-            rows[r].append(j)
-    return TransactionDB.from_rows(rows, n_items=m)
+                col_rows[j] = np.flatnonzero(rng.random(n) < background_density).astype(np.int32)
+    ids = np.repeat(np.array(list(col_rows), dtype=np.int32), [r.size for r in col_rows.values()])
+    rows = np.concatenate([np.zeros(0, dtype=np.int32), *col_rows.values()])
+    del col_rows
+    return TransactionDB(*_canonical_rows(rows, ids, n), m)

@@ -733,7 +733,19 @@ def test_synthetic_over_the_level_budget_exits_2(capsys):
     assert code == 2 and captured.out == ""
     assert captured.err == (
         "error: out of memory: a 100000000000 x 100000000000 database at density 0.25 "
-        "needs about 120000000051999991136256 bytes, over the 1073741824-byte level budget\n")
+        "needs about 80000000023999992037376 bytes, over the 1073741824-byte level budget\n")
+
+
+def test_synthetic_over_the_draw_cap_exits_2(capsys):
+    # within the byte budget (about 39 MB) but 10**11 uniforms, one per row
+    # and item: refused before anything is drawn
+    code = main(["mine-classical", "--synthetic", "1000000", "100000", "--density", "1e-7",
+                 "--min-supp", "1/2", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: a 1000000 x 100000 database at density 1e-07 draws 100000000000 random "
+        "numbers, over the cap of 2147483648\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +73,34 @@ def test_roundtrip_random(rows):
     # parsed databases have no empty rows, so write o parse is stable
     db = TransactionDB.from_rows(rows)
     assert parse_fimi("".join(" ".join(map(str, row)) + "\n" for row in db.rows())) == db
+
+
+@st.composite
+def _entries(draw):
+    # (row, id) pairs in any order, repeats among them, over n_rows rows,
+    # some of them (trailing ones too) empty; small ids as int32, or int64
+    # ids up to the largest a database takes
+    n_rows = draw(st.integers(1, 12))
+    wide = draw(st.booleans())
+    ids = st.integers(0, 2 ** 63 - 2) if wide else st.integers(0, 20)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_rows - 1), ids), max_size=40))
+    if pairs and draw(st.booleans()):
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=10))
+    return n_rows, draw(st.permutations(pairs)), np.int64 if wide else np.int32
+
+
+@settings(max_examples=150)
+@given(case=_entries())
+@example(case=(5, [(1, 3), (0, 2), (1, 3), (1, 0)], np.int32))
+def test_canonical_rows_sort_and_dedupe_each_row(case):
+    n_rows, pairs, dtype = case
+    rows = np.array([r for r, _ in pairs], dtype=dtype)
+    ids = np.array([j for _, j in pairs], dtype=dtype)
+    indptr, indices = data._canonical_rows(rows, ids, n_rows)
+    expected = [sorted({j for r, j in pairs if r == i}) for i in range(n_rows)]
+    assert indptr.dtype == np.int64 and indices.dtype == dtype
+    assert indptr.tolist() == np.cumsum([0] + [len(row) for row in expected]).tolist()
+    assert indices.tolist() == [j for row in expected for j in row]
 
 
 # One FIMI line: ids with their spelling, the whitespace around and between
@@ -578,6 +607,64 @@ def test_synth_db_holds_one_target_permutation_at_a_time():
     peak = traced_peak(lambda: synth_db(n, m, targets, seed=1))
     assert peak <= (30 * 10 * data._SYNTH_ENTRY_BYTES + n * data._SYNTH_ROW_BYTES
                     + m * data._SYNTH_ITEM_BYTES + 8 * n + CALL_BYTES)
+
+
+def _synth_from_row_lists(n, m, targets, seed, density):
+    """synth_db as it was built before its CSR step: each item's rows drawn
+    as synth_db draws them, poured into one Python list per row, and each
+    list sorted."""
+    counts = {Itemset.of(key)[0]: int(Fraction(val) * n) for key, val in targets.items()}
+    rng = np.random.default_rng(seed)
+    col_rows = {j: rng.permutation(n)[:count].copy() for j, count in counts.items()}
+    if density > 0:
+        for j in range(m):
+            if j not in counts:
+                col_rows[j] = np.flatnonzero(rng.random(n) < density)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for j, members in col_rows.items():
+        for r in members.tolist():
+            rows[r].append(j)
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([j for row in rows for j in sorted(row)], dtype=np.int64)
+    return TransactionDB(indptr, indices, m)
+
+
+@settings(max_examples=80)
+@given(n=st.integers(1, 40), m=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
+       density=st.sampled_from([0.0, 0.05, 0.5, 1.0]), data_=st.data())
+def test_synth_db_equals_the_row_list_builder(n, m, seed, density, data_):
+    # targets in any order, ids decreasing among them, each with its count
+    items = data_.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
+    targets = {(j,): Fraction(data_.draw(st.integers(0, n)), n) for j in items}
+    db = synth_db(n, m, targets, seed=seed, background_density=density)
+    expected = _synth_from_row_lists(n, m, targets, seed, density)
+    assert db == expected
+    for name in ("_indptr", "_item_ids", "_indices", "_column_counts"):
+        assert getattr(db, name).dtype == getattr(expected, name).dtype, name
+
+
+@pytest.mark.parametrize("n, m, density, n_targets", [
+    (10 ** 6, 10 ** 5, 1e-7, 0), (4 * 10 ** 7, 60, 0.0, 60)])
+def test_synth_db_refuses_a_database_over_the_draw_cap(n, m, density, n_targets):
+    # within the byte budget, but n random numbers per drawn item past the
+    # cap: refused from the counts alone, before anything is drawn
+    targets = {(j,): Fraction(1, n) for j in range(n_targets)}
+    charged = (_synth_bytes(n, m, density) + n_targets * data._SYNTH_ENTRY_BYTES
+               + (8 * n if targets else 0))  # one row each, one permutation at a time
+    assert charged <= qarm.constants.LEVEL_BYTES
+    draws = n * (m if density > 0 else n_targets)
+    assert draws > data._SYNTH_DRAWS
+    message = (f"a {n} x {m} database at density {density} draws {draws} random numbers, "
+               f"over the cap of {data._SYNTH_DRAWS}")
+
+    def refused():
+        with pytest.raises(ValueError) as err:
+            synth_db(n, m, targets, seed=1, background_density=density)
+        assert str(err.value) == message
+
+    started = time.perf_counter()
+    assert traced_peak(refused) <= CALL_BYTES
+    assert time.perf_counter() - started < 1
 
 
 @pytest.mark.parametrize("n, m, density", [

@@ -18,7 +18,7 @@ CPU of the process's affinity, which no report depends on.  The digest is the sh
 stdout, a NUL byte, stderr, a NUL byte and the decimal exit code, so a
 changed message or exit code shows as well as a changed report.
 
-The 194 runs, in this order:
+The 198 runs, in this order:
 
 * 6 benchmark ops: `quantum-ideal`, then `quantum-bbht`, at workload
   seeds 1, 2, 3 each, with the argv of `inputs.op_argv`.
@@ -39,12 +39,14 @@ The 194 runs, in this order:
   --samples 200` at the default density; `mine-sampling` at the default
   10,000 samples with `--density 0.25` and with `--density 0.5`; and
   `compare -T 16 --samples 200` in the three modes.
-* 5 parse runs: `mine-classical --dataset FILE --min-supp 1/4 --json` on
+* 6 parse runs: `mine-classical --dataset FILE --min-supp 1/4 --json` on
   the small FIMI files of `FIMI_FILES`, one for each way a text is read:
   unsorted and repeated ids with tabs and blank lines (the block parser's
   sort), CRLF line ends (the CLI reads them as newlines), a zero-padded
   19-digit id (read exactly by the block parser, since its value is
-  small), and a 20-digit id and a letter (exit 2 naming the line).
+  small), a 20-digit id and a letter (exit 2 naming the line), and
+  unsorted and repeated ids with a `+` sign and an id of 10^18, which
+  the line parser reads.
 * 10 runs on `--synthetic 130 9 --seed S --density 0.6 --min-supp 1/4`
   for S in 3, 5, five per seed: `mine-classical` without and with
   `--min-conf 1/2`, and `compare -T 16 --samples 200` in the three
@@ -59,12 +61,17 @@ The 194 runs, in this order:
   points; and `mine-quantum --min-supp 1/2 -T 8 --json` at the default
   density and at `--density 0.6`, where the grid value sin^2(pi/4) sits
   on the threshold and must count as good.
+* 2 runs of `mine-classical --synthetic 16 6 --seed 3 --min-supp 1/4
+  --json` at `--density 0` (every row empty) and `--density 1.0` (every
+  row full).
+* 1 compare run on a larger database: `compare --synthetic 2000 40 --seed
+  3 --density 0.05 --min-supp 1/25 -T 16 --samples 200 --json`.
 
 The row sampler (`classical.sampling_estimate`) runs in every
-`mine-sampling` and `compare` run: 89 of the 194 (the 12 compare runs
+`mine-sampling` and `compare` run: 90 of the 198 (the 13 compare runs
 outside the 108, the 3 `fimi-sampling` ops, 72 of the 108 and the 2
 `mine-sampling` runs at 130 9).  A change to its draws changes those
-digests, and only those: the other 105 must keep theirs.  In a
+digests, and only those: the other 108 must keep theirs.  In a
 `compare` run each miner draws its own `--seed` stream, so the sampler's
 draws move only compare's `sampling` ledger, and its quantum half equals
 `mine-quantum` at the same seed.
@@ -90,6 +97,7 @@ FIMI_FILES = (
     ("padded.dat", "1 0000000000000000002\n2 3\n1 2 3\n"),
     ("long-id.dat", "1 2\n2 99999999999999999999\n"),
     ("letter.dat", "1 2\n2 3\nx 1\n"),
+    ("plus-sign.dat", "+3 1 1\n2 1000000000000000000 2\n1 2 3\n3 +1000000000000000000\n"),
 )
 THREAD_CAPS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
@@ -160,6 +168,10 @@ def runs(inputs, work: str) -> list[list[str]]:
     for grid in (["--min-supp", "1/4", "-T", "1024"], ["--min-supp", "1/2", "-T", "8"],
                  ["--density", "0.6", "--min-supp", "1/2", "-T", "8"]):
         argvs += [["mine-quantum", *db, *grid, "--mode", mode, "--json"] for mode in MODES]
+    argvs += [["mine-classical", *db, "--density", density, "--min-supp", "1/4", "--json"]
+              for density in ("0", "1.0")]
+    argvs.append(["compare", "--synthetic", "2000", "40", "--seed", "3", "--density", "0.05",
+                  "--min-supp", "1/25", "-T", "16", "--samples", "200", "--json"])
     return argvs
 
 
