@@ -25,7 +25,9 @@ from .data import (
     Itemset,
     QueryCounter,
     TransactionDB,
+    _holding_bits,
     _item_ranks,
+    _keep_bits,
     _lex_sorted,
     _prefix_runs,
     _row_keys,
@@ -41,9 +43,10 @@ _DRAW_BUDGET = 1 << 22
 # candidate (its int32 row, count or estimate, and cand_gen's join and
 # prune temporaries), per itemset a level keeps or the quantum miner finds
 # (its Itemset and support, estimate or MinedItemset, with their list or
-# dict slots), and per transaction (the exact count's reused bool column
-# and its packed copy; the sampler's int64 draw counts, their bit planes,
-# and at most N // 8 of the drawn rows and N // 8 of their items at a time)
+# dict slots), and per transaction (the N entries, 16 B each, that an
+# exact count's bit matrix build reads at a time; the sampler's int64 draw
+# counts, their bit planes, and at most N // 8 of the drawn rows and N // 8
+# of their items at a time)
 _CANDIDATE_BYTES, _KEPT_BYTES, _ROW_BYTES = 64, 192, 28
 # kept rows turned into Python objects at a time
 _KEPT_SLICE = 1 << 8
@@ -259,7 +262,13 @@ class AprioriResult:
 
 def apriori(db: TransactionDB, min_supp,
             counter: QueryCounter | None = None) -> AprioriResult:
-    """Level-wise exact mining; level 1 candidates are the items that occur."""
+    """Level-wise exact mining; level 1 candidates are the items that occur.
+
+    The run holds one bit matrix (`_holding_bits`): level 2's count builds
+    it, after each level only the rows of the items it kept stay, which is
+    the matrix `mine_levels` charges the next level for, and every later
+    level counts on those rows by rank, so no level after the second reads
+    the entries.  It is dropped when the run returns."""
     thr = support_threshold(min_supp)
     n_rows = db.n_transactions
     frequents: dict[Itemset, ExactSupport] = {}
@@ -272,9 +281,12 @@ def apriori(db: TransactionDB, min_supp,
         # call would depend on when one last ran
         frequents.update(_kept_pairs(candidates, keep, counts,
                                      lambda count: ExactSupport(count, n_rows)))
-        return candidates[keep], counts
+        kept = candidates[keep]
+        _keep_bits(db, kept)
+        return kept, counts
 
-    run = mine_levels(db, examine)
+    with _holding_bits(db):
+        run = mine_levels(db, examine)
     return AprioriResult(frequents=frequents, stats=run.stats, counts=run.results)
 
 

@@ -2,19 +2,19 @@
 
 A database is N transactions over M items, a binary matrix D with
 D[i, j] = 1 iff transaction i contains item j.  Rows are stored sparsely
-(sorted items per transaction, CSR style), with a lazily built CSC view
-(the rows of each item).  Inside, an item is its position among the M'
-ids that occur, recoded once as Borgelt's Apriori recodes items (FIMI
-2003), so nothing is sized by the largest id; every public name takes
-and gives the ids themselves.  A level of k-itemsets is a C x k int32
-array, one itemset per row (`as_level`).  Every support, exact or
-sampled, is counted by `level_supports`, k-itemsets (k >= 2) on a bit
-matrix of the level's items, one packed row per item as MAFIA's vertical
-bitmaps are (Burdick, Calimlim and Gehrke, ICDE 2001).  An exact count
-fills it from the CSC view over every row.  A sampled one weights each
-row by its draws and fills it from the CSR slices of the drawn rows
-alone, then weighs each AND by one bit plane per binary digit of the
-draw counts.  The query ledger that every miner charges, `QueryCounter`,
+(sorted items per transaction, CSR style), and nothing else is kept per
+entry.  Inside, an item is its position among the M' ids that occur,
+recoded once as Borgelt's Apriori recodes items (FIMI 2003), so nothing
+is sized by the largest id; every public name takes and gives the ids
+themselves.  A level of k-itemsets is a C x k int32 array, one itemset
+per row (`as_level`).  Every support, exact or sampled, is counted by
+`level_supports`, k-itemsets (k >= 2) on a bit matrix of the level's
+items, one packed row per item as MAFIA's vertical bitmaps are (Burdick,
+Calimlim and Gehrke, ICDE 2001).  An exact count builds it from the CSR
+rows in one pass over the entries (`_bit_columns`), and exact Apriori
+builds it once per run.  A sampled one weights each row by its draws and
+fills it from the CSR slices of the drawn rows alone, then weighs each
+AND by one bit plane per binary digit of the draw counts.  The query ledger that every miner charges, `QueryCounter`,
 lives here too.
 """
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -59,6 +60,11 @@ _PARSE_BLOCK = 1 << 20
 # with 2**16 and in 0.5 to 0.55 with 2**17, and parsed 1 MiB of text in
 # 0.65 of it with 2**19 bytes each
 _THREAD_WORK = 1 << 16
+# the fewest words of each item's row that one chunk of a threaded bit
+# matrix build packs: a 64-byte cache line, so two threads share at most
+# the line at the bound of their chunks.  A database of 8192 rows or fewer
+# is built on the calling thread, whatever the CPU count
+_LINE_WORDS = 8
 # the only bytes the fast path reads; any other byte takes the line parser
 _FAST_BYTES = b"0123456789 \t\n"
 # numpy's reader silently saturates an id past int64 at 2**63 - 1, so a
@@ -77,8 +83,10 @@ _RECODE_IDS_PER_ENTRY = 4
 # bytes synth_db allocates, rounded up from tracemalloc peaks: per entry
 # (its int32 row and id, their sorted copies and the sort's int64 order,
 # then the database's ids: 24 to 27 B at densities 0.01 to 1), per row (the
-# row starts and their search keys: 12 B) and per item (its array of rows
-# and list slots: 190 to 205 B)
+# row starts and their search keys: 12 B) and per item (a target's array of
+# rows and list slots: 190 to 205 B).  Background items are drawn a batch
+# at a time, whose uniforms and mask (9 B a cell) take at most half the
+# bytes charged per item and per row
 _SYNTH_ENTRY_BYTES, _SYNTH_ROW_BYTES, _SYNTH_ITEM_BYTES = 32, 16, 224
 # the most random numbers synth_db draws, n per target (its permutation of
 # the rows) and n per background item (uniforms): on a 2-CPU x86-64 host a
@@ -253,7 +261,7 @@ class TransactionDB:
         self._item_ids, self._indices, self._column_counts = _recode(indices, n_items)
         self.n_transactions = int(indptr.size - 1)
         self.n_items = int(n_items)
-        self._csc = None  # lazy (column starts, row ids ordered by column)
+        self._held = None  # the bit matrix an exact run holds (`_holding_bits`)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]],
@@ -311,21 +319,6 @@ class TransactionDB:
         at = self._item_ids.searchsorted(items)
         return np.where(self._item_ids.searchsorted(items, side="right") > at, at, -1)
 
-    def _rows_with_item(self, p: int) -> np.ndarray:
-        """Increasing row ids of the transactions that contain the item at
-        position p (see `_positions`)."""
-        if self._csc is None:
-            # a stable sort has one result, so the narrowest key dtype gives
-            # the int64 permutation, and numpy radix-sorts 16-bit keys
-            keys = self._indices.astype(np.min_scalar_type(max(self._item_ids.size - 1, 0)))
-            order = np.argsort(keys, kind="stable")
-            all_rows = np.repeat(np.arange(self.n_transactions), np.diff(self._indptr))
-            starts = np.zeros(self._item_ids.size + 1, dtype=np.int64)
-            np.cumsum(self._column_counts, out=starts[1:])
-            self._csc = (starts, all_rows[order])
-        starts, rows = self._csc
-        return rows[starts[p]:starts[p + 1]]
-
     def check_items(self, level: np.ndarray) -> None:
         """Refuse a level (see `as_level`) with items outside 0..n_items-1,
         naming the first in row order."""
@@ -335,14 +328,13 @@ class TransactionDB:
             raise ValueError(f"item {bad} out of range for {self.n_items} items")
 
     def contains_all(self, itemset: Itemset) -> np.ndarray:
-        """Boolean vector over transactions: row contains every item of x."""
+        """Boolean vector over transactions: row contains every item of x,
+        read from the AND of the items' rows in a bit matrix of them."""
         level = as_level([itemset])
         self.check_items(level)
-        held = np.zeros(self.n_transactions, dtype=np.int64)
-        for p in self._positions(level[0]).tolist():
-            if p >= 0:  # an absent item is held by no row
-                held[self._rows_with_item(p)] += 1
-        return held == len(itemset)
+        held = np.bitwise_and.reduce(_bit_columns(self, level[0]), axis=0)
+        return np.unpackbits(held.view(np.uint8), count=self.n_transactions,
+                             bitorder="little").astype(bool)
 
     def column_bitset(self, j: int) -> int:
         """Python int with bit i set iff transaction i contains item j."""
@@ -587,11 +579,13 @@ def level_supports(db: TransactionDB, candidates,
     negative count, is refused with ValueError before anything is counted.
 
     Unweighted single items gather the column counts.  Unweighted
-    k-itemsets, k >= 2, are counted on a bit matrix of the level's items:
-    one row of ceil(N/64) uint64 words per item, bit i set iff row i holds
-    the item, as MAFIA's vertical bitmaps are (Burdick, Calimlim and
-    Gehrke, ICDE 2001); a candidate's count is the popcount of the AND of
-    its items' rows.  A weighted count reads only the rows of nonzero
+    k-itemsets, k >= 2, are counted on a bit matrix of the level's items,
+    built from the CSR rows (`_bit_columns`): one row of ceil(N/64)
+    uint64 words per item, bit i set iff row i holds the item, as MAFIA's
+    vertical bitmaps are (Burdick, Calimlim and Gehrke, ICDE 2001); a
+    candidate's count is the popcount of the AND of its items' rows;
+    `classical.apriori` builds that matrix once per run and holds it
+    (`_holding_bits`).  A weighted count reads only the rows of nonzero
     weight, as a sample is mined in memory (Toivonen, VLDB 1996), so a
     sampler's count costs its drawn rows, not N (`_weighted_supports`)."""
     level = as_level(candidates)
@@ -617,10 +611,41 @@ def _supports(db: TransactionDB, level: np.ndarray,
         at = db._positions(level[:, 0])
         return np.where(at >= 0, db._column_counts[at], 0)
     items, ranks = _item_ranks(level)
-    positions = db._positions(items)
     if weights is not None:
-        return _weighted_supports(db, positions, ranks, weights)
-    return _and_counts(_bit_columns(db, positions), ranks)
+        return _weighted_supports(db, db._positions(items), ranks, weights)
+    held = db._held
+    if held and np.isin(items, held[0]).all():
+        return _and_counts(held[1], held[0].searchsorted(items)[ranks].astype(np.int32))
+    bits = _bit_columns(db, items)
+    if held == ():  # the first count of a run that holds one
+        db._held = (items, bits)
+    return _and_counts(bits, ranks)
+
+
+@contextmanager
+def _holding_bits(db: TransactionDB):
+    """Hold one bit matrix on db while the block runs, for a level-wise
+    exact run: the first unweighted count of k-itemsets (k >= 2) builds it
+    over its level's items, and each later count whose items it holds
+    counts on its rows by rank; `_keep_bits` drops the rows no later level
+    needs.  It is dropped when the block ends.  What is held is read and
+    replaced as one (items, matrix) pair, so every count is exact whatever
+    another run on db holds."""
+    db._held = ()  # holding, nothing built yet
+    try:
+        yield
+    finally:
+        db._held = None
+
+
+def _keep_bits(db: TransactionDB, level: np.ndarray) -> None:
+    """Keep only the rows of a level's items in the bit matrix held on db
+    (`_holding_bits`), if one is."""
+    held = db._held
+    if held:
+        items = _item_ranks(level)[0]
+        items = items[np.isin(items, held[0])]
+        db._held = (items, held[1][held[0].searchsorted(items)])
 
 
 def _prefix_runs(level: np.ndarray) -> np.ndarray:
@@ -671,21 +696,57 @@ def _item_ranks(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return items, items.searchsorted(level).astype(np.int32)
 
 
-def _bit_columns(db: TransactionDB, positions: np.ndarray) -> np.ndarray:
-    """One row of ceil(N/64) uint64 words per item, given by its position
-    (`TransactionDB._positions`), bit i of an item's row set iff
-    transaction i holds it; an absent item's row is empty.  Items are
-    filled a block at a time from the CSC view through a bool block of at
-    most the matrix's bytes (4 KiB at least), packed at once."""
-    words = -(-db.n_transactions // 64)
-    bits = np.zeros((positions.size, words), dtype=np.uint64)
-    step = max(1, max(bits.nbytes, 1 << 12) // (words * 64))
-    for lo in range(0, positions.size, step):
-        block = np.zeros((min(step, positions.size - lo), words * 64), dtype=bool)
-        for d, p in enumerate(positions[lo:lo + step].tolist()):
-            if p >= 0:
-                block[d, db._rows_with_item(p)] = True
-        bits[lo:lo + len(block)] = np.packbits(block, axis=1, bitorder="little").view(np.uint64)
+def _bit_columns(db: TransactionDB, items: np.ndarray) -> np.ndarray:
+    """One row of ceil(N/64) uint64 words per item of a 1-d array of ids,
+    bit i of an item's row set iff transaction i holds it; the row of an
+    item that no row holds is empty.  Built from the CSR rows in one pass
+    over the entries, in chunks of whole 64-row words: a chunk sends its
+    entries through one table over the M' present ids, which gives each
+    item's row, and every other id the spare row len(items), scatters them
+    into a bool block of its rows and packs that into its own words.
+    Chunks run on W threads (`_workers`, and each chunk spans _LINE_WORDS
+    words at least), so the bool blocks in flight hold at most the
+    matrix's bytes (4 KiB, or one word of rows, at least).  Each reads its
+    entries N // W at a time (or one row, if longer), 16 B an entry, so
+    the pieces in flight hold about 16 B a row."""
+    n_rows, n_items = db.n_transactions, items.size
+    words = -(-n_rows // 64)
+    positions = db._positions(items)
+    present = positions >= 0
+    if not present.any():
+        return np.zeros((n_items, words), dtype=np.uint64)
+    bits = np.empty((n_items, words), dtype=np.uint64)
+    # intp, and the spare row rather than -1, index the block as they are:
+    # no cast, and no wrap of negative indices
+    table = np.full(db._item_ids.size, n_items, dtype=np.intp)
+    table[positions[present]] = np.flatnonzero(present)
+    budget = max(bits.nbytes, 1 << 12)  # the bool blocks in flight
+    span = (n_items + 1) * 64  # a block's bytes per word of rows
+    lines = bits.nbytes // (span * _LINE_WORDS)  # the most chunks of a line each
+    workers = min(lines, _workers(db._indices.size)) if lines > 1 else 1
+    chunk = max(1, budget // (workers * span))  # words
+    step = max(n_rows // workers, 1)  # entries a piece reads
+    indptr, indices = db._indptr, db._indices
+
+    def fill(c):
+        first, last = c * chunk, min((c + 1) * chunk, words)
+        width = (last - first) * 64
+        block = np.zeros((n_items + 1, width), dtype=bool)
+        flat = block.reshape(-1)
+        lo, stop = first * 64, min(last * 64, n_rows)
+        while lo < stop:  # rows lo..hi-1: step entries, or one row
+            hi = int(indptr.searchsorted(indptr[lo] + step, side="right")) - 1
+            hi = min(max(hi, lo + 1), stop)
+            at = table.take(indices[indptr[lo]:indptr[hi]])
+            at *= width
+            at += np.repeat(np.arange(lo - first * 64, hi - first * 64),
+                            np.diff(indptr[lo:hi + 1]))
+            flat[at] = True
+            lo = hi
+        bits[:, first:last] = np.packbits(block[:n_items], axis=1,
+                                          bitorder="little").view(np.uint64)
+
+    _run_tasks(-(-words // chunk), fill, workers)
     return bits
 
 
@@ -818,8 +879,11 @@ def synth_db(n: int, m: int, support_targets: Mapping, seed: int,
     mentioned in any target get independent background_density fill.
     Raises MemoryError, before anything is drawn, if the database's
     expected size would pass LEVEL_BYTES, and ValueError if it would draw
-    more than _SYNTH_DRAWS random numbers.  Each item's rows are drawn as an
-    array and the database is built from them by `_canonical_rows`.
+    more than _SYNTH_DRAWS random numbers.  Each target's rows are drawn
+    as an array; background items take their uniforms a batch of b items at
+    a time, in one `rng.random(b * n)` call, which draws the doubles, and
+    leaves the generator in the state, of b calls of `rng.random(n)`.  The
+    database is built from the (row, item) pairs by `_canonical_rows`.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
@@ -850,14 +914,23 @@ def synth_db(n: int, m: int, support_targets: Mapping, seed: int,
                          f"{draws} random numbers, over the cap of {_SYNTH_DRAWS}")
 
     rng = np.random.default_rng(seed)
-    # each item's rows, int32 as the budget keeps n below 2**31; a target's
-    # are copied down to its count, so one permutation is alive at a time
+    # each target's rows, int32 as the budget keeps n below 2**31, copied
+    # down to its count, so one permutation is alive at a time
     col_rows = {j: rng.permutation(n)[:count].astype(np.int32) for j, count in counts.items()}
-    if background_density > 0:
-        for j in range(m):
-            if j not in counts:
-                col_rows[j] = np.flatnonzero(rng.random(n) < background_density).astype(np.int32)
-    ids = np.repeat(np.array(list(col_rows), dtype=np.int32), [r.size for r in col_rows.values()])
-    rows = np.concatenate([np.zeros(0, dtype=np.int32), *col_rows.values()])
+    ids = [np.repeat(np.array(list(col_rows), dtype=np.int32),
+                     [r.size for r in col_rows.values()])]
+    rows = [np.zeros(0, dtype=np.int32), *col_rows.values()]
     del col_rows
+    if background_density > 0:
+        free = np.ones(m, dtype=bool)
+        free[list(counts)] = False
+        background = np.flatnonzero(free).astype(np.int32)
+        batch = max(1, (m * _SYNTH_ITEM_BYTES + n * _SYNTH_ROW_BYTES) // (2 * 9 * n))
+        for lo in range(0, background.size, batch):
+            items = background[lo:lo + batch]
+            held = rng.random(items.size * n).reshape(items.size, n) < background_density
+            at, row = np.nonzero(held)
+            ids.append(items[at])
+            rows.append(row.astype(np.int32))
+    ids, rows = np.concatenate(ids), np.concatenate(rows)
     return TransactionDB(*_canonical_rows(rows, ids, n), m)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qarm import classical, mining
+from qarm import classical, data, mining
 from qarm import (
     AssociationRule,
     ExactSupport,
@@ -28,6 +28,7 @@ from qarm import (
     generate_rules,
     qarm_mine_k,
     sampling_estimate,
+    synth_db,
 )
 from qarm.classical import (
     REFERENCE_APRIORI_RUNS,
@@ -179,7 +180,7 @@ def test_level_bytes_bound_cand_gen_and_fre_exam(seed, k):
     # up to 780 joins, enough for the per-candidate figure to show
     db = random_db(rng, int(rng.integers(1, 3000)), int(rng.integers(k + 1, 40 // k + 1)),
                    density=float(rng.uniform(0.1, 0.9)))
-    level_supports(db, [Itemset((0, 1))])  # the CSC view is the database's
+    level_supports(db, [Itemset((0, 1))])  # a first count, outside the traced peak
     kept = random_candidates(rng, db, k)
     groups = Counter(x[:-1] for x in kept).values()
     joins = sum(g * (g - 1) // 2 for g in groups)
@@ -205,7 +206,7 @@ def test_level_bytes_bound_sampling_estimate(seed, k, n, budget, full):
     else:
         db = random_db(rng, int(rng.integers(1, 3000)), int(rng.integers(k + 1, 40 // k + 1)),
                        density=float(rng.uniform(0.1, 0.9)))
-    level_supports(db, [Itemset((0, 1))])  # the CSC view is the database's
+    level_supports(db, [Itemset((0, 1))])  # a first count, outside the traced peak
     candidates = random_candidates(rng, db, k)
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:  # n = 8000 comes in eight calls
@@ -221,7 +222,7 @@ def _large_level_peak_and_bound(path, density):
     """Traced peak and level bound of one 19,900-pair level on a path."""
     rng = np.random.default_rng(19)
     db = random_db(rng, 2000, 200, density=density)
-    level_supports(db, [Itemset((0, 1))])  # the CSC view is the database's
+    level_supports(db, [Itemset((0, 1))])  # a first count, outside the traced peak
     kept = [Itemset.of(j) for j in range(db.n_items)]
     n_candidates = len(kept) * (len(kept) - 1) // 2 + len(kept)  # cand_gen's joins and copies
     other = bit_matrix_bytes(db, db.n_items)
@@ -270,7 +271,7 @@ def test_apriori_holds_no_object_for_an_infrequent_candidate():
     # reaches 1/80 (25 rows) and none of the 79,800 pairs (about 5) does
     rng = np.random.default_rng(19)
     db = random_db(rng, 2000, 400, density=0.05)
-    level_supports(db, [Itemset((0, 1))])  # the CSC view is the database's
+    level_supports(db, [Itemset((0, 1))])  # a first count, outside the traced peak
     tracemalloc.start()
     try:
         result = apriori(db, "1/80")
@@ -284,6 +285,31 @@ def test_apriori_holds_no_object_for_an_infrequent_candidate():
         for level in (db.item_level(), cand_gen(db.item_level()))]
     # each level's int64 counts and the frequent items' objects
     assert held <= 8 * (400 + 79_800) + 400 * classical._KEPT_BYTES + CALL_BYTES
+
+
+def test_apriori_builds_one_bit_matrix_per_run(monkeypatch):
+    # 3000 rows of 12 items at density 0.6 and 1/8: five levels, 12/12,
+    # 66/66, 220/220, 495/241 and 130/0; the matrix is built at level 2
+    # and every later level counts on the rows it kept
+    db = synth_db(3000, 12, {}, seed=3, background_density=0.6)
+    builds = []
+    bit_columns = data._bit_columns
+
+    def recording(db, items):
+        builds.append(items.tolist())
+        return bit_columns(db, items)
+
+    monkeypatch.setattr(data, "_bit_columns", recording)
+    result = apriori(db, "1/8")
+    assert builds == [list(range(12))]
+    assert [(s.k, s.m_candidates, s.m_frequent) for s in result.stats] == [
+        (1, 12, 12), (2, 66, 66), (3, 220, 220), (4, 495, 241), (5, 130, 0)]
+    monkeypatch.undo()
+    level = db.item_level()
+    for counts in result.counts:
+        assert counts.tolist() == level_supports(db, level).tolist()
+        level = cand_gen(level[counts >= 3000 // 8])
+    assert len(level) == 0
 
 
 @settings(max_examples=60)
@@ -445,24 +471,26 @@ def test_sample_count_past_int64_is_refused_before_any_draw(dtoy):
 
 
 def test_sampling_reads_only_drawn_rows(monkeypatch):
-    # a sampled count costs the drawn rows, not N: it reads no item's
-    # column and never builds the CSC view
+    # a sampled count costs the drawn rows, not N: it never builds the bit
+    # matrix of its items over all N rows
     rng = np.random.default_rng(3)
     db = random_db(rng, 200, 6, density=0.5)
     asked = []
-    rows_with_item = TransactionDB._rows_with_item
+    bit_columns = data._bit_columns
 
-    def recording(self, j):
-        asked.append(j)
-        return rows_with_item(self, j)
+    def recording(db, items):
+        asked.append(items.tolist())
+        return bit_columns(db, items)
 
-    monkeypatch.setattr(TransactionDB, "_rows_with_item", recording)
+    monkeypatch.setattr(data, "_bit_columns", recording)
     levels = [[Itemset.of(j) for j in range(6)],
               [Itemset((0, 1)), Itemset((0, 4)), Itemset((1, 5))],
               [Itemset((0, 1, 3)), Itemset((2, 3, 5))]]
     for level in levels:
         sampling_estimate(db, level, 500, rng)
-    assert asked == [] and db._csc is None
+    assert asked == []
+    level_supports(db, levels[1])  # an exact count builds it, and is seen
+    assert asked == [[0, 1, 4, 5]]
 
 
 def test_sampling_memory_does_not_follow_item_ids():
@@ -470,7 +498,7 @@ def test_sampling_memory_does_not_follow_item_ids():
     db = TransactionDB.from_rows([[1, 2], [10 ** 6]])
     singles = [Itemset.of(j) for j in db.item_level()[:, 0].tolist()]
     for candidates in (singles, [Itemset((1, 2))]):
-        sampling_estimate(db, candidates, 8000, 0)  # the CSC view is the database's
+        sampling_estimate(db, candidates, 8000, 0)  # a first count, outside the traced peak
         peak = traced_peak(lambda: sampling_estimate(db, candidates, 8000, 0))
         bound = (len(candidates) * classical._CANDIDATE_BYTES
                  + db.n_transactions * classical._ROW_BYTES)

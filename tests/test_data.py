@@ -643,6 +643,75 @@ def test_synth_db_equals_the_row_list_builder(n, m, seed, density, data_):
         assert getattr(db, name).dtype == getattr(expected, name).dtype, name
 
 
+class _CountingGenerator(np.random.Generator):
+    """The Generator of np.random.default_rng(seed), counting its `random`
+    calls and the numbers they draw."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.random_calls = []
+
+    def random(self, size=None, *args, **kwargs):
+        self.random_calls.append(size)
+        return super().random(size, *args, **kwargs)
+
+
+def _synth_one_item_at_a_time(n, m, targets, seed, density):
+    """synth_db's draws, one item at a time: each target's permutation in
+    the targets' order, then one rng.random(n) call per background item in
+    increasing id order; the database and the generator after them."""
+    counts = {Itemset.of(key)[0]: int(Fraction(val) * n) for key, val in targets.items()}
+    rng = np.random.default_rng(seed)
+    held = np.zeros((n, m), dtype=bool)
+    for j, count in counts.items():
+        held[rng.permutation(n)[:count], j] = True
+    if density > 0:
+        for j in range(m):
+            if j not in counts:
+                held[:, j] = rng.random(n) < density
+    return TransactionDB.from_rows([np.flatnonzero(row) for row in held], n_items=m), rng
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 400), m=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+       density=st.sampled_from([0.0, 0.01, 0.3, 1.0]), data_=st.data())
+def test_synth_db_batches_draw_what_one_item_at_a_time_draws(n, m, seed, density, data_):
+    # up to 400 rows and 60 items give batches of one item to all of them,
+    # most with a shorter last batch; targets in any order, ids decreasing
+    # among them, each with its count
+    items = data_.draw(st.lists(st.integers(0, m - 1), unique=True, max_size=min(m, 8)))
+    targets = {(j,): Fraction(data_.draw(st.integers(0, n)), n) for j in items}
+    made = []
+
+    def default_rng(seed):
+        made.append(_CountingGenerator(seed))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", default_rng)
+        db = synth_db(n, m, targets, seed=seed, background_density=density)
+    expected, rng = _synth_one_item_at_a_time(n, m, targets, seed, density)
+    assert db == expected
+    assert made[0].bit_generator.state == rng.bit_generator.state
+    assert sum(made[0].random_calls) == (n * (m - len(targets)) if density else 0)
+
+
+def test_synth_db_draws_a_wide_database_in_one_call(monkeypatch):
+    # one row over 200,000 background items: one rng.random call, not one
+    # per item, at the same stream
+    made = []
+
+    def default_rng(seed):
+        made.append(_CountingGenerator(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    db = synth_db(1, 200_000, {}, 1, 0.5)
+    assert made[0].random_calls == [200_000]
+    uniforms = np.random.Generator(np.random.PCG64(1)).random(200_000)
+    assert db.row(0) == tuple(np.flatnonzero(uniforms < 0.5).tolist())
+
+
 @pytest.mark.parametrize("n, m, density, n_targets", [
     (10 ** 6, 10 ** 5, 1e-7, 0), (4 * 10 ** 7, 60, 0.0, 60)])
 def test_synth_db_refuses_a_database_over_the_draw_cap(n, m, density, n_targets):

@@ -596,7 +596,7 @@ def test_level_bytes_bound_qarm_mine_k(seed, k, log_t, mode):
     rng = np.random.default_rng(seed)
     db = random_db(rng, int(rng.integers(1, 3000)), int(rng.integers(k + 1, 16)),
                    density=float(rng.uniform(0.1, 0.9)))
-    level_supports(db, [Itemset((0, 1))])  # the CSC view is the database's
+    level_supports(db, [Itemset((0, 1))])  # a first count, outside the traced peak
     cands, big_t = random_candidates(rng, db, k), 1 << log_t
 
     def mine():

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import test_classical
 import test_data
 from qarm import data
+from qarm.classical import apriori
 from qarm.cli import main
 from qarm.data import FimiParseError, level_supports, parse_fimi
 from conftest import random_candidates, random_db
@@ -91,6 +92,95 @@ def test_level_supports_are_the_same_on_every_cpu_count(seed, k, weighted):
         with on_cpus(cpus):
             counts.append(level_supports(db, candidates, weights).tolist())
     assert counts[1:] == counts[:1] * 3
+
+
+def _packed_dense_columns(db, items):
+    """The bit matrix of items from the dense matrix: each item's column,
+    padded with zeros to whole 64-row words, packed little-endian."""
+    words = -(-db.n_transactions // 64)
+    held = np.zeros((len(items), words * 64), dtype=bool)
+    held[:, :db.n_transactions] = db.dense()[:, items].T
+    return np.packbits(held, axis=1, bitorder="little").view(np.uint64)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n_rows=st.one_of(st.integers(1, 200), st.integers(8_000, 20_000)),
+       density=st.sampled_from([0.0, 0.05, 0.5, 1.0]), data_=st.data())
+def test_bit_matrix_from_rows_is_the_packed_dense_columns(seed, n_rows, density, data_):
+    # past 8192 rows a build is split over threads; ids that no row holds
+    # (m to 15, and every id of an empty database), rows that hold
+    # nothing, a last word partly padding and an empty level all occur
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 12))
+    db = data.TransactionDB.from_rows(
+        [np.flatnonzero(row) for row in rng.random((n_rows, m)) < density], n_items=16)
+    items = np.array(sorted(data_.draw(st.sets(st.integers(0, 15), max_size=16))), dtype=np.int64)
+    want = _packed_dense_columns(db, items)
+    for cpus in (1, 2, 4):
+        with on_cpus(cpus):
+            got = data._bit_columns(db, items)
+        assert got.dtype == np.uint64 and got.shape == want.shape
+        assert (got == want).all()
+
+
+def test_a_large_bit_matrix_is_built_on_threads():
+    # 20,000 rows of 6 items: 313 words, so two chunks of 8 words or more
+    # fit the matrix's bytes; on one CPU nothing is started.  Threads
+    # switch every microsecond, so chunks that wrote each other's words
+    # would show
+    rng = np.random.default_rng(8)
+    db = random_db(rng, 20_000, 6, density=0.3)
+    items = np.arange(6)
+    want = _packed_dense_columns(db, items)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus, threads in ((1, 0), (2, 1), (4, 3)):
+            with on_cpus(cpus), started_threads() as started:
+                bits = data._bit_columns(db, items)
+            assert started[0] == threads
+            assert (bits == want).all()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_apriori_runs_sharing_a_database_stay_exact():
+    # each run holds its bit matrix on the database while it runs; four
+    # runs at once, switching every microsecond, replace each other's held
+    # matrix, and every count must still be exact.  Item j is in
+    # (19 - j) / 20 of the rows, so each threshold keeps other items
+    db = data.synth_db(3000, 12, {(j,): f"{19 - j}/20" for j in range(12)}, seed=3)
+    thresholds = ["1/4", "1/3", "1/2", "2/3"]
+    want = [apriori(db, thr) for thr in thresholds]
+    got = [[] for _ in thresholds]
+    barrier = threading.Barrier(len(thresholds), timeout=60)
+
+    def run(i):
+        barrier.wait()
+        for _ in range(25):
+            got[i].append(apriori(db, thresholds[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.monotonic()
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(thresholds))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert time.monotonic() - start < 60
+    for results, expected in zip(got, want):
+        assert len(results) == 25
+        for result in results:
+            assert result.frequents == expected.frequents
+            assert ([c.tolist() for c in result.counts]
+                    == [c.tolist() for c in expected.counts])
+    assert db._held is None
 
 
 def test_threads_start_only_past_the_work_gate(monkeypatch):

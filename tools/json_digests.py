@@ -18,7 +18,7 @@ CPU of the process's affinity, which no report depends on.  The digest is the sh
 stdout, a NUL byte, stderr, a NUL byte and the decimal exit code, so a
 changed message or exit code shows as well as a changed report.
 
-The 198 runs, in this order:
+The 199 runs, in this order:
 
 * 6 benchmark ops: `quantum-ideal`, then `quantum-bbht`, at workload
   seeds 1, 2, 3 each, with the argv of `inputs.op_argv`.
@@ -66,6 +66,11 @@ The 198 runs, in this order:
   row full).
 * 1 compare run on a larger database: `compare --synthetic 2000 40 --seed
   3 --density 0.05 --min-supp 1/25 -T 16 --samples 200 --json`.
+* 1 exact run over five levels: `mine-classical --synthetic 3000 12
+  --density 0.6 --seed 3 --min-supp 1/8 --json`.  Its levels are 12/12,
+  66/66, 220/220, 495/241 and 130/0 (candidates/frequent), so `apriori`
+  shrinks the bit matrix it holds over four levels, and 3000 rows leave
+  the last word of each packed row partly padding.
 
 The row sampler (`classical.sampling_estimate`) runs in every
 `mine-sampling` and `compare` run: 90 of the 198 (the 13 compare runs
@@ -172,6 +177,8 @@ def runs(inputs, work: str) -> list[list[str]]:
               for density in ("0", "1.0")]
     argvs.append(["compare", "--synthetic", "2000", "40", "--seed", "3", "--density", "0.05",
                   "--min-supp", "1/25", "-T", "16", "--samples", "200", "--json"])
+    argvs.append(["mine-classical", "--synthetic", "3000", "12", "--density", "0.6",
+                  "--seed", "3", "--min-supp", "1/8", "--json"])
     return argvs
 
 
