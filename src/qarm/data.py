@@ -707,8 +707,8 @@ def _bit_columns(db: TransactionDB, items: np.ndarray) -> np.ndarray:
     Chunks run on W threads (`_workers`, and each chunk spans _LINE_WORDS
     words at least), so the bool blocks in flight hold at most the
     matrix's bytes (4 KiB, or one word of rows, at least).  Each reads its
-    entries N // W at a time (or one row, if longer), 16 B an entry, so
-    the pieces in flight hold about 16 B a row."""
+    entries N // W at a time (256 at least, or one row, if longer), 16 B
+    an entry, so the pieces in flight hold about 16 B a row."""
     n_rows, n_items = db.n_transactions, items.size
     words = -(-n_rows // 64)
     positions = db._positions(items)
@@ -725,7 +725,7 @@ def _bit_columns(db: TransactionDB, items: np.ndarray) -> np.ndarray:
     lines = bits.nbytes // (span * _LINE_WORDS)  # the most chunks of a line each
     workers = min(lines, _workers(db._indices.size)) if lines > 1 else 1
     chunk = max(1, budget // (workers * span))  # words
-    step = max(n_rows // workers, 1)  # entries a piece reads
+    step = max(n_rows // workers, 1 << 8)  # entries a piece reads: 4 KiB at least
     indptr, indices = db._indptr, db._indices
 
     def fill(c):
@@ -740,7 +740,7 @@ def _bit_columns(db: TransactionDB, items: np.ndarray) -> np.ndarray:
             at = table.take(indices[indptr[lo]:indptr[hi]])
             at *= width
             at += np.repeat(np.arange(lo - first * 64, hi - first * 64),
-                            np.diff(indptr[lo:hi + 1]))
+                            indptr[lo + 1:hi + 1] - indptr[lo:hi])
             flat[at] = True
             lo = hi
         bits[:, first:last] = np.packbits(block[:n_items], axis=1,
