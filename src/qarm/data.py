@@ -604,7 +604,9 @@ def _supports(db: TransactionDB, level: np.ndarray,
               weights: np.ndarray | None = None) -> np.ndarray:
     """`level_supports` of a level, and weights, that are already checked
     (`as_level`, `TransactionDB.check_items`).  The level's distinct items
-    are found among the present ids once; an absent one counts 0."""
+    are found among the present ids once; an absent one counts 0.  An
+    unweighted count counts on the bit matrix held on db
+    (`_holding_bits`) when it holds every item of the level."""
     if not (len(level) and db._item_ids.size):  # no candidate, or no row holds an item
         return np.zeros(len(level), dtype=np.int64)
     if weights is None and level.shape[1] == 1:
