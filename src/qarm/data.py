@@ -23,6 +23,7 @@ import functools
 import os
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -60,11 +61,11 @@ _PARSE_BLOCK = 1 << 20
 # with 2**16 and in 0.5 to 0.55 with 2**17, and parsed 1 MiB of text in
 # 0.65 of it with 2**19 bytes each
 _THREAD_WORK = 1 << 16
-# the fewest words of each item's row that one chunk of a threaded bit
-# matrix build packs: a 64-byte cache line, so two threads share at most
-# the line at the bound of their chunks.  A database of 8192 rows or fewer
-# is built on the calling thread, whatever the CPU count
-_LINE_WORDS = 8
+# the bit matrix that a level-wise exact run on this thread holds
+# (`_holding_bits`): [db, items, matrix], with items and matrix None until
+# the run's first count of k-itemsets; None outside a run.  Each thread
+# starts with its own context, so no other thread sees the hold
+_HELD: ContextVar[list | None] = ContextVar("qarm_held_bits", default=None)
 # the only bytes the fast path reads; any other byte takes the line parser
 _FAST_BYTES = b"0123456789 \t\n"
 # numpy's reader silently saturates an id past int64 at 2**63 - 1, so a
@@ -261,7 +262,6 @@ class TransactionDB:
         self._item_ids, self._indices, self._column_counts = _recode(indices, n_items)
         self.n_transactions = int(indptr.size - 1)
         self.n_items = int(n_items)
-        self._held = None  # the bit matrix an exact run holds (`_holding_bits`)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]],
@@ -605,8 +605,8 @@ def _supports(db: TransactionDB, level: np.ndarray,
     """`level_supports` of a level, and weights, that are already checked
     (`as_level`, `TransactionDB.check_items`).  The level's distinct items
     are found among the present ids once; an absent one counts 0.  An
-    unweighted count counts on the bit matrix held on db
-    (`_holding_bits`) when it holds every item of the level."""
+    unweighted count inside a run that holds a bit matrix of db
+    (`_holding_bits`) counts on it when it holds every item of the level."""
     if not (len(level) and db._item_ids.size):  # no candidate, or no row holds an item
         return np.zeros(len(level), dtype=np.int64)
     if weights is None and level.shape[1] == 1:
@@ -615,39 +615,40 @@ def _supports(db: TransactionDB, level: np.ndarray,
     items, ranks = _item_ranks(level)
     if weights is not None:
         return _weighted_supports(db, db._positions(items), ranks, weights)
-    held = db._held
-    if held and np.isin(items, held[0]).all():
-        return _and_counts(held[1], held[0].searchsorted(items)[ranks].astype(np.int32))
-    bits = _bit_columns(db, items)
-    if held == ():  # the first count of a run that holds one
-        db._held = (items, bits)
-    return _and_counts(bits, ranks)
+    held = _HELD.get()
+    if held is not None and held[0] is db:  # this thread's run holds a matrix of db
+        if held[1] is None:  # the run's first count builds it
+            held[1:] = items, _bit_columns(db, items)
+        if np.isin(items, held[1]).all():
+            return _and_counts(held[2], held[1].searchsorted(items)[ranks].astype(np.int32))
+    return _and_counts(_bit_columns(db, items), ranks)
 
 
 @contextmanager
 def _holding_bits(db: TransactionDB):
-    """Hold one bit matrix on db while the block runs, for a level-wise
-    exact run: the first unweighted count of k-itemsets (k >= 2) builds it
-    over its level's items, and each later count whose items it holds
-    counts on its rows by rank; `_keep_bits` drops the rows no later level
-    needs.  It is dropped when the block ends.  What is held is read and
-    replaced as one (items, matrix) pair, so every count is exact whatever
-    another run on db holds."""
-    db._held = ()  # holding, nothing built yet
+    """Hold one bit matrix of db while the block runs, for a level-wise
+    exact run on the calling thread: its first unweighted count of
+    k-itemsets (k >= 2) builds it over its level's items, and each later
+    count whose items it holds counts on its rows by rank; `_keep_bits`
+    drops the rows no later level needs.  It is dropped when the block
+    ends.  The hold is the thread's own (`_HELD`), so a count on db from
+    another thread neither reads nor fills it, and each of several runs
+    on one database at once builds its own matrix once."""
+    token = _HELD.set([db, None, None])
     try:
         yield
     finally:
-        db._held = None
+        _HELD.reset(token)
 
 
 def _keep_bits(db: TransactionDB, level: np.ndarray) -> None:
-    """Keep only the rows of a level's items in the bit matrix held on db
-    (`_holding_bits`), if one is."""
-    held = db._held
-    if held:
+    """Keep only the rows of a level's items in the bit matrix of db that
+    this thread's run holds (`_holding_bits`), if one is held."""
+    held = _HELD.get()
+    if held is not None and held[0] is db and held[1] is not None:
         items = _item_ranks(level)[0]
-        items = items[np.isin(items, held[0])]
-        db._held = (items, held[1][held[0].searchsorted(items)])
+        items = items[np.isin(items, held[1])]
+        held[1:] = items, held[2][held[1].searchsorted(items)]
 
 
 def _prefix_runs(level: np.ndarray) -> np.ndarray:
@@ -705,12 +706,10 @@ def _bit_columns(db: TransactionDB, items: np.ndarray) -> np.ndarray:
     over the entries, in chunks of whole 64-row words: a chunk sends its
     entries through one table over the M' present ids, which gives each
     item's row, and every other id the spare row len(items), scatters them
-    into a bool block of its rows and packs that into its own words.
-    Chunks run on W threads (`_workers`, and each chunk spans _LINE_WORDS
-    words at least), so the bool blocks in flight hold at most the
-    matrix's bytes (4 KiB, or one word of rows, at least).  Each reads its
-    entries N // W at a time (256 at least, or one row, if longer), 16 B
-    an entry, so the pieces in flight hold about 16 B a row."""
+    into a bool block of its rows and packs that into its own words.  A
+    block holds at most the matrix's bytes (4 KiB, or one word of rows, at
+    least), and a chunk reads its entries N at a time (256 at least, or
+    one row, if longer), 16 B an entry, so a piece holds about 16 B a row."""
     n_rows, n_items = db.n_transactions, items.size
     words = -(-n_rows // 64)
     positions = db._positions(items)
@@ -722,16 +721,12 @@ def _bit_columns(db: TransactionDB, items: np.ndarray) -> np.ndarray:
     # no cast, and no wrap of negative indices
     table = np.full(db._item_ids.size, n_items, dtype=np.intp)
     table[positions[present]] = np.flatnonzero(present)
-    budget = max(bits.nbytes, 1 << 12)  # the bool blocks in flight
     span = (n_items + 1) * 64  # a block's bytes per word of rows
-    lines = bits.nbytes // (span * _LINE_WORDS)  # the most chunks of a line each
-    workers = min(lines, _workers(db._indices.size)) if lines > 1 else 1
-    chunk = max(1, budget // (workers * span))  # words
-    step = max(n_rows // workers, 1 << 8)  # entries a piece reads: 4 KiB at least
+    chunk = max(1, max(bits.nbytes, 1 << 12) // span)  # words
+    step = max(n_rows, 1 << 8)  # entries a piece reads: 4 KiB at least
     indptr, indices = db._indptr, db._indices
-
-    def fill(c):
-        first, last = c * chunk, min((c + 1) * chunk, words)
+    for first in range(0, words, chunk):
+        last = min(first + chunk, words)
         width = (last - first) * 64
         block = np.zeros((n_items + 1, width), dtype=bool)
         flat = block.reshape(-1)
@@ -747,8 +742,6 @@ def _bit_columns(db: TransactionDB, items: np.ndarray) -> np.ndarray:
             lo = hi
         bits[:, first:last] = np.packbits(block[:n_items], axis=1,
                                           bitorder="little").view(np.uint64)
-
-    _run_tasks(-(-words // chunk), fill, workers)
     return bits
 
 

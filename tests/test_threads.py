@@ -108,9 +108,9 @@ def _packed_dense_columns(db, items):
        n_rows=st.one_of(st.integers(1, 200), st.integers(8_000, 20_000)),
        density=st.sampled_from([0.0, 0.05, 0.5, 1.0]), data_=st.data())
 def test_bit_matrix_from_rows_is_the_packed_dense_columns(seed, n_rows, density, data_):
-    # past 8192 rows a build is split over threads; ids that no row holds
-    # (m to 15, and every id of an empty database), rows that hold
-    # nothing, a last word partly padding and an empty level all occur
+    # past a few thousand rows a build is split into chunks; ids that no
+    # row holds (m to 15, and every id of an empty database), rows that
+    # hold nothing, a last word partly padding and an empty level all occur
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 12))
     db = data.TransactionDB.from_rows(
@@ -124,39 +124,27 @@ def test_bit_matrix_from_rows_is_the_packed_dense_columns(seed, n_rows, density,
         assert (got == want).all()
 
 
-def test_a_large_bit_matrix_is_built_on_threads():
-    # 20,000 rows of 6 items: 313 words, so two chunks of 8 words or more
-    # fit the matrix's bytes; on one CPU nothing is started.  Threads
-    # switch every microsecond, so chunks that wrote each other's words
-    # would show
-    rng = np.random.default_rng(8)
-    db = random_db(rng, 20_000, 6, density=0.3)
-    items = np.arange(6)
-    want = _packed_dense_columns(db, items)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for cpus, threads in ((1, 0), (2, 1), (4, 3)):
-            with on_cpus(cpus), started_threads() as started:
-                bits = data._bit_columns(db, items)
-            assert started[0] == threads
-            assert (bits == want).all()
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_apriori_runs_sharing_a_database_stay_exact():
-    # each run holds its bit matrix on the database while it runs; four
-    # runs at once, switching every microsecond, replace each other's held
-    # matrix, and every count must still be exact.  Item j is in
-    # (19 - j) / 20 of the rows, so each threshold keeps other items
+def test_apriori_runs_sharing_a_database_stay_exact(monkeypatch):
+    # each run holds its own bit matrix while it runs; four runs at once
+    # on one database, switching every microsecond, must each build one
+    # matrix a run and count exactly.  Item j is in (19 - j) / 20 of the
+    # rows, so each threshold keeps other items
     db = data.synth_db(3000, 12, {(j,): f"{19 - j}/20" for j in range(12)}, seed=3)
     thresholds = ["1/4", "1/3", "1/2", "2/3"]
     want = [apriori(db, thr) for thr in thresholds]
     got = [[] for _ in thresholds]
+    builds = [0] * len(thresholds)
     barrier = threading.Barrier(len(thresholds), timeout=60)
+    bit_columns = data._bit_columns
+
+    def recording(db_, items):
+        builds[threading.current_thread().index] += 1
+        return bit_columns(db_, items)
+
+    monkeypatch.setattr(data, "_bit_columns", recording)
 
     def run(i):
+        threading.current_thread().index = i
         barrier.wait()
         for _ in range(25):
             got[i].append(apriori(db, thresholds[i]))
@@ -180,7 +168,7 @@ def test_apriori_runs_sharing_a_database_stay_exact():
             assert result.frequents == expected.frequents
             assert ([c.tolist() for c in result.counts]
                     == [c.tolist() for c in expected.counts])
-    assert db._held is None
+    assert builds == [25] * len(thresholds)
 
 
 def test_threads_start_only_past_the_work_gate(monkeypatch):

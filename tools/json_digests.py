@@ -73,10 +73,10 @@ The 199 runs, in this order:
   the last word of each packed row partly padding.
 
 The row sampler (`classical.sampling_estimate`) runs in every
-`mine-sampling` and `compare` run: 90 of the 198 (the 13 compare runs
+`mine-sampling` and `compare` run: 90 of the 199 (the 13 compare runs
 outside the 108, the 3 `fimi-sampling` ops, 72 of the 108 and the 2
 `mine-sampling` runs at 130 9).  A change to its draws changes those
-digests, and only those: the other 108 must keep theirs.  In a
+digests, and only those: the other 109 must keep theirs.  In a
 `compare` run each miner draws its own `--seed` stream, so the sampler's
 draws move only compare's `sampling` ledger, and its quantum half equals
 `mine-quantum` at the same seed.
