@@ -45,14 +45,17 @@ _DRAW_BUDGET = 1 << 22
 # (its Itemset and support, estimate or MinedItemset, with their list or
 # dict slots), and per transaction (the N entries, 16 B each, that an
 # exact count's bit matrix build reads at a time; the sampler's int64 draw
-# counts, their bit planes, and at most N // 8 of the drawn rows and N // 8
-# of their items at a time)
-_CANDIDATE_BYTES, _KEPT_BYTES, _ROW_BYTES = 64, 192, 28
+# counts, its drawn rows and those of one binary digit of their counts,
+# and N // 8 of those rows and N // 8 of their entries, 32 B each, at a
+# time).  Each byte-bound property held at 24 B a row over 300 examples;
+# at 22 the exact count's did not
+_CANDIDATE_BYTES, _KEPT_BYTES, _ROW_BYTES = 64, 192, 24
 # kept rows turned into Python objects at a time
 _KEPT_SLICE = 1 << 8
 # the bit matrix of a count's items and one chunk's gathered words and
-# popcounts, as a multiple of the matrix over every row (a sampled count's
-# matrix spans only the drawn rows, and it also holds one masked chunk)
+# popcounts, as a multiple of the matrix over every row.  A sampled count
+# builds one matrix per binary digit of the draw counts, over those rows
+# alone, with blocks and chunks no larger than an exact count's
 _BIT_MATRIX_COPIES = 3
 
 __all__ = [

@@ -12,10 +12,11 @@ per row (`as_level`).  Every support, exact or sampled, is counted by
 items, one packed row per item as MAFIA's vertical bitmaps are (Burdick,
 Calimlim and Gehrke, ICDE 2001).  An exact count builds it from the CSR
 rows in one pass over the entries (`_bit_columns`), and exact Apriori
-builds it once per run.  A sampled one weights each row by its draws and
-fills it from the CSR slices of the drawn rows alone, then weighs each
-AND by one bit plane per binary digit of the draw counts.  The query ledger that every miner charges, `QueryCounter`,
-lives here too.
+builds it once per run.  A sampled count, each row weighted by its
+draws, sums 2**b times an exact count over the rows whose draw count has
+bit b set, for each binary digit b, on a matrix of those rows alone made
+by the same builder.  `QueryCounter`, the query ledger that every miner
+charges, lives here too.
 """
 from __future__ import annotations
 
@@ -614,14 +615,16 @@ def _supports(db: TransactionDB, level: np.ndarray,
         return np.where(at >= 0, db._column_counts[at], 0)
     items, ranks = _item_ranks(level)
     if weights is not None:
-        return _weighted_supports(db, db._positions(items), ranks, weights)
+        return _weighted_supports(db, items, ranks, weights)
     held = _HELD.get()
     if held is not None and held[0] is db:  # this thread's run holds a matrix of db
         if held[1] is None:  # the run's first count builds it
             held[1:] = items, _bit_columns(db, items)
         if np.isin(items, held[1]).all():
-            return _and_counts(held[2], held[1].searchsorted(items)[ranks].astype(np.int32))
-    return _and_counts(_bit_columns(db, items), ranks)
+            return _and_counts(held[2], held[1].searchsorted(items)[ranks].astype(np.int32),
+                               held[2].shape[1])
+    bits = _bit_columns(db, items)
+    return _and_counts(bits, ranks, bits.shape[1])
 
 
 @contextmanager
@@ -699,139 +702,134 @@ def _item_ranks(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return items, items.searchsorted(level).astype(np.int32)
 
 
-def _bit_columns(db: TransactionDB, items: np.ndarray) -> np.ndarray:
-    """One row of ceil(N/64) uint64 words per item of a 1-d array of ids,
-    bit i of an item's row set iff transaction i holds it; the row of an
-    item that no row holds is empty.  Built from the CSR rows in one pass
-    over the entries, in chunks of whole 64-row words: a chunk sends its
-    entries through one table over the M' present ids, which gives each
-    item's row, and every other id the spare row len(items), scatters them
-    into a bool block of its rows and packs that into its own words.  A
-    block holds at most the matrix's bytes (4 KiB, or one word of rows, at
-    least), and a chunk reads its entries N at a time (256 at least, or
-    one row, if longer), 16 B an entry, so a piece holds about 16 B a row."""
-    n_rows, n_items = db.n_transactions, items.size
-    words = -(-n_rows // 64)
+def _rank_table(db: TransactionDB, items: np.ndarray) -> np.ndarray | None:
+    """One intp table over the M' present ids: each of a 1-d array of ids
+    gets its index, every other id the spare index len(items), so a rank
+    indexes a block or a bincount as it is (no cast, and no wrap of a
+    negative index).  None if no row holds any of them."""
     positions = db._positions(items)
     present = positions >= 0
     if not present.any():
-        return np.zeros((n_items, words), dtype=np.uint64)
-    bits = np.empty((n_items, words), dtype=np.uint64)
-    # intp, and the spare row rather than -1, index the block as they are:
-    # no cast, and no wrap of negative indices
-    table = np.full(db._item_ids.size, n_items, dtype=np.intp)
+        return None
+    table = np.full(db._item_ids.size, items.size, dtype=np.intp)
     table[positions[present]] = np.flatnonzero(present)
-    span = (n_items + 1) * 64  # a block's bytes per word of rows
-    chunk = max(1, max(bits.nbytes, 1 << 12) // span)  # words
-    step = max(n_rows, 1 << 8)  # entries a piece reads: 4 KiB at least
+    return table
+
+
+def _column_entries(db: TransactionDB, rows: np.ndarray | None, lo: int, stop: int):
+    """The entries of columns lo..stop-1 of a bit matrix (`_bit_columns`)
+    in pieces: yields each piece's item positions and each entry's column
+    less lo.  Without rows a piece is a slice of the CSR ids, N entries
+    (256 at least, or one column, if longer), 16 B an entry downstream.
+    With rows, N // 8 columns at a time get a CSR of their own (each
+    one's offset into the ids and a running sum of their lengths), from
+    which pieces of N // 8 entries are gathered, 32 B an entry."""
     indptr, indices = db._indptr, db._indices
-    for first in range(0, words, chunk):
-        last = min(first + chunk, words)
-        width = (last - first) * 64
-        block = np.zeros((n_items + 1, width), dtype=bool)
-        flat = block.reshape(-1)
-        lo, stop = first * 64, min(last * 64, n_rows)
-        while lo < stop:  # rows lo..hi-1: step entries, or one row
-            hi = int(indptr.searchsorted(indptr[lo] + step, side="right")) - 1
-            hi = min(max(hi, lo + 1), stop)
-            at = table.take(indices[indptr[lo]:indptr[hi]])
-            at *= width
-            at += np.repeat(np.arange(lo - first * 64, hi - first * 64),
-                            indptr[lo + 1:hi + 1] - indptr[lo:hi])
-            flat[at] = True
-            lo = hi
-        bits[:, first:last] = np.packbits(block[:n_items], axis=1,
-                                          bitorder="little").view(np.uint64)
+    step = max(db.n_transactions // (1 if rows is None else 8), 1 << 8)
+    for first in range(lo, stop, stop - lo if rows is None else step):
+        last = stop if rows is None else min(first + step, stop)
+        if rows is None:
+            ptr, shift = indptr[first:last + 1], None
+        else:
+            shift = indptr.take(rows[first:last])
+            ptr = np.zeros(last - first + 1, dtype=np.int64)
+            np.cumsum(indptr[1:].take(rows[first:last]) - shift, out=ptr[1:])
+            shift -= ptr[:-1]  # a column's CSR start less the entries before it
+        a = 0
+        while a < last - first:  # columns a..b-1: step entries, or one column
+            b = int(ptr.searchsorted(ptr[a] + step, side="right")) - 1
+            b = min(max(b, a + 1), last - first)
+            owner = np.repeat(np.arange(a, b), ptr[a + 1:b + 1] - ptr[a:b])
+            piece = (indices[ptr[a]:ptr[b]] if shift is None
+                     else indices.take(shift.take(owner) + np.arange(ptr[a], ptr[b])))
+            owner += first - lo
+            yield piece, owner
+            del piece, owner  # freed, once the caller drops them, before the next piece
+            a = b
+
+
+def _bit_columns(db: TransactionDB, items: np.ndarray,
+                 rows: np.ndarray | None = None) -> np.ndarray:
+    """One row of ceil(P/64) uint64 words per item of a 1-d array of ids,
+    over P columns: column i is transaction i (P = N), or, given an
+    increasing array of P row indices, column p is transaction rows[p].
+    Bit p of an item's row is set iff column p's transaction holds it; the
+    row of an item that no row holds is empty.  Built from the CSR rows in
+    one pass over the columns' entries (`_column_entries`), in chunks of
+    whole 64-column words: a chunk ranks its entries (`_rank_table`; an id
+    off the level takes the spare row len(items)), scatters them into a
+    bool block of its rows and packs that into its own words.  A block
+    holds at most the bytes of the items' matrix over all N rows (4 KiB,
+    or one word of rows, at least), so few drawn rows take one chunk."""
+    n_cols = db.n_transactions if rows is None else rows.size
+    table = _rank_table(db, items)
+    if table is None:
+        return np.zeros((items.size, -(-n_cols // 64)), dtype=np.uint64)
+    bits = np.empty((items.size, -(-n_cols // 64)), dtype=np.uint64)
+    span = (items.size + 1) * 64  # a block's bytes per word of rows
+    chunk = max(1, max(items.size * -(-db.n_transactions // 64) * 8, 1 << 12) // span)
+    for first in range(0, bits.shape[1], chunk):
+        last = min(first + chunk, bits.shape[1])
+        block = np.zeros((items.size + 1, (last - first) * 64), dtype=bool)
+        for positions, columns in _column_entries(db, rows, first * 64, min(last * 64, n_cols)):
+            at = table.take(positions)
+            at *= block.shape[1]
+            at += columns
+            block.reshape(-1)[at] = True
+            del positions, columns, at
+        bits[:, first:last] = np.packbits(block[:-1], axis=1, bitorder="little").view(np.uint64)
     return bits
 
 
-def _and_counts(bits: np.ndarray, ranks: np.ndarray, planes=(None,)) -> np.ndarray:
+def _and_counts(bits: np.ndarray, ranks: np.ndarray, words: int) -> np.ndarray:
     """Each candidate's count on a bit matrix, its items' rows given by
-    ranks (C x k): the sum over b of 2**b times the popcount of the AND of
-    those rows with planes[b], a bit row of the rows whose weight has bit
-    b set (None: every row, weight 1).  Candidates are counted in chunks of
-    len(bits) // W on W threads (`_workers`), each into its own slice of
-    the counts, so the gathered rows in flight never outgrow the matrix."""
-    out = np.zeros(len(ranks), dtype=np.int64)
-    workers = _workers(ranks[:len(bits)].size * bits.shape[1])
-    step = max(len(bits) // workers, 1)
+    ranks (C x k): the popcount of the AND of those rows.  Candidates are
+    counted in chunks that gather len(bits) * words words at most, what a
+    count over every row gathers with words = ceil(N/64), so a matrix over
+    a few drawn rows is counted in a few large chunks; a chunk is split
+    over W threads (`_workers`), each counting into its own slice."""
+    out = np.empty(len(ranks), dtype=np.int64)
+    step = max(len(bits) * words // max(bits.shape[1], 1), 1)
+    workers = _workers(ranks[:step].size * bits.shape[1])
+    step = max(step // workers, 1)
 
     def count(i):
         part = ranks[i * step:(i + 1) * step]
-        words = bits[part[:, 0]]
+        held = bits[part[:, 0]]
         for column in part.T[1:]:
-            words &= bits[column]
-        for b, plane in enumerate(planes):
-            held = words if plane is None else words & plane
-            out[i * step:i * step + len(part)] += (
-                np.bitwise_count(held).sum(axis=1, dtype=np.int64) << b)
+            held &= bits[column]
+        out[i * step:i * step + len(part)] = np.bitwise_count(held).sum(axis=1, dtype=np.int64)
 
     _run_tasks(-(-len(ranks) // step), count, workers)
     return out
 
 
-def _row_pieces(db: TransactionDB, rows: np.ndarray, step: int):
-    """The items of increasing `rows`, from their CSR slices, in pieces of
-    at most `step` items (and at least one row): yields each item's row as
-    an index into `rows`, and the items' positions, row after row."""
-    begin = db._indptr[rows]
-    length = db._indptr[rows + 1] - begin
-    ends = np.cumsum(length)
-    shift = begin - ends + length  # a row's CSR start less the items before it
-    lo = 0
-    while lo < rows.size:
-        base = int(ends[lo - 1]) if lo else 0
-        hi = max(int(np.searchsorted(ends, base + step, side="right")), lo + 1)
-        owner = np.repeat(np.arange(lo, hi), length[lo:hi])
-        yield owner, db._indices[shift[owner] + np.arange(base, int(ends[hi - 1]))]
-        lo = hi
-
-
-def _set_bits(bits: np.ndarray, rows, cols: np.ndarray) -> None:
-    """Set bit cols[i] of row rows[i] (or row `rows`) of a uint64 matrix."""
-    flat = rows * bits.shape[1] + (cols >> 6)
-    np.bitwise_or.at(bits.reshape(-1), flat, np.left_shift(1, cols & 63).astype(np.uint64))
-
-
-def _weighted_supports(db: TransactionDB, positions: np.ndarray, ranks: np.ndarray,
+def _weighted_supports(db: TransactionDB, items: np.ndarray, ranks: np.ndarray,
                        weights: np.ndarray) -> np.ndarray:
-    """level_supports with weights, over the rows of nonzero weight only,
-    read from their CSR slices N // 8 rows and N // 8 row items at a time,
-    for a level of distinct items at `positions` (`_supports`) and ranks.
-    Each row item is ranked among the level's by one int32 table over the
-    M' present ids, -1 off the level.  Single items add each row's weight
-    at their ranks.  k-itemsets, k >= 2, set their items' bits in a bit
-    matrix over those rows, column p for the p-th, and are counted on it
-    with one plane per bit of the weights (`_and_counts`)."""
-    single = ranks.shape[1] == 1
-    table = np.full(db._item_ids.size, -1, dtype=np.int32)
-    present = positions >= 0
-    table[positions[present]] = np.flatnonzero(present)
-    if single:
-        sums = np.zeros(positions.size, dtype=np.int64)
-    else:
-        words = -(-int(np.count_nonzero(weights)) // 64)
-        bits = np.zeros((positions.size, words), dtype=np.uint64)
-        planes = np.zeros((int(weights.max()).bit_length(), words), dtype=np.uint64)
-    step = max(db.n_transactions // 8, 1)
-    pos = 0  # the column of the first row of this step
-    for start in range(0, db.n_transactions, step):
-        rows = np.flatnonzero(weights[start:start + step]) + start
-        w = weights[rows]
-        if not single:
-            for b in range(len(planes)):
-                _set_bits(planes, b, pos + np.flatnonzero((w >> b) & 1))
-        for owner, row_items in _row_pieces(db, rows, step):
-            at = table[row_items]
-            hit = at >= 0
-            if single:
-                np.add.at(sums, at[hit], w[owner[hit]])
-            else:
-                _set_bits(bits, at[hit], pos + owner[hit])
-        pos += rows.size
-    if single:
-        return sums[ranks[:, 0]]
-    return _and_counts(bits, ranks, planes)
+    """level_supports with weights, for a level of distinct items and
+    ranks (`_item_ranks`): the sum over each binary digit b of the weights
+    of 2**b times an exact count over the rows whose weight has bit b set,
+    which reads those rows' CSR slices alone (`_column_entries`).  Single
+    items count their entries by a bincount of their ranks (`_rank_table`),
+    and k-itemsets, k >= 2, the ANDs of a bit matrix over those rows
+    (`_bit_columns`).  The rows of nonzero weight are found once, int32
+    when N allows, with their weights in the narrowest type that holds them."""
+    out = np.zeros(len(ranks), dtype=np.int64)
+    table = _rank_table(db, items)
+    drawn = np.flatnonzero(weights != 0).astype(np.int32 if weights.size <= 1 << 31 else np.intp)
+    top = weights.max()
+    times = weights.take(drawn).astype(np.min_scalar_type(top))
+    for b in range(int(top).bit_length() if table is not None else 0):
+        rows = drawn[(times & (1 << b)) != 0]
+        if ranks.shape[1] > 1:
+            counts = _and_counts(_bit_columns(db, items, rows), ranks, -(-db.n_transactions // 64))
+        else:
+            counts = np.zeros(items.size + 1, dtype=np.int64)
+            for positions, _ in _column_entries(db, rows, 0, rows.size):
+                counts += np.bincount(table.take(positions), minlength=items.size + 1)
+            counts = counts[ranks[:, 0]]
+        out += counts << b
+    return out
 
 
 def exact_support(db: TransactionDB, x: Itemset) -> ExactSupport:

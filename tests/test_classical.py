@@ -1,6 +1,7 @@
 """Exact level-wise mining, the row-sampling baseline, rule generation,
 and the query-advantage metric."""
 
+import copy
 import itertools
 import threading
 import tracemalloc
@@ -471,23 +472,33 @@ def test_sample_count_past_int64_is_refused_before_any_draw(dtoy):
 
 
 def test_sampling_reads_only_drawn_rows(monkeypatch):
-    # a sampled count costs the drawn rows, not N: it never builds the bit
-    # matrix of its items over all N rows
+    # a sampled count costs the drawn rows, not N: it builds the bit
+    # matrix of its items over drawn rows alone, never over all N rows
     rng = np.random.default_rng(3)
     db = random_db(rng, 200, 6, density=0.5)
-    asked = []
+    asked, sampled = [], []
     bit_columns = data._bit_columns
 
-    def recording(db, items):
-        asked.append(items.tolist())
-        return bit_columns(db, items)
+    def recording(db, items, rows=None):
+        if rows is None:
+            asked.append(items.tolist())
+        else:
+            sampled[-1].append(rows.tolist())
+        return bit_columns(db, items, rows)
 
     monkeypatch.setattr(data, "_bit_columns", recording)
     levels = [[Itemset.of(j) for j in range(6)],
               [Itemset((0, 1)), Itemset((0, 4)), Itemset((1, 5))],
               [Itemset((0, 1, 3)), Itemset((2, 3, 5))]]
     for level in levels:
+        # the rows this call draws, from a twin of the stream
+        drawn = set(copy.deepcopy(rng).integers(0, 200, size=500, dtype=np.int32).tolist())
+        sampled.append([])
         sampling_estimate(db, level, 500, rng)
+        assert all(set(rows) <= drawn for rows in sampled[-1])
+        # single items count the drawn rows' entries; a level of k-itemsets
+        # builds its matrices over drawn rows alone, and every drawn row is in one
+        assert not sampled[-1] if len(level[0]) == 1 else set().union(*sampled[-1]) == drawn
     assert asked == []
     level_supports(db, levels[1])  # an exact count builds it, and is seen
     assert asked == [[0, 1, 4, 5]]

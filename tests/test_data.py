@@ -26,7 +26,7 @@ from qarm import (
     synth_db,
 )
 from qarm.data import level_supports
-from conftest import CALL_BYTES, random_db, traced_peak
+from conftest import CALL_BYTES, random_candidates, random_db, traced_peak
 
 
 def test_parse_two_lines():
@@ -481,6 +481,31 @@ def test_level_supports_match_dense(seed, n_rows, shuffled, weights, gap):
         array = np.array(candidates, dtype=np.int32)
         assert np.array_equal(level_supports(db, array, w), got)
     assert level_supports(db, [], w).tolist() == []
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_rows=st.sampled_from([1, 7, 63, 64, 65, 130]),
+       k=st.integers(1, 3), weights=st.sampled_from(["even", "heavy", "ones"]))
+def test_weighted_supports_match_dense_at_each_digit_pattern(seed, n_rows, k, weights):
+    # a sampled count sums one exact count per binary digit of the draw
+    # counts: all even leaves digit 0 without a row, one row of 2**40
+    # leaves 40 digits without one and the top digit with one row, and all
+    # ones has a single digit holding every row
+    rng = np.random.default_rng(seed)
+    db = random_db(rng, n_rows, int(rng.integers(k, 9)), density=float(rng.uniform(0.1, 0.9)))
+    if weights == "even":
+        w = 2 * rng.integers(0, 4, size=n_rows)
+    elif weights == "heavy":
+        w = np.zeros(n_rows, dtype=np.int64)
+        w[rng.integers(n_rows)] = 2 ** 40
+    else:
+        w = np.ones(n_rows, dtype=np.int64)
+    candidates = random_candidates(rng, db, k)
+    dense = db.dense()
+    got = level_supports(db, candidates, w)
+    assert got.tolist() == [int((dense[:, list(x)].all(axis=1) * w).sum()) for x in candidates]
+    if weights == "ones":
+        assert got.tolist() == level_supports(db, candidates).tolist()
 
 
 def test_level_supports_refuses_a_negative_weight(dtoy):

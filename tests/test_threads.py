@@ -124,6 +124,34 @@ def test_bit_matrix_from_rows_is_the_packed_dense_columns(seed, n_rows, density,
         assert (got == want).all()
 
 
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n_rows=st.one_of(st.integers(1, 200), st.integers(2_000, 6_000)),
+       density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       subset=st.sampled_from(["empty", "one", "all", "some"]),
+       int32=st.booleans(), data_=st.data())
+def test_bit_matrix_over_some_rows_is_their_packed_dense_columns(seed, n_rows, density,
+                                                                 subset, int32, data_):
+    # column p is row rows[p]; past 2,000 rows of up to 16 items a build
+    # over most rows is split into chunks, and each chunk into pieces;
+    # absent ids, empty rows and a last word partly padding all occur
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 12))
+    db = data.TransactionDB.from_rows(
+        [np.flatnonzero(row) for row in rng.random((n_rows, m)) < density], n_items=16)
+    items = np.array(sorted(data_.draw(st.sets(st.integers(0, 15), max_size=16))), dtype=np.int64)
+    rows = {"empty": np.zeros(0, dtype=np.int64), "one": rng.integers(n_rows, size=1),
+            "all": np.arange(n_rows),
+            "some": np.flatnonzero(rng.random(n_rows) < rng.uniform(0.01, 1))}[subset]
+    rows = rows.astype(np.int32 if int32 else np.int64)  # the sampler passes int32
+    held = np.zeros((len(items), -(-rows.size // 64) * 64), dtype=bool)
+    held[:, :rows.size] = db.dense()[rows][:, items].T
+    want = np.packbits(held, axis=1, bitorder="little").view(np.uint64)
+    got = data._bit_columns(db, items, rows)
+    assert got.dtype == np.uint64 and got.shape == want.shape
+    assert (got == want).all()
+
+
 def test_apriori_runs_sharing_a_database_stay_exact(monkeypatch):
     # each run holds its own bit matrix while it runs; four runs at once
     # on one database, switching every microsecond, must each build one

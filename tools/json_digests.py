@@ -18,7 +18,7 @@ CPU of the process's affinity, which no report depends on.  The digest is the sh
 stdout, a NUL byte, stderr, a NUL byte and the decimal exit code, so a
 changed message or exit code shows as well as a changed report.
 
-The 199 runs, in this order:
+The 200 runs, in this order:
 
 * 6 benchmark ops: `quantum-ideal`, then `quantum-bbht`, at workload
   seeds 1, 2, 3 each, with the argv of `inputs.op_argv`.
@@ -71,12 +71,18 @@ The 199 runs, in this order:
   66/66, 220/220, 495/241 and 130/0 (candidates/frequent), so `apriori`
   shrinks the bit matrix it holds over four levels, and 3000 rows leave
   the last word of each packed row partly padding.
+* 1 sampling run with many draws per row: `mine-sampling --dataset
+  zipf-1.dat --samples 1000000 --min-supp 1% --json` on the
+  `fimi-sampling` input file at workload seed 1 (88,162 rows): nearly
+  every row is drawn, and each level's draw counts reach 27 to 30, five
+  binary digits.
 
 The row sampler (`classical.sampling_estimate`) runs in every
-`mine-sampling` and `compare` run: 90 of the 199 (the 13 compare runs
-outside the 108, the 3 `fimi-sampling` ops, 72 of the 108 and the 2
-`mine-sampling` runs at 130 9).  A change to its draws changes those
-digests, and only those: the other 109 must keep theirs.  In a
+`mine-sampling` and `compare` run: 91 of the 200 (the 13 compare runs
+outside the 108, the 3 `fimi-sampling` ops, 72 of the 108, the 2
+`mine-sampling` runs at 130 9 and the run at 10^6 samples).  A change to
+its draws changes those digests, and only those: the other 109 must keep
+theirs.  In a
 `compare` run each miner draws its own `--seed` stream, so the sampler's
 draws move only compare's `sampling` ledger, and its quantum half equals
 `mine-quantum` at the same seed.
@@ -179,6 +185,9 @@ def runs(inputs, work: str) -> list[list[str]]:
                   "--min-supp", "1/25", "-T", "16", "--samples", "200", "--json"])
     argvs.append(["mine-classical", "--synthetic", "3000", "12", "--density", "0.6",
                   "--seed", "3", "--min-supp", "1/8", "--json"])
+    path, _ = inputs.write_input("fimi-sampling", 1, work)
+    argvs.append(["mine-sampling", "--dataset", os.path.basename(path), "--samples", "1000000",
+                  "--min-supp", "1%", "--json"])
     return argvs
 
 
