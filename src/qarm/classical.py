@@ -47,8 +47,8 @@ _DRAW_BUDGET = 1 << 22
 # exact count's bit matrix build reads at a time; the sampler's int64 draw
 # counts, its drawn rows and those of one binary digit of their counts,
 # and N // 8 of those rows and N // 8 of their entries, 32 B each, at a
-# time).  Each byte-bound property held at 24 B a row over 300 examples;
-# at 22 the exact count's did not
+# time).  fre_exam's and the sampler's byte-bound properties held at 24
+# B a row over 300 examples each, and fre_exam's failed at 22
 _CANDIDATE_BYTES, _KEPT_BYTES, _ROW_BYTES = 64, 192, 24
 # kept rows turned into Python objects at a time
 _KEPT_SLICE = 1 << 8
